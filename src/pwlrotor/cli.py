@@ -15,8 +15,8 @@ is deterministic (same config, any worker count, byte-identical) and
 carries a comment line with the backend and tolerances in force.
 
 Exit codes: 0 success; 2 bad config or parameter out of domain; 3 piece
-overflow; 4 conjugacy required but absent; 5 mode-locking bracket does
-not straddle the interval.  Set ``PWL_ROTOR_LOG=debug`` (or info,
+overflow or float precision loss; 4 conjugacy required but absent; 5
+mode-locking bracket does not straddle the interval.  Set ``PWL_ROTOR_LOG=debug`` (or info,
 warning, ...) for progress logging on stderr.
 """
 from __future__ import annotations
@@ -347,6 +347,9 @@ def main(argv=None) -> int:
         return 2
     except errors.Overflow as exc:
         print("error: piece budget exceeded: %s" % exc, file=sys.stderr)
+        return 3
+    except errors.PrecisionLoss as exc:
+        print("error: float precision lost: %s" % exc, file=sys.stderr)
         return 3
     except errors.NotConjugateError as exc:
         print("error: not conjugate: %s" % exc, file=sys.stderr)

@@ -21,6 +21,10 @@ class Overflow(PwlError):
     """Piece count exceeded the configured cap during composition."""
 
 
+class PrecisionLoss(PwlError):
+    """Float rounding collapsed a composition that is monotone in exact terms."""
+
+
 class NotABreak(PwlError):
     """The marked point has equal one-sided slopes."""
 

@@ -1,20 +1,47 @@
-"""Select the orbit kernel at import time.
+"""The orbit kernel: iterate a float lift given by its marked points.
 
-The compiled extension is preferred when it built; otherwise the pure
-Python twin takes over with identical semantics.  Set ``PWL_ROTOR_PURE=1``
-to force the fallback (useful for benchmarking the two side by side).
+Long orbits reach this loop only through the explicit lift of ``F^Q``
+(see :func:`pwlrotor.rotation.birkhoff_enclosure`), so each step here
+stands for up to ``Q`` steps of ``F`` and plain Python is fast enough.
 """
 from __future__ import annotations
 
-import os
+from bisect import bisect_right
+from math import floor
 
-if os.environ.get("PWL_ROTOR_PURE"):
-    from . import _kernel_py as _impl
-else:
-    try:
-        from . import _kernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _impl
+IMPLEMENTATION = "python"
 
-IMPLEMENTATION: str = _impl.IMPLEMENTATION
-iterate = _impl.iterate
+
+def iterate(breaks, values, slopes, x0, m):
+    """Apply the circle map ``m`` times starting from ``x0`` in [0, 1).
+
+    The lift is given by its marked points in [0, 1).  Returns the pair
+    ``(winding, x)``: the accumulated integer part of the displacement and
+    the final fractional position.  Tracking the winding separately keeps
+    full double resolution on the orbit position no matter how large the
+    total displacement grows.
+    """
+    b = [float(v) for v in breaks]
+    ph = [float(v) for v in values]
+    s = [float(v) for v in slopes]
+    n = len(b)
+    b0 = b[0]
+    bw = b[n - 1] - 1.0
+    pw = ph[n - 1] - 1.0
+    sw = s[n - 1]
+    x = float(x0)
+    wind = 0
+    for _ in range(m):
+        if x < b0:
+            y = pw + sw * (x - bw)
+        else:
+            k = bisect_right(b, x) - 1
+            y = ph[k] + s[k] * (x - b[k])
+        fy = floor(y)
+        x = y - fy
+        if x >= 1.0:
+            # y can round to an integer from below; renormalise.
+            x -= 1.0
+            fy += 1
+        wind += fy
+    return wind, x

@@ -227,6 +227,12 @@ def compose(outer: PwlLift, inner: PwlLift, cap: int = DEFAULT_PIECE_CAP) -> Pwl
     value at each is ``outer(inner(x))``.  That set refines the true break
     set, so the affine interpolation through it reproduces the composition
     exactly.
+
+    Raises:
+        Overflow: more than ``cap`` marked points.
+        PrecisionLoss: float rounding made neighbouring values of the
+            composition coincide or cross (strong contraction, as near an
+            attracting periodic orbit); the exact backend cannot hit this.
     """
     if outer.backend.tag != inner.backend.tag:
         raise errors.BackendMismatch(
@@ -241,7 +247,15 @@ def compose(outer: PwlLift, inner: PwlLift, cap: int = DEFAULT_PIECE_CAP) -> Pwl
             "composition would carry %d marked points (cap %d)" % (len(marked), cap)
         )
     values = [outer(inner(x)) for x in marked]
-    return make_lift(marked, values, inner.backend)
+    try:
+        return make_lift(marked, values, inner.backend)
+    except errors.NonMonotone as exc:
+        if isinstance(inner.backend, FloatBackend):
+            raise errors.PrecisionLoss(
+                "float composition over %d marked points lost monotonicity: %s"
+                % (len(marked), exc)
+            ) from exc
+        raise
 
 
 def power(f: PwlLift, k: int, cap: int = DEFAULT_PIECE_CAP) -> PwlLift:
@@ -249,7 +263,9 @@ def power(f: PwlLift, k: int, cap: int = DEFAULT_PIECE_CAP) -> PwlLift:
 
     Powers of the same map commute, so the square-and-multiply order does
     not matter.  Marked-point counts grow at most linearly in ``k``; the
-    cap bounds them and raises :class:`errors.Overflow` beyond.
+    cap bounds them and raises :class:`errors.Overflow` beyond.  Float
+    powers of strongly contracting maps raise :class:`errors.PrecisionLoss`
+    (see :func:`compose`).
     """
     if k < 1:
         raise ValueError("power wants k >= 1, got %d" % k)

@@ -19,16 +19,20 @@ Three complementary tools live here.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import errors, kernel
 from .backend import FloatBackend, Num, RationalBackend
 from .lift import DEFAULT_PIECE_CAP, PwlLift, canonicalize, compose, frac, power
+
+log = logging.getLogger(__name__)
+
+#: Orbits shorter than ``16 * MIN_POWER**2`` steps iterate ``F`` directly.
+MIN_POWER = 16
 
 _ABOVE = "above"
 _BELOW = "below"
@@ -107,13 +111,50 @@ class RotationResult:
         }
 
 
+def _orbit_power(m: int) -> int:
+    """The power ``Q`` whose explicit lift carries an ``m``-step orbit.
+
+    The largest power of two with ``Q <= sqrt(m)/4``: building ``F^Q``
+    costs about ``Q*n`` and iterating it ``m/Q``, so the best ``Q`` grows
+    like ``sqrt(m)``.  Returns 1 (iterate ``F`` itself) below ``MIN_POWER``.
+    """
+    q = 1 << max(0, (math.isqrt(m) // 4).bit_length() - 1)
+    return q if q >= MIN_POWER else 1
+
+
+def _float_orbit(f: PwlLift, x0: float, m: int) -> Tuple[int, float]:
+    """``m`` steps of ``F`` from ``x0`` as ``m//q`` steps of ``P = F^q``
+    then ``m%q`` steps of ``F``; returns the total winding and end point.
+
+    ``P`` comes from repeated squaring.  A squaring that loses float
+    precision or exceeds the piece cap stops it, and the last square
+    built is used instead (``F`` itself when the first one fails).
+    """
+    q_target = _orbit_power(m)
+    P, q = f, 1
+    while q < q_target:
+        try:
+            P = compose(P, P)
+        except (errors.PrecisionLoss, errors.Overflow) as exc:
+            log.debug("birkhoff_enclosure: F^%d not built (%s); falling back to Q=%d",
+                      2 * q, exc, q)
+            break
+        q *= 2
+    log.debug("birkhoff_enclosure: m=%d, Q=%d, %d marked points", m, q, P.n)
+    wind, x = kernel.iterate(P.breaks, P.values, P.slopes, x0, m // q)
+    rest, x = kernel.iterate(f.breaks, f.values, f.slopes, x, m % q)
+    return wind + rest, x
+
+
 def birkhoff_enclosure(f: PwlLift, m: int, x0=0) -> RotationResult:
     """Trap the rotation number via ``m`` orbit steps from ``x0``.
 
     Uses the bound ``|F^m(x) - x - m rho| < 1``, so the enclosure has
-    width exactly ``2/m``.  Float lifts run through the compiled kernel
-    (winding tracked separately from the fractional position); exact lifts
-    iterate in rational arithmetic and the result is fully rigorous.
+    width exactly ``2/m``.  Float lifts iterate the explicit lift of a
+    power ``F^Q`` (``Q`` grows like ``sqrt(m)``, see :func:`_orbit_power`)
+    in the Python kernel, with the winding tracked separately from the
+    fractional position; exact lifts iterate ``F`` in rational arithmetic
+    and the result is fully rigorous.
     """
     if m < 1:
         raise ValueError("need at least one iterate, got m=%d" % m)
@@ -126,11 +167,8 @@ def birkhoff_enclosure(f: PwlLift, m: int, x0=0) -> RotationResult:
             x = f(x)
         disp = x - x0
         return RotationResult.enclosure((disp - 1) / m, (disp + 1) / m, iterations=m)
-    breaks = np.asarray(f.breaks, dtype=float)
-    values = np.asarray(f.values, dtype=float)
-    slopes = np.asarray(f.slopes, dtype=float)
-    wind, x_end = kernel.iterate(breaks, values, slopes, float(x0), m)
-    disp = wind + (x_end - float(x0))
+    wind, x_end = _float_orbit(f, x0, m)
+    disp = wind + (x_end - x0)
     return RotationResult.enclosure((disp - 1.0) / m, (disp + 1.0) / m, iterations=m)
 
 

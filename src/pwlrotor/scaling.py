@@ -104,12 +104,17 @@ def _landmarks(f, q_cap, orbit_tol, cap):
             "break %d is not periodic (drift %s after %d steps)"
             % (part.break_index, part.drift, part.q)
         )
+    return part, _partition_landmarks(f, part)
+
+
+def _partition_landmarks(f: PwlLift, part) -> list:
+    """The break-orbit points of ``part``, or the orbit of 0 when ``K = 0``."""
     if part.K == 0:
         pts = [f.backend.coerce(0)]
         for _ in range(part.q - 1):
             pts.append(frac(f(pts[-1])))
-        return part, sorted(pts)
-    return part, part.landmarks()
+        return sorted(pts)
+    return part.landmarks()
 
 
 def _slope_derivatives(f: PwlLift, db, dphi):
@@ -327,7 +332,8 @@ def r1(
             % (verdict.verdict, verdict.reason)
         )
     p, q = verdict.p, verdict.q
-    part, landmarks = _landmarks(f_c, q_cap=q_cap, orbit_tol=orbit_tol, cap=cap)
+    part = verdict.partition
+    landmarks = _partition_landmarks(f_c, part)
     data = _segment_data(family, mu_c, f_c, landmarks, q)
     sigma = data["sigma"]
 
@@ -411,7 +417,7 @@ class ResidualReport:
     r2: float
     window: float
     n_samples: int
-    symmetry_c: float
+    symmetry_c: Optional[float]
     p: int
     q: int
     R1: float
@@ -452,7 +458,9 @@ def scaling_residual(
     landmarks: within ``O(mu)`` of a break-orbit point the two return
     maps traverse a shifted break through mismatched pieces and their
     difference is genuinely first order there, so the sup is taken
-    outside those strips (radius proportional to ``mu``).
+    outside those strips (radius proportional to ``mu``).  When the strips
+    cover the whole circle at every probe, ``symmetry_c`` is None: nothing
+    was measured.
     """
     if report is None:
         report = r1(family, mu_c, cap=cap)
@@ -480,7 +488,7 @@ def scaling_residual(
             if resid > worst:
                 worst = resid
 
-    sym = 0.0
+    sym = None
     f_c = fam_f.lift(mu_f)
     s_M = max(float(s) for s in f_c.slopes)
     strip_factor = 2.0 * (1.0 + s_M ** max(1, q - 1))
@@ -493,7 +501,7 @@ def scaling_residual(
             log.warning("symmetry check skipped at mu~=%s: strips cover the circle", mu_t)
             continue
         c = diff / (mu_t * mu_t)
-        if c > sym:
+        if sym is None or c > sym:
             sym = c
 
     return ResidualReport(

@@ -121,6 +121,18 @@ class TestModelock:
         assert proc.returncode == 5
 
 
+class TestPrecisionLoss:
+    def test_float_collapse_exits_3_not_2(self, tmp_path):
+        # refraction(2, beta_c) is 5/6-locked at mu = -0.1; its float F^512
+        # collapses there, so the first bisection probe loses precision.
+        cfg = {"family": {"family": "refraction",
+                          "params": {"alpha": 2.0, "beta": 1.2360679774997898}},
+               "p": 427, "q": 512, "bracket": [-0.1, -0.09]}
+        proc = run_cli(tmp_path, "modelock", cfg)
+        assert proc.returncode == 3
+        assert "precision" in proc.stderr
+
+
 class TestSweep:
     CFG = {"family": HERMAN, "mu_min": -0.05, "mu_max": 0.05,
            "points": 9, "m": 2000}

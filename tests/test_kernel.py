@@ -1,28 +1,16 @@
-"""The compiled and pure orbit kernels must agree bit for bit."""
+"""The orbit kernel, and the power-lift orbits built on it."""
+import logging
 import math
 
-import numpy as np
 import pytest
 
 import pwlrotor as pr
-from pwlrotor import _kernel_py
-
-try:
-    from pwlrotor import _kernel as _compiled
-except ImportError:
-    _compiled = None
-
-needs_compiled = pytest.mark.skipif(
-    _compiled is None, reason="compiled kernel not built"
-)
+from pwlrotor import kernel
+from pwlrotor.rotation import _orbit_power
 
 
-def _arrays(f):
-    return (
-        np.asarray(f.breaks, dtype=float),
-        np.asarray(f.values, dtype=float),
-        np.asarray(f.slopes, dtype=float),
-    )
+def _pieces(f):
+    return f.breaks, f.values, f.slopes
 
 
 MAPS = [
@@ -33,15 +21,18 @@ MAPS = [
     pr.rigid(0.7309),
 ]
 
+#: rho = 5/6, strongly attracting: F^256 builds in floats, F^512 does not.
+LOCKED = pr.refraction(2.0, pr.gmm_critical_beta(2.0)).lift(-0.1)
+
 
 def test_implementation_tag():
-    assert pr.KERNEL_IMPLEMENTATION in ("cython", "python")
-    assert _kernel_py.IMPLEMENTATION == "python"
+    assert pr.KERNEL_IMPLEMENTATION == "python"
+    assert kernel.IMPLEMENTATION == "python"
 
 
 def test_pure_kernel_matches_direct_iteration():
     f = MAPS[0]
-    b, v, s = _arrays(f)
+    b, v, s = _pieces(f)
     x = 0.389
     wind = 0
     for _ in range(500):
@@ -52,36 +43,41 @@ def test_pure_kernel_matches_direct_iteration():
             x_new -= 1.0
             w += 1
         x, wind = x_new, wind + w
-    kw, kx = _kernel_py.iterate(b, v, s, 0.389, 500)
+    kw, kx = kernel.iterate(b, v, s, 0.389, 500)
     assert (kw, kx) == (wind, x)
 
 
 def test_winding_of_rigid_rotation():
     f = pr.rigid(0.25)
-    b, v, s = _arrays(f)
-    wind, x = _kernel_py.iterate(b, v, s, 0.1, 8)
+    b, v, s = _pieces(f)
+    wind, x = kernel.iterate(b, v, s, 0.1, 8)
     assert wind == 2
     assert abs(x - 0.1) < 1e-15
 
 
-@needs_compiled
+@pytest.mark.parametrize("m, q", [(1, 1), (1000, 1), (4095, 1), (4096, 16), (10**4, 16),
+                                  (10**5, 64), (10**7, 512)])
+def test_orbit_power_grows_like_sqrt_m(m, q):
+    assert _orbit_power(m) == q
+
+
 @pytest.mark.parametrize("idx", range(len(MAPS)))
-@pytest.mark.parametrize("x0", [0.0, 0.1234567, 0.9999])
-def test_bit_identical(idx, x0):
+@pytest.mark.parametrize("m", [10**5, 2**20 + 37])
+@pytest.mark.parametrize("x0", [0.0, 0.1234567])
+def test_power_lift_matches_direct_iteration(idx, m, x0):
     f = MAPS[idx]
-    b, v, s = _arrays(f)
-    pw, px = _kernel_py.iterate(b, v, s, x0, 20_000)
-    cw, cx = _compiled.iterate(b, v, s, x0, 20_000)
-    assert pw == cw
-    assert px == cx  # exact float equality, not a tolerance
+    enc = pr.birkhoff_enclosure(f, m, x0)
+    wind, x = kernel.iterate(*_pieces(f), x0, m)
+    direct = (wind + (x - x0)) / m
+    assert abs(enc.midpoint - direct) <= 1e-12
+    assert enc.width == pytest.approx(2.0 / m, rel=1e-12)
 
 
-@needs_compiled
-def test_bit_identical_through_birkhoff():
-    f = MAPS[3]
-    via_kernel = pr.birkhoff_enclosure(f, 100_000)
-    b, v, s = _arrays(f)
-    wind, x = _kernel_py.iterate(b, v, s, 0.0, 100_000)
-    disp = wind + (x - 0.0)
-    assert via_kernel.lo == (disp - 1.0) / 100_000
-    assert via_kernel.hi == (disp + 1.0) / 100_000
+def test_locked_map_falls_back_to_last_square(caplog):
+    with pytest.raises(pr.errors.PrecisionLoss):
+        pr.power(LOCKED, 512)
+    with caplog.at_level(logging.DEBUG, logger="pwlrotor.rotation"):
+        enc = pr.birkhoff_enclosure(LOCKED, 10**7)
+    assert enc.contains(5 / 6)
+    assert "falling back to Q=256" in caplog.text
+    assert "Q=256" in caplog.messages[-1]

@@ -230,3 +230,21 @@ class TestPieceCap:
     def test_cap_roomy_enough_passes(self):
         f = pr.refraction(2.0, 1.14).lift(0.0)
         assert pr.power(f, 50, cap=10**4).n <= 104
+
+
+class TestPrecisionLoss:
+    """Float powers of a strongly locked map lose monotonicity to rounding."""
+
+    LOCKED = pr.refraction(2.0, pr.gmm_critical_beta(2.0)).lift(-0.1)  # rho = 5/6
+
+    def test_power_512(self):
+        with pytest.raises(errors.PrecisionLoss):
+            pr.power(self.LOCKED, 512)
+
+    def test_compose_284_with_f(self):
+        with pytest.raises(errors.PrecisionLoss):
+            pr.compose(pr.power(self.LOCKED, 284), self.LOCKED)
+
+    def test_not_reported_as_bad_data(self):
+        assert not issubclass(errors.PrecisionLoss, errors.NonMonotone)
+        assert pr.power(self.LOCKED, 256).n > 256

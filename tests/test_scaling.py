@@ -125,6 +125,19 @@ class TestR1:
         with pytest.raises(errors.NotConjugateError):
             pr.r1(herman_sqrt2, 0.05, m_fit=10**4)
 
+    def test_certifies_rho_once(self, herman_sqrt2, monkeypatch):
+        calls = []
+        real = pr.conjugacy.exact_rotation
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pr.conjugacy, "exact_rotation", counting)
+        rep = pr.r1(herman_sqrt2, 0.0, m_fit=10**4)
+        assert len(calls) == 1
+        assert len(rep.landmarks) == 2
+
     def test_report_fields_and_json(self, herman_sqrt2):
         rep = pr.r1(herman_sqrt2, 0.0, m_fit=10**5)
         assert rep.derivative_provenance == "analytic"
@@ -157,6 +170,15 @@ class TestScalingResidual:
         res = pr.scaling_residual(refr_critical, 0.0, window=1e-2, samples=6,
                                   m=10**5, report=rep)
         assert abs(res.symmetry_c - 7.2587) < 0.5
+
+    def test_symmetry_constant_none_when_every_probe_is_skipped(self, refr_critical):
+        # at window 0.08 the landmark strips cover the circle at both probes
+        rep = pr.r1(refr_critical, 0.0, m_fit=10**5)
+        res = pr.scaling_residual(refr_critical, 0.0, window=0.08, samples=4,
+                                  m=10**5, report=rep)
+        assert res.symmetry_c is None
+        assert res.to_json()["symmetry_c"] is None
+        assert res.r2 > 0
 
     def test_symmetry_constant_stable_under_halving(self, refr_critical):
         rep = pr.r1(refr_critical, 0.0, m_fit=10**5)
