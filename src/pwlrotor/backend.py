@@ -38,6 +38,8 @@ class RationalBackend:
                 "the exact backend refuses floats (got %r); pass a Fraction, "
                 "an int, or a 'p/q' string" % (x,)
             )
+        if type(x) is Fraction:  # immutable: no copy needed
+            return x
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         if isinstance(x, str):

@@ -37,6 +37,7 @@ from .backend import FloatBackend, Num, RationalBackend
 from .lift import (
     DEFAULT_PIECE_CAP,
     PwlLift,
+    _cluster_circle_points,
     canonicalize,
     compose,
     frac,
@@ -309,10 +310,7 @@ def is_conjugate_to_rigid(
     :class:`errors.InternalMismatch` is raised (a tolerance problem, not a
     mathematical possibility).
     """
-    try:
-        rr = exact_rotation(f, q_max=q_cap, cap=cap)
-    except errors.Overflow:
-        raise
+    rr = exact_rotation(f, q_max=q_cap, cap=cap)
     if rr.kind != "exact":
         return Undecided(
             reason="rotation number not certified rational within q <= %d" % q_cap,
@@ -552,14 +550,7 @@ def invariant_density(
         all_cuts.update(cuts)
     cuts = sorted(all_cuts)
     if isinstance(backend, FloatBackend):
-        eps = backend.eps_x
-        merged_cuts = [cuts[0]]
-        for c in cuts[1:]:
-            if c - merged_cuts[-1] > eps:
-                merged_cuts.append(c)
-        if len(merged_cuts) > 1 and (merged_cuts[0] + 1) - merged_cuts[-1] <= eps:
-            merged_cuts.pop()
-        cuts = merged_cuts
+        cuts = [cuts[i] for i in _cluster_circle_points(cuts, backend.eps_x)]
 
     def layer_at(layer, x):
         lcuts, lvals = layer

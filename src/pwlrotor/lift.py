@@ -19,7 +19,7 @@ the exact backend and to rounding in the float backend.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -194,39 +194,44 @@ def rigid(shift, backend: Optional[Backend] = None) -> PwlLift:
     return make_lift([zero], [backend.coerce(shift)], backend)
 
 
-def _dedup_circle_points(points, backend: Backend) -> list:
-    """Sort points of [0, 1) and collapse duplicates.
+def _cluster_circle_points(points: Sequence, eps) -> list:
+    """Indices of the float points that survive merging within ``eps``.
 
-    Float backend: points within ``eps_x`` cluster to their first member,
-    including the wrap pair near 0 and 1.
+    ``points`` run increasing (up to rounding) through a window of length
+    one.  A point within ``eps`` of the last kept one joins its cluster,
+    which keeps its first member; the last kept point is dropped as well
+    when it lies within ``eps`` of the first plus one (the wrap pair).
     """
-    pts = sorted(points)
-    if isinstance(backend, FloatBackend):
-        eps = backend.eps_x
-        out = [pts[0]]
-        for x in pts[1:]:
-            if x - out[-1] > eps:
-                out.append(x)
-        if len(out) > 1 and (out[0] + 1) - out[-1] <= eps:
-            out.pop()
-        return out
-    out = [pts[0]]
-    for x in pts[1:]:
-        if x != out[-1]:
-            out.append(x)
-    if len(out) > 1 and out[0] + 1 == out[-1]:
-        out.pop()
-    return out
+    keep = [0]
+    last = points[0]
+    for i in range(1, len(points)):
+        if points[i] - last > eps:
+            keep.append(i)
+            last = points[i]
+    if len(keep) > 1 and (points[0] + 1) - last <= eps:
+        keep.pop()
+    return keep
 
 
 def compose(outer: PwlLift, inner: PwlLift, cap: int = DEFAULT_PIECE_CAP) -> PwlLift:
     """The lift of ``outer o inner``.
 
     Marked points of the result are the marked points of ``inner``
-    together with inner-preimages of the marked points of ``outer``; the
-    value at each is ``outer(inner(x))``.  That set refines the true break
-    set, so the affine interpolation through it reproduces the composition
-    exactly.
+    together with inner-preimages of the marked points of ``outer``.  That
+    set refines the true break set, so the affine interpolation through it
+    reproduces the composition exactly.
+
+    One merge sweep finds them, in O(n_inner + n_outer) with no sort and
+    no search per point.  Over the window ``[b_0, b_0 + 1)`` the inner
+    breaks ``b_k`` (images ``v_k``) are sorted, and so are the outer breaks
+    lifted into ``[v_0, v_0 + 1)``, a rotation of ``outer.breaks``.  Walking
+    both together visits the marked points in order: the value at the
+    preimage ``b_k + (y - v_k)/s_k`` of a lifted outer break ``y`` is that
+    break's own value, and the value at ``b_k`` is one affine evaluation of
+    ``outer`` on the piece the sweep holds.  Points at or above 1 rotate to
+    the front.  A preimage equal to an inner break collapses into it; in
+    the float backend points closer than ``eps_x`` also merge (see
+    :func:`_cluster_circle_points`).
 
     Raises:
         Overflow: more than ``cap`` marked points.
@@ -239,21 +244,61 @@ def compose(outer: PwlLift, inner: PwlLift, cap: int = DEFAULT_PIECE_CAP) -> Pwl
             "cannot compose %s-backend with %s-backend lifts"
             % (outer.backend.tag, inner.backend.tag)
         )
-    candidates = list(inner.breaks)
-    candidates.extend(frac(inner.inverse(b)) for b in outer.breaks)
-    marked = _dedup_circle_points(candidates, inner.backend)
-    if len(marked) > cap:
+    backend = inner.backend
+    bs, vs, ss = inner.breaks, inner.values, inner.slopes
+    cs, us = outer.breaks, outer.values
+    n, m = inner.n, outer.n
+
+    # ys[1:] are the outer breaks lifted into [v_0, v_0 + 1), in order, with
+    # their values uy and right-hand slopes sy; ys[0] is the last of them one
+    # turn down.  The outer piece under ys[t - 1] <= y < ys[t] starts at ys[t - 1].
+    w = math.floor(vs[0])
+    j0 = bisect_left(cs, vs[0] - w)
+    lifted = range(j0 - 1, j0 + m)
+    ys = [cs[j % m] + (w + j // m) for j in lifted]
+    uy = [us[j % m] + (w + j // m) for j in lifted]
+    sy = [outer.slopes[j % m] for j in lifted]
+    end = m + 1
+
+    xs = []
+    fx = []
+    t = 1
+    for k in range(n):
+        b, v, s = bs[k], vs[k], ss[k]
+        xs.append(b)
+        if t < end and ys[t] == v:
+            fx.append(uy[t])
+            t += 1
+        else:
+            fx.append(uy[t - 1] + sy[t - 1] * (v - ys[t - 1]))
+        last = k + 1 == n  # every outer break left lies on the last piece
+        while t < end and (last or ys[t] < vs[k + 1]):
+            xs.append(b + (ys[t] - v) / s)
+            fx.append(uy[t])
+            t += 1
+
+    cut = len(xs)
+    while xs[cut - 1] >= 1:
+        cut -= 1
+    if cut < len(xs):
+        xs = [x - 1 for x in xs[cut:]] + xs[:cut]
+        fx = [y - 1 for y in fx[cut:]] + fx[:cut]
+    if isinstance(backend, FloatBackend):
+        keep = _cluster_circle_points(xs, backend.eps_x)
+        xs = [xs[i] for i in keep]
+        fx = [fx[i] for i in keep]
+
+    if len(xs) > cap:
         raise errors.Overflow(
-            "composition would carry %d marked points (cap %d)" % (len(marked), cap)
+            "composition would carry %d marked points (cap %d)" % (len(xs), cap)
         )
-    values = [outer(inner(x)) for x in marked]
     try:
-        return make_lift(marked, values, inner.backend)
+        return make_lift(xs, fx, backend)
     except errors.NonMonotone as exc:
-        if isinstance(inner.backend, FloatBackend):
+        if isinstance(backend, FloatBackend):
             raise errors.PrecisionLoss(
                 "float composition over %d marked points lost monotonicity: %s"
-                % (len(marked), exc)
+                % (len(xs), exc)
             ) from exc
         raise
 

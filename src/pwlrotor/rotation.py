@@ -176,16 +176,16 @@ def _edge_values(P: PwlLift, p) -> list:
     """``E(x) = P(x) - x - p`` at the marked points of ``P``.
 
     ``E`` is PWL and periodic, so its extrema over the circle are attained
-    on this list.
+    on this list.  The breaks lie in [0, 1), so ``P(b_k)`` is ``values[k]``.
     """
-    return [P(b) - b - p for b in P.breaks]
+    return [v - b - p for b, v in zip(P.breaks, P.values)]
 
 
-def _find_witness(P: PwlLift, p):
-    """A root of ``E`` once min/max straddle zero; None if none is found."""
+def _find_witness(P: PwlLift, vals):
+    """A root of ``E`` from its edge values ``vals`` once min/max straddle
+    zero; None if none is found."""
     backend = P.backend
     is_float = isinstance(backend, FloatBackend)
-    vals = _edge_values(P, p)
     n = P.n
     for k in range(n):
         ek = vals[k]
@@ -209,14 +209,14 @@ def _classify(P: PwlLift, p) -> Tuple[str, Optional[Num]]:
             return _ABOVE, None
         if mx < 0:
             return _BELOW, None
-        return _HIT, _find_witness(P, p)
+        return _HIT, _find_witness(P, vals)
     band = backend.decision_band
     if mn > band:
         return _ABOVE, None
     if mx < -band:
         return _BELOW, None
     if mn < -band and mx > band:
-        return _HIT, _find_witness(P, p)
+        return _HIT, _find_witness(P, vals)
     # Everything sits inside the decision band.  The one case that can
     # still be certified is F^q collapsing to the rigid shift by p.
     Pc = canonicalize(P)
@@ -225,7 +225,7 @@ def _classify(P: PwlLift, p) -> Tuple[str, Optional[Num]]:
     return _UNDECIDED, None
 
 
-def _checked_exact(f: PwlLift, P: PwlLift, p: int, q: int, witness) -> RotationResult:
+def _checked_exact(f: PwlLift, P: PwlLift, p: int, q: int, witness, iterations) -> RotationResult:
     if witness is None:
         raise errors.InternalMismatch(
             "sign data certified rho = %d/%d but no periodic witness was found" % (p, q)
@@ -237,7 +237,7 @@ def _checked_exact(f: PwlLift, P: PwlLift, p: int, q: int, witness) -> RotationR
         raise errors.InternalMismatch(
             "periodic witness failed verification: residual %s at x=%s" % (resid, witness)
         )
-    return RotationResult.exact(p, q, witness)
+    return RotationResult.exact(p, q, witness, iterations)
 
 
 def exact_rotation(f: PwlLift, q_max: int = 10_000, cap: int = DEFAULT_PIECE_CAP) -> RotationResult:
@@ -248,6 +248,7 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000, cap: int = DEFAULT_PIECE_CAP
     interval ends are cached, so each step costs one composition.  Returns
     an exact result with witness, or the tightest Farey enclosure reached
     when ``q_max`` is exhausted or a float sign test refuses to decide.
+    ``iterations`` counts the mediants tested, i.e. the compositions.
     """
     backend = f.backend
     zero = backend.coerce(0)
@@ -255,32 +256,34 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000, cap: int = DEFAULT_PIECE_CAP
 
     status, witness = _classify(f, k0)
     if status == _HIT:
-        return _checked_exact(f, f, k0, 1, witness)
+        return _checked_exact(f, f, k0, 1, witness, 0)
     if status == _UNDECIDED or status == _BELOW:
-        return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1))
+        return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1), iterations=0)
 
     status, witness = _classify(f, k0 + 1)
     if status == _HIT:
-        return _checked_exact(f, f, k0 + 1, 1, witness)
+        return _checked_exact(f, f, k0 + 1, 1, witness, 0)
     if status != _BELOW:
-        return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1))
+        return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1), iterations=0)
 
     pl, ql, Pl = k0, 1, f
     pr, qr, Pr = k0 + 1, 1, f
+    tested = 0
     while True:
         p, q = pl + pr, ql + qr
         if q > q_max:
-            return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr))
+            return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=tested)
         P = compose(Pl, Pr, cap)  # F^{ql} o F^{qr} = F^q
+        tested += 1
         status, witness = _classify(P, p)
         if status == _HIT:
-            return _checked_exact(f, P, p, q, witness)
+            return _checked_exact(f, P, p, q, witness, tested)
         if status == _ABOVE:
             pl, ql, Pl = p, q, P
         elif status == _BELOW:
             pr, qr, Pr = p, q, P
         else:
-            return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr))
+            return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=tested)
 
 
 @dataclass(frozen=True)
@@ -446,14 +449,13 @@ def _as_lift_fn(family) -> Callable:
     raise TypeError("need a family (object with .lift) or a callable mu -> PwlLift")
 
 
-def _bisect_root(g: Callable, a, b, tol):
+def _bisect_root(g: Callable, a, b, ga, gb, tol):
     """Locate the sign change of ``g`` on [a, b] to within ``tol``.
 
+    ``ga`` and ``gb`` are ``g(a)`` and ``g(b)``, computed by the caller.
     Returns ``(left, right, g_left0, g_right0)`` where [left, right] is the
     final bracket.  Raises NotBracketed when the endpoint signs agree.
     """
-    ga = g(a)
-    gb = g(b)
     if not ((ga > 0 > gb) or (ga < 0 < gb)):
         raise errors.NotBracketed(
             "no sign change on [%s, %s]: endpoint values %s and %s" % (a, b, ga, gb)
@@ -518,8 +520,10 @@ def mode_lock_interval(
     def g_max(mu):
         return stats(mu)[1]
 
-    lo_l, lo_r, ga, gb = _bisect_root(g_max, a, b, tol)
-    hi_l, hi_r, ha, hb = _bisect_root(g_min, a, b, tol)
+    min_a, max_a = stats(a)
+    min_b, max_b = stats(b)
+    lo_l, lo_r, ga, gb = _bisect_root(g_max, a, b, max_a, max_b, tol)
+    hi_l, hi_r, ha, hb = _bisect_root(g_min, a, b, min_a, min_b, tol)
     edge_max = (lo_l + lo_r) / 2
     edge_min = (hi_l + hi_r) / 2
     lo, hi = (edge_max, edge_min) if edge_max <= edge_min else (edge_min, edge_max)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -71,8 +72,6 @@ def _slope_at(f: PwlLift, x) -> Num:
     r = frac(f.backend.coerce(x))
     if r < f.breaks[0]:
         return f.slopes[-1]
-    from bisect import bisect_right
-
     return f.slopes[bisect_right(f.breaks, r) - 1]
 
 
@@ -133,8 +132,6 @@ def _slope_derivatives(f: PwlLift, db, dphi):
 
 
 def _piece_index(f: PwlLift, x) -> int:
-    from bisect import bisect_right
-
     if x < f.breaks[0]:
         return f.n - 1
     return bisect_right(f.breaks, x) - 1

@@ -54,6 +54,7 @@ class TestRho:
         out = json.loads(proc.stdout)
         assert out["rotation"]["kind"] == "exact"
         assert (out["rotation"]["p"], out["rotation"]["q"]) == (1, 2)
+        assert out["rotation"]["iterations"] == 1  # the mediant 1/2
         assert out["birkhoff"]["lo"] <= 0.5 <= out["birkhoff"]["hi"]
 
     def test_output_file(self, tmp_path):

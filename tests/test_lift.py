@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import pwlrotor as pr
 from pwlrotor import errors
+from pwlrotor.backend import FloatBackend
 
 from conftest import rational_grid
 
@@ -41,6 +42,48 @@ def rational_lifts(draw, max_pieces=5):
 
 
 points = st.fractions(min_value=-3, max_value=3, max_denominator=997)
+
+
+def reference_compose(outer, inner):
+    """Marked points and values of ``outer o inner`` by sorting and searching.
+
+    The algorithm the merge sweep in ``compose`` replaced, kept as its
+    reference: sort ``inner.breaks`` with ``frac(inner.inverse(c))`` for
+    every outer break ``c``, collapse duplicates (float: cluster within
+    ``eps_x`` to the first member, then drop a last point within ``eps_x``
+    of the first plus one), and evaluate ``outer(inner(x))`` at each point.
+    """
+    pts = sorted(list(inner.breaks) + [pr.frac(inner.inverse(c)) for c in outer.breaks])
+    backend = inner.backend
+    marked = [pts[0]]
+    if isinstance(backend, FloatBackend):
+        for x in pts[1:]:
+            if x - marked[-1] > backend.eps_x:
+                marked.append(x)
+        if len(marked) > 1 and (marked[0] + 1) - marked[-1] <= backend.eps_x:
+            marked.pop()
+    else:
+        for x in pts[1:]:
+            if x != marked[-1]:
+                marked.append(x)
+    return tuple(marked), tuple(outer(inner(x)) for x in marked)
+
+
+def assert_agree_on_circle(h, marked, values, eps):
+    """``h`` carries the reference points within ``eps`` on the circle.
+
+    A point may sit on the other side of 0 (``0.9999999999999999`` for
+    ``0.0``); its value then differs by the same whole turn.
+    """
+    assert h.n == len(marked)
+    matched = set()
+    for x, v in zip(marked, values):
+        j = min(range(h.n), key=lambda j: abs(pr.frac(h.breaks[j] - x + 0.5) - 0.5))
+        turn = round(h.breaks[j] - x)
+        assert abs(h.breaks[j] - turn - x) <= eps
+        assert abs(h.values[j] - turn - v) <= eps
+        matched.add(j)
+    assert len(matched) == h.n
 
 
 class TestConstruction:
@@ -163,6 +206,16 @@ class TestAlgebraProperties:
     def test_power_additivity(self, f, j, k, x):
         assert pr.power(f, j + k)(x) == pr.compose(pr.power(f, j), pr.power(f, k))(x)
 
+    @settings(max_examples=80, deadline=None)
+    @given(rational_lifts(), rational_lifts())
+    def test_invert_undoes_compose(self, f, g):
+        back = pr.canonicalize(pr.compose(pr.invert(f), pr.compose(f, g)))
+        c = pr.canonicalize(g)
+        if c.is_rigid:
+            assert back.is_rigid and back.rigid_shift == c.rigid_shift
+        else:
+            assert (back.breaks, back.values) == (c.breaks, c.values)
+
     @settings(max_examples=120, deadline=None)
     @given(rational_lifts())
     def test_jump_product_telescopes_to_one(self, f):
@@ -195,6 +248,50 @@ class TestAlgebraProperties:
     @given(rational_lifts())
     def test_sup_difference_to_self_is_zero(self, f):
         assert pr.sup_difference(f, f) == 0
+
+
+class TestComposeSweep:
+    """``compose`` against the sort-and-search reference it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_lifts(), rational_lifts())
+    def test_exact_identical_to_reference(self, f, g):
+        h = pr.compose(f, g)
+        assert (h.breaks, h.values) == reference_compose(f, g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_lifts(), rational_lifts())
+    def test_float_agrees_with_reference_on_circle(self, f, g):
+        ff, gf = f.to_float(), g.to_float()
+        assert_agree_on_circle(pr.compose(ff, gf), *reference_compose(ff, gf), pr.FLOAT.eps_x)
+
+    # inner: breaks 0 and 1/2, values 1/10 and 7/20 (slopes 1/2, 3/2)
+    INNER = pr.make_lift([Fr(0), Fr(1, 2)], [Fr(1, 10), Fr(7, 20)])
+
+    @pytest.mark.parametrize(
+        "outer, inner, expected",
+        [
+            # the preimage of outer break 7/20 is the inner break 1/2
+            (pr.make_lift([Fr(1, 5), Fr(7, 20)], [Fr(0), Fr(1, 2)]), INNER,
+             (Fr(0), Fr(1, 5), Fr(1, 2))),
+            # inner is x + 1/3 marked at 1/4 and 3/4; outer break 1/3 pulls
+            # back to 1, which rotates to the front as 0
+            (pr.make_lift([Fr(1, 3), Fr(2, 3)], [Fr(1, 2), Fr(3, 4)]),
+             pr.make_lift([Fr(1, 4), Fr(3, 4)], [Fr(7, 12), Fr(13, 12)]),
+             (Fr(0), Fr(1, 4), Fr(1, 3), Fr(3, 4))),
+            # outer break 2/5 equals v_0 = 7/5 one turn down: its preimage is b_0
+            (pr.make_lift([Fr(2, 5), Fr(4, 5)], [Fr(0), Fr(3, 5)]),
+             pr.make_lift([Fr(1, 10), Fr(3, 5)], [Fr(7, 5), Fr(17, 10)]),
+             (Fr(1, 10), Fr(3, 5), Fr(47, 70))),
+        ],
+        ids=["preimage-on-inner-break", "preimage-on-zero", "outer-break-at-v0"],
+    )
+    def test_coinciding_points(self, outer, inner, expected):
+        h = pr.compose(outer, inner)
+        assert h.breaks == expected
+        assert (h.breaks, h.values) == reference_compose(outer, inner)
+        of, inf = outer.to_float(), inner.to_float()
+        assert_agree_on_circle(pr.compose(of, inf), *reference_compose(of, inf), pr.FLOAT.eps_x)
 
 
 class TestCanonicalForm:

@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 
 import pwlrotor as pr
-from pwlrotor import errors
+from pwlrotor import errors, rotation
 
 
 def rigid_family(mu):
@@ -106,6 +106,19 @@ class TestExactRotation:
         r = pr.exact_rotation(g)
         assert r.kind == "exact" and (r.p, r.q) == (1, 3)
 
+    def test_iterations_count_mediants(self):
+        # mediants 1/2, 1/3, 2/5: three compositions
+        assert pr.exact_rotation(pr.rigid(Fr(2, 5))).iterations == 3
+        assert pr.exact_rotation(pr.rigid(Fr(1, 3) + 2)).iterations == 2
+        assert pr.exact_rotation(pr.rigid(Fr(0))).iterations == 0
+
+    def test_enclosure_at_q_max_carries_iterations(self):
+        # 1/2 and 1/3 are tested; the next mediant 2/5 is past q_max = 4
+        r = pr.exact_rotation(pr.rigid(Fr(2, 5)), q_max=4)
+        assert r.kind == "enclosure" and (r.lo, r.hi) == (Fr(1, 3), Fr(1, 2))
+        assert r.iterations == 2
+        assert r.to_json()["iterations"] == 2
+
     def test_result_json(self):
         r = pr.exact_rotation(pr.rigid(Fr(2, 5)))
         j = r.to_json()
@@ -172,6 +185,20 @@ class TestModeLockInterval:
         assert set(mli.certificates) == {"lo", "hi"}
         j = mli.to_json()
         assert j["p"] == 1 and j["q"] == 2 and "width" in j
+
+    def test_each_bracket_end_powered_once(self, monkeypatch):
+        calls = []
+
+        def counting_power(f, k, *rest):
+            calls.append(k)
+            return pr.power(f, k, *rest)
+
+        monkeypatch.setattr(rotation, "power", counting_power)
+        mli = pr.mode_lock_interval(rigid_family, 1, 2, (Fr(2, 5), Fr(3, 5)))
+        assert mli.lo == mli.hi == Fr(1, 2)
+        # a and b once each, then one midpoint per edge: 1/2 is the exact
+        # edge, so both bisections stop at their first probe
+        assert calls == [2, 2, 2, 2]
 
     def test_decreasing_family_measured_identically(self):
         # refraction moves rho downward in mu; edges must still come out ordered
