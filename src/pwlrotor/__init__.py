@@ -60,7 +60,6 @@ from .families import (
     herman_offset,
     herman_offset_family,
     herman_shifted,
-    instantiate,
     monotonicity_margin,
     refraction,
     refraction_slice_alpha,
@@ -162,7 +161,6 @@ __all__ = [
     "herman_offset_family",
     "custom_family",
     "family_from_json",
-    "instantiate",
     "monotonicity_margin",
     "ScalingReport",
     "ResidualReport",

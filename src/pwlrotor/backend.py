@@ -122,6 +122,19 @@ RATIONAL = RationalBackend()
 FLOAT = FloatBackend()
 
 
+def scalar_json(x):
+    """JSON form of a result scalar: ``"p/q"`` for a Fraction, else a float.
+
+    Decides by the value, not by a backend: float-backend results can
+    still hold Fraction bounds (Stern-Brocot enclosures), which stay exact.
+    """
+    if x is None:
+        return None
+    if isinstance(x, Fraction):
+        return str(x)
+    return float(x)
+
+
 def backend_from_tag(tag: str, **tolerances) -> Backend:
     if tag == "rational":
         if tolerances:

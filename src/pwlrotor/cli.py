@@ -27,10 +27,10 @@ import logging
 import multiprocessing
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import errors
+from .backend import scalar_json
 from .conjugacy import Conjugate, build_conjugacy, invariant_density, is_conjugate_to_rigid
 from .families import FamilySpec, _decode_param, family_from_json, herman_offset_family
 from .rotation import birkhoff_enclosure, exact_rotation, mode_lock_interval
@@ -138,17 +138,11 @@ def cmd_rho(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     rr = exact_rotation(f, q_max=q_max)
     enc = birkhoff_enclosure(f, m, x0=x0)
     payload = {
-        "mu": _json_scalar(mu),
+        "mu": scalar_json(mu),
         "rotation": rr.to_json(),
         "birkhoff": enc.to_json(),
     }
     return _dump_json(payload)
-
-
-def _json_scalar(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    return float(x)
 
 
 def _dump_json(payload) -> str:
@@ -225,7 +219,7 @@ def cmd_conjugacy(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     if orbit_tol is not None:
         kwargs["orbit_tol"] = float(orbit_tol)
     verdict = is_conjugate_to_rigid(f, **kwargs)
-    payload = {"mu": _json_scalar(family.backend.coerce(mu)), "verdict": verdict.to_json()}
+    payload = {"mu": scalar_json(family.backend.coerce(mu)), "verdict": verdict.to_json()}
     if isinstance(verdict, Conjugate):
         h = build_conjugacy(f, partition=verdict.partition)
         dens = invariant_density(f, q=verdict.q)

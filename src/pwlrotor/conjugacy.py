@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import errors
-from .backend import FloatBackend, Num, RationalBackend
+from .backend import FloatBackend, Num, RationalBackend, scalar_json
 from .lift import (
     DEFAULT_PIECE_CAP,
     PwlLift,
@@ -44,6 +43,7 @@ from .lift import (
     invert,
     jump,
     make_lift,
+    piece,
     power,
 )
 from .rotation import RotationResult, exact_rotation
@@ -53,16 +53,9 @@ ORBIT_TOL = 1e-9
 
 
 def _circle_dist(a, b):
+    """Distance on the circle between ``a`` and ``b`` in [0, 1]."""
     d = abs(a - b)
-    return d if d <= Fraction(1, 2) else 1 - d
-
-
-def _scalar_json(x):
-    if x is None:
-        return None
-    if isinstance(x, Fraction):
-        return str(x)
-    return float(x)
+    return d if 2 * d <= 1 else 1 - d
 
 
 @dataclass(frozen=True)
@@ -85,8 +78,8 @@ class NotPeriodic:
     def to_json(self) -> dict:
         return {
             "break_index": self.break_index,
-            "point": _scalar_json(self.point),
-            "drift": _scalar_json(self.drift),
+            "point": scalar_json(self.point),
+            "drift": scalar_json(self.drift),
             "q": self.q,
         }
 
@@ -119,7 +112,7 @@ class OrbitPartition:
             "orbits": [list(o) for o in self.orbits],
             "points": [
                 {
-                    "x": _scalar_json(pt.x),
+                    "x": scalar_json(pt.x),
                     "is_break": pt.is_break,
                     "break_index": pt.break_index,
                     "orbit": pt.orbit,
@@ -348,8 +341,8 @@ class CancellationCheck:
 
     def to_json(self) -> dict:
         return {
-            "global_product": _scalar_json(self.global_product),
-            "per_orbit": [_scalar_json(x) for x in self.per_orbit],
+            "global_product": scalar_json(self.global_product),
+            "per_orbit": [scalar_json(x) for x in self.per_orbit],
         }
 
 
@@ -390,13 +383,8 @@ def build_conjugacy(
     Raises :class:`errors.NotConjugateError` when the map is not conjugate.
     """
     if partition is None:
-        got = break_orbit_partition(f, q_cap=q_cap, cap=cap)
-        if isinstance(got, NotPeriodic):
-            raise errors.NotConjugateError(
-                "break %d is not periodic (drift %s)" % (got.break_index, got.drift)
-            )
-        partition = got
-    elif isinstance(partition, NotPeriodic):
+        partition = break_orbit_partition(f, q_cap=q_cap, cap=cap)
+    if isinstance(partition, NotPeriodic):
         raise errors.NotConjugateError(
             "break %d is not periodic (drift %s)" % (partition.break_index, partition.drift)
         )
@@ -467,10 +455,7 @@ class PiecewiseConstantDensity:
         return len(self.cuts)
 
     def __call__(self, x) -> Num:
-        r = frac(self.backend.coerce(x))
-        if r < self.cuts[0]:
-            return self.values[-1]
-        return self.values[bisect_right(self.cuts, r) - 1]
+        return self.values[piece(self.cuts, frac(self.backend.coerce(x)))]
 
     def mass(self) -> Num:
         total = self.backend.coerce(0)
@@ -494,8 +479,8 @@ class PiecewiseConstantDensity:
 
     def to_json(self) -> dict:
         return {
-            "cuts": [_scalar_json(c) for c in self.cuts],
-            "densities": [_scalar_json(v) for v in self.values],
+            "cuts": [scalar_json(c) for c in self.cuts],
+            "densities": [scalar_json(v) for v in self.values],
             "backend": self.backend.tag,
         }
 
@@ -552,18 +537,12 @@ def invariant_density(
     if isinstance(backend, FloatBackend):
         cuts = [cuts[i] for i in _cluster_circle_points(cuts, backend.eps_x)]
 
-    def layer_at(layer, x):
-        lcuts, lvals = layer
-        if x < lcuts[0]:
-            return lvals[-1]
-        return lvals[bisect_right(lcuts, x) - 1]
-
     qs = backend.coerce(q)
     values = []
     for j, c in enumerate(cuts):
         nxt = cuts[j + 1] if j + 1 < len(cuts) else cuts[0] + 1
         mid = frac((c + nxt) / 2)
-        values.append(sum(layer_at(layer, mid) for layer in layers) / qs)
+        values.append(sum(lvals[piece(lcuts, mid)] for lcuts, lvals in layers) / qs)
 
     # Merge adjacent pieces whose densities agree.
     keep = [

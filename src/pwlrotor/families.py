@@ -53,6 +53,7 @@ from .backend import (
     RationalBackend,
     backend_from_tag,
     infer_backend,
+    scalar_json,
 )
 from .lift import PwlLift, make_lift
 
@@ -140,11 +141,6 @@ class FamilySpec:
             "params": {k: enc(v) for k, v in self.params.items()},
             "backend": self.backend.tag,
         }
-
-
-def instantiate(family: FamilySpec, mu) -> PwlLift:
-    """The lift at parameter ``mu`` (alias for ``family.lift``)."""
-    return family.lift(mu)
 
 
 @dataclass(frozen=True)
@@ -506,16 +502,15 @@ class MarginReport:
     grid: int
 
     def to_json(self) -> dict:
-        enc = lambda x: None if x is None else (str(x) if isinstance(x, Fraction) else float(x))
         return {
-            "margin": enc(self.margin),
-            "per_k": [enc(v) for v in self.per_k],
-            "transversality": enc(self.transversality),
+            "margin": scalar_json(self.margin),
+            "per_k": [scalar_json(v) for v in self.per_k],
+            "transversality": scalar_json(self.transversality),
             "transversality_per_k": None
             if self.transversality_per_k is None
-            else [enc(v) for v in self.transversality_per_k],
+            else [scalar_json(v) for v in self.transversality_per_k],
             "analytic": self.analytic,
-            "interval": [enc(self.interval[0]), enc(self.interval[1])],
+            "interval": [scalar_json(self.interval[0]), scalar_json(self.interval[1])],
             "grid": self.grid,
         }
 

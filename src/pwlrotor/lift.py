@@ -60,9 +60,9 @@ class PwlLift:
         if r >= 1:  # float rounding can push x - floor(x) up to 1.0
             r -= 1
             w += 1
-        if r < self.breaks[0]:
+        k = piece(self.breaks, r)
+        if k < 0:
             return (self.values[-1] - 1) + self.slopes[-1] * (r - (self.breaks[-1] - 1)) + w
-        k = bisect_right(self.breaks, r) - 1
         return self.values[k] + self.slopes[k] * (r - self.breaks[k]) + w
 
     def inverse(self, y) -> Num:
@@ -77,7 +77,7 @@ class PwlLift:
         if r < self.values[0]:
             r += 1
             w -= 1
-        k = bisect_right(self.values, r) - 1
+        k = piece(self.values, r)
         if k >= self.n:  # r == values[0] + 1 after a rounding nudge
             k = self.n - 1
         return self.breaks[k] + (r - self.values[k]) / self.slopes[k] + w
@@ -123,6 +123,18 @@ class PwlLift:
             "values": [enc(v) for v in self.values],
             "backend": self.backend.tag,
         }
+
+
+def piece(points: Sequence, r) -> int:
+    """Index ``k`` of the piece ``[points[k], points[k + 1])`` holding ``r``.
+
+    ``points`` are sorted cut points within one turn and ``r`` lies in
+    that turn, usually [0, 1).  Returns -1 for the wrap piece
+    ``[points[-1], points[0] + 1)`` when ``r < points[0]``, so indexing
+    per-piece data with the result reads the last piece there; offsets
+    from ``points[-1]`` need one turn added.
+    """
+    return bisect_right(points, r) - 1
 
 
 def frac(x) -> Num:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import errors, kernel
-from .backend import FloatBackend, Num, RationalBackend
+from .backend import FloatBackend, Num, RationalBackend, scalar_json
 from .lift import DEFAULT_PIECE_CAP, PwlLift, canonicalize, compose, frac, power
 
 log = logging.getLogger(__name__)
@@ -38,14 +38,6 @@ _ABOVE = "above"
 _BELOW = "below"
 _HIT = "hit"
 _UNDECIDED = "undecided"
-
-
-def _scalar_json(x):
-    if x is None:
-        return None
-    if isinstance(x, Fraction):
-        return str(x)
-    return float(x)
 
 
 @dataclass(frozen=True)
@@ -104,9 +96,9 @@ class RotationResult:
             "kind": self.kind,
             "p": self.p,
             "q": self.q,
-            "lo": _scalar_json(self.lo),
-            "hi": _scalar_json(self.hi),
-            "witness": _scalar_json(self.witness),
+            "lo": scalar_json(self.lo),
+            "hi": scalar_json(self.hi),
+            "witness": scalar_json(self.witness),
             "iterations": self.iterations,
         }
 
@@ -327,15 +319,15 @@ class PeriodicScan:
             "q": self.q,
             "points": [
                 {
-                    "x": _scalar_json(pt.x),
-                    "left_slope": _scalar_json(pt.left_slope),
-                    "right_slope": _scalar_json(pt.right_slope),
+                    "x": scalar_json(pt.x),
+                    "left_slope": scalar_json(pt.left_slope),
+                    "right_slope": scalar_json(pt.right_slope),
                     "stability": pt.stability,
                 }
                 for pt in self.points
             ],
             "identity_intervals": [
-                [_scalar_json(a), _scalar_json(b)] for (a, b) in self.identity_intervals
+                [scalar_json(a), scalar_json(b)] for (a, b) in self.identity_intervals
             ],
         }
 
@@ -355,11 +347,12 @@ def periodic_points(f: PwlLift, p: int, q: int, cap: int = DEFAULT_PIECE_CAP) ->
     roots = []  # (x, piece_index, at_left_edge)
     intervals = []
     n = P.n
+    edges = _edge_values(P, p)
     for k in range(n):
         b_left = P.breaks[k]
         b_right = P.breaks[k + 1] if k + 1 < n else P.breaks[0] + 1
         s = P.slopes[k]
-        e_left = P(b_left) - b_left - p
+        e_left = edges[k]
         slope_is_one = backend.eq_slope(s, one)
         if slope_is_one:
             flat = abs(e_left) <= backend.eps_x if is_float else e_left == 0
@@ -426,17 +419,17 @@ class ModeLockInterval:
         def cert_json(c):
             return {
                 "which": c["which"],
-                "bracket": [_scalar_json(c["bracket"][0]), _scalar_json(c["bracket"][1])],
-                "values": [_scalar_json(c["values"][0]), _scalar_json(c["values"][1])],
+                "bracket": [scalar_json(c["bracket"][0]), scalar_json(c["bracket"][1])],
+                "values": [scalar_json(c["values"][0]), scalar_json(c["values"][1])],
             }
 
         return {
             "p": self.p,
             "q": self.q,
-            "lo": _scalar_json(self.lo),
-            "hi": _scalar_json(self.hi),
-            "tol": _scalar_json(self.tol),
-            "width": _scalar_json(self.width),
+            "lo": scalar_json(self.lo),
+            "hi": scalar_json(self.hi),
+            "tol": scalar_json(self.tol),
+            "width": scalar_json(self.width),
             "certificates": {k: cert_json(v) for k, v in self.certificates.items()},
         }
 
@@ -500,8 +493,8 @@ def mode_lock_interval(
     """
     lift_fn = _as_lift_fn(family)
     a, b = bracket
-    probe = lift_fn(a)
-    backend = probe.backend
+    f_a = lift_fn(a)
+    backend = f_a.backend
     a = backend.coerce(a)
     b = backend.coerce(b)
     if tol is None:
@@ -509,19 +502,18 @@ def mode_lock_interval(
     elif isinstance(backend, RationalBackend) and not isinstance(tol, Fraction):
         tol = Fraction(tol)
 
-    def stats(mu):
-        P = power(lift_fn(mu), q, cap)
-        vals = _edge_values(P, p)
+    def stats(F):
+        vals = _edge_values(power(F, q, cap), p)
         return min(vals), max(vals)
 
     def g_min(mu):
-        return stats(mu)[0]
+        return stats(lift_fn(mu))[0]
 
     def g_max(mu):
-        return stats(mu)[1]
+        return stats(lift_fn(mu))[1]
 
-    min_a, max_a = stats(a)
-    min_b, max_b = stats(b)
+    min_a, max_a = stats(f_a)
+    min_b, max_b = stats(lift_fn(b))
     lo_l, lo_r, ga, gb = _bisect_root(g_max, a, b, max_a, max_b, tol)
     hi_l, hi_r, ha, hb = _bisect_root(g_min, a, b, min_a, min_b, tol)
     edge_max = (lo_l + lo_r) / 2

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -30,16 +29,18 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import errors
-from .backend import FLOAT, FloatBackend, Num, RationalBackend
+from .backend import FLOAT, FloatBackend, Num, RationalBackend, scalar_json
 from .conjugacy import (
     ORBIT_TOL,
     Conjugate,
     NotPeriodic,
+    _circle_dist,
+    _orbit_points,
     break_orbit_partition,
     is_conjugate_to_rigid,
 )
 from .families import FamilySpec, TwoParamFamilySpec, family_from_json, monotonicity_margin
-from .lift import DEFAULT_PIECE_CAP, PwlLift, frac, invert, make_lift, power, sup_difference
+from .lift import DEFAULT_PIECE_CAP, PwlLift, frac, invert, make_lift, piece, power
 from .rotation import birkhoff_enclosure, mode_lock_interval
 
 log = logging.getLogger(__name__)
@@ -52,27 +53,11 @@ B_THRESHOLD = 1e-8
 M_FIT = 10**7
 
 
-def _scalar_json(x):
-    if x is None:
-        return None
-    if isinstance(x, Fraction):
-        return str(x)
-    return float(x)
-
-
 def _float_spec(family: FamilySpec) -> FamilySpec:
     """A float-backend clone of ``family`` for long iteration runs."""
     if isinstance(family.backend, FloatBackend):
         return family
     return family_from_json(family.to_json(), backend=FLOAT)
-
-
-def _slope_at(f: PwlLift, x) -> Num:
-    """Slope of the piece containing the (interior) circle point ``x``."""
-    r = frac(f.backend.coerce(x))
-    if r < f.breaks[0]:
-        return f.slopes[-1]
-    return f.slopes[bisect_right(f.breaks, r) - 1]
 
 
 def orbit_landmarks(
@@ -88,20 +73,21 @@ def orbit_landmarks(
     map (no breaks) the ``q``-point orbit of 0 serves instead.  Raises
     :class:`errors.NotConjugateError` when some break orbit fails to close.
     """
-    part, landmarks = _landmarks(f, q_cap=q_cap, orbit_tol=orbit_tol, cap=cap)
-    if q is not None and part.q != q:
-        raise errors.InternalMismatch(
-            "expected period %d but certified rotation number has q = %d" % (q, part.q)
-        )
-    return landmarks
+    return _landmarks(f, q, q_cap=q_cap, orbit_tol=orbit_tol, cap=cap)[1]
 
 
-def _landmarks(f, q_cap, orbit_tol, cap):
+def _landmarks(f, q, q_cap, orbit_tol, cap):
+    """Certified break-orbit partition of ``f`` and its landmarks; ``q``,
+    when given, must be the certified period."""
     part = break_orbit_partition(f, q_cap=q_cap, orbit_tol=orbit_tol, cap=cap)
     if isinstance(part, NotPeriodic):
         raise errors.NotConjugateError(
             "break %d is not periodic (drift %s after %d steps)"
             % (part.break_index, part.drift, part.q)
+        )
+    if q is not None and part.q != q:
+        raise errors.InternalMismatch(
+            "expected period %d but certified rotation number has q = %d" % (q, part.q)
         )
     return part, _partition_landmarks(f, part)
 
@@ -109,10 +95,7 @@ def _landmarks(f, q_cap, orbit_tol, cap):
 def _partition_landmarks(f: PwlLift, part) -> list:
     """The break-orbit points of ``part``, or the orbit of 0 when ``K = 0``."""
     if part.K == 0:
-        pts = [f.backend.coerce(0)]
-        for _ in range(part.q - 1):
-            pts.append(frac(f(pts[-1])))
-        return sorted(pts)
+        return sorted(_orbit_points(f, f.backend.coerce(0), part.q))
     return part.landmarks()
 
 
@@ -131,15 +114,9 @@ def _slope_derivatives(f: PwlLift, db, dphi):
     return tuple(ds)
 
 
-def _piece_index(f: PwlLift, x) -> int:
-    if x < f.breaks[0]:
-        return f.n - 1
-    return bisect_right(f.breaks, x) - 1
-
-
-def _dF_dmu(f: PwlLift, ds, db, dphi, x):
-    """Parameter-derivative of the lift at the circle point ``x``."""
-    k = _piece_index(f, x)
+def _dF_dmu(f: PwlLift, ds, db, dphi, x, k):
+    """Parameter-derivative of the lift at the circle point ``x``, which
+    lies on piece ``k = piece(f.breaks, x)``."""
     delta = x - f.breaks[k]
     if delta < 0:
         delta = delta + 1
@@ -163,11 +140,7 @@ def laminar_coeffs(
     """
     mu_c = family.backend.coerce(mu_c)
     f = family.lift(mu_c)
-    part, landmarks = _landmarks(f, q_cap=q_cap, orbit_tol=orbit_tol, cap=cap)
-    if q is not None and part.q != q:
-        raise errors.InternalMismatch(
-            "expected period %d but certified rotation number has q = %d" % (q, part.q)
-        )
+    part, landmarks = _landmarks(f, q, q_cap=q_cap, orbit_tol=orbit_tol, cap=cap)
     data = _segment_data(family, mu_c, f, landmarks, part.q)
     return list(zip(data["A"], data["B"]))
 
@@ -202,19 +175,17 @@ def _segment_data(family: FamilySpec, mu_c, f: PwlLift, landmarks, q: int) -> di
 
     A_list, B_list = [], []
     for y in mids:
-        orbit = [y]
-        for _ in range(q - 1):
-            orbit.append(frac(f(orbit[-1])))
+        orbit = _orbit_points(f, y, q)
+        ks = [piece(f.breaks, x) for x in orbit]
         # suffix products of the traversed slopes
         W = [backend.coerce(1)] * q
         for j in range(q - 2, -1, -1):
-            W[j] = W[j + 1] * _slope_at(f, orbit[j + 1])
+            W[j] = W[j + 1] * f.slopes[ks[j + 1]]
         A = backend.coerce(0)
         B = backend.coerce(0)
         for j in range(q):
-            A = A + _dF_dmu(f, ds, db, dphi, orbit[j]) * W[j]
-            k = _piece_index(f, orbit[j])
-            B = B + ds[k] / f.slopes[k]
+            A = A + _dF_dmu(f, ds, db, dphi, orbit[j], ks[j]) * W[j]
+            B = B + ds[ks[j]] / f.slopes[ks[j]]
         A_list.append(sigma * A)
         B_list.append(sigma * B)
     return {
@@ -283,23 +254,23 @@ class ScalingReport:
 
     def to_json(self) -> dict:
         return {
-            "mu_c": _scalar_json(self.mu_c),
+            "mu_c": scalar_json(self.mu_c),
             "p": self.p,
             "q": self.q,
             "K": self.K,
             "direction": self.direction,
-            "landmarks": [_scalar_json(x) for x in self.landmarks],
-            "A": [_scalar_json(x) for x in self.A],
-            "B": [_scalar_json(x) for x in self.B],
-            "S_sample": [_scalar_json(x) for x in self.S_sample],
+            "landmarks": [scalar_json(x) for x in self.landmarks],
+            "A": [scalar_json(x) for x in self.A],
+            "B": [scalar_json(x) for x in self.B],
+            "S_sample": [scalar_json(x) for x in self.S_sample],
             "sample_mu": self.sample_mu,
-            "kappas": [_scalar_json(x) for x in self.kappas],
-            "R1": _scalar_json(self.R1),
+            "kappas": [scalar_json(x) for x in self.kappas],
+            "R1": scalar_json(self.R1),
             "R1_emp": self.R1_emp,
             "fit_window": self.fit_window,
             "fit_residual": self.fit_residual,
             "derivative_provenance": self.derivative_provenance,
-            "transversality": _scalar_json(self.transversality),
+            "transversality": scalar_json(self.transversality),
         }
 
 
@@ -373,7 +344,7 @@ def r1(
     sample_mu = mu_f + sigma * h
     f_s = fam_f.lift(sample_mu)
     P_s = power(f_s, q, cap)
-    S_sample = tuple(_slope_at(P_s, float(y)) for y in data["mids"])
+    S_sample = tuple(P_s.slopes[piece(P_s.breaks, frac(float(y)))] for y in data["mids"])
 
     deltas = [s * k * h for k in (1, 2, 4) for s in (1, -1)]
     deltas.sort()
@@ -518,11 +489,6 @@ def _normalized_power(fam: FamilySpec, mu: float, p: int, q: int, cap: int) -> P
     return make_lift(list(P.breaks), [v - p for v in P.values], P.backend)
 
 
-def _circle_gap(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
-
-
 def _sup_outside_strips(f: PwlLift, g: PwlLift, centers, radius: float):
     """Max of ``|f - g|`` over circle points at distance > radius from centers.
 
@@ -537,7 +503,7 @@ def _sup_outside_strips(f: PwlLift, g: PwlLift, centers, radius: float):
         pts.add((c - radius) % 1.0)
     best = None
     for x in pts:
-        if any(_circle_gap(x, c) < radius for c in centers):
+        if any(_circle_dist(x, c) < radius for c in centers):
             continue
         d = abs(float(f(x)) - float(g(x)))
         if best is None or d > best:
@@ -578,23 +544,23 @@ class PinchReport:
             "q": self.q,
             "rows": [
                 {
-                    "d": _scalar_json(r.d),
-                    "mu_lo": _scalar_json(r.lo),
-                    "mu_hi": _scalar_json(r.hi),
+                    "d": scalar_json(r.d),
+                    "mu_lo": scalar_json(r.lo),
+                    "mu_hi": scalar_json(r.hi),
                     "note": r.note,
                 }
                 for r in self.rows
             ],
-            "bracket": [_scalar_json(self.bracket[0]), _scalar_json(self.bracket[1])],
-            "tol": _scalar_json(self.tol),
-            "width_at_zero": _scalar_json(self.width_at_zero),
+            "bracket": [scalar_json(self.bracket[0]), scalar_json(self.bracket[1])],
+            "tol": scalar_json(self.tol),
+            "width_at_zero": scalar_json(self.width_at_zero),
             "fitted_slopes": {
-                side: None if pair is None else [_scalar_json(pair[0]), _scalar_json(pair[1])]
+                side: None if pair is None else [scalar_json(pair[0]), scalar_json(pair[1])]
                 for side, pair in self.fitted_slopes.items()
             },
             "reference_slopes": None
             if self.reference_slopes is None
-            else [_scalar_json(x) for x in self.reference_slopes],
+            else [scalar_json(x) for x in self.reference_slopes],
         }
 
     def to_csv_rows(self) -> list:

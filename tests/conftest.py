@@ -3,6 +3,7 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import strategies as st
 
 import pwlrotor as pr
 
@@ -43,3 +44,27 @@ def rational_grid(n, denom=9973):
     """n distinct rationals in [0, 1) with a fixed prime denominator."""
     step = max(1, denom // n)
     return [Fr((i * step) % denom, denom) for i in range(n)]
+
+
+@st.composite
+def rational_lifts(draw, max_pieces=5):
+    """A random exact lift: distinct breaks, positive slopes, degree one.
+
+    Slopes come from positive weights normalised so the total rise over
+    one period is exactly 1; the cyclic closure is then automatic.
+    """
+    n = draw(st.integers(1, max_pieces))
+    denom = draw(st.integers(7, 60))
+    ks = draw(st.lists(st.integers(0, denom - 1), min_size=n, max_size=n, unique=True))
+    breaks = sorted(Fr(k, denom) for k in ks)
+    weights = [draw(st.integers(1, 9)) for _ in range(n)]
+    gaps = [
+        (breaks[k + 1] if k + 1 < n else breaks[0] + 1) - breaks[k] for k in range(n)
+    ]
+    total = sum(w * g for w, g in zip(weights, gaps))
+    slopes = [Fr(w) / total for w in weights]
+    phi0 = Fr(draw(st.integers(-2, 2))) + Fr(draw(st.integers(0, 9)), 10)
+    values = [phi0]
+    for k in range(n - 1):
+        values.append(values[-1] + slopes[k] * gaps[k])
+    return pr.make_lift(breaks, values)

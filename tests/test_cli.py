@@ -57,6 +57,16 @@ class TestRho:
         assert out["rotation"]["iterations"] == 1  # the mediant 1/2
         assert out["birkhoff"]["lo"] <= 0.5 <= out["birkhoff"]["hi"]
 
+    def test_float_job_keeps_exact_farey_bounds(self, tmp_path):
+        # a float-backend search stopped at q_max still encloses rho between
+        # two fractions, and they print as "p/q", not as floats
+        proc = run_cli(tmp_path, "rho", {"family": HERMAN, "mu": 0.013, "q_max": 7})
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["rotation"]["kind"] == "enclosure"
+        assert (out["rotation"]["lo"], out["rotation"]["hi"]) == ("1/2", "4/7")
+        assert isinstance(out["birkhoff"]["lo"], float)
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "rho.json"
         proc = run_cli(tmp_path, "rho", {"family": HERMAN, "mu": 0.0, "m": 1000},

@@ -13,35 +13,13 @@ from hypothesis import given, settings, strategies as st
 import pwlrotor as pr
 from pwlrotor import errors
 from pwlrotor.backend import FloatBackend
+from pwlrotor.lift import piece
 
-from conftest import rational_grid
-
-
-@st.composite
-def rational_lifts(draw, max_pieces=5):
-    """A random exact lift: distinct breaks, positive slopes, degree one.
-
-    Slopes come from positive weights normalised so the total rise over
-    one period is exactly 1; the cyclic closure is then automatic.
-    """
-    n = draw(st.integers(1, max_pieces))
-    denom = draw(st.integers(7, 60))
-    ks = draw(st.lists(st.integers(0, denom - 1), min_size=n, max_size=n, unique=True))
-    breaks = sorted(Fr(k, denom) for k in ks)
-    weights = [draw(st.integers(1, 9)) for _ in range(n)]
-    gaps = [
-        (breaks[k + 1] if k + 1 < n else breaks[0] + 1) - breaks[k] for k in range(n)
-    ]
-    total = sum(w * g for w, g in zip(weights, gaps))
-    slopes = [Fr(w) / total for w in weights]
-    phi0 = Fr(draw(st.integers(-2, 2))) + Fr(draw(st.integers(0, 9)), 10)
-    values = [phi0]
-    for k in range(n - 1):
-        values.append(values[-1] + slopes[k] * gaps[k])
-    return pr.make_lift(breaks, values)
+from conftest import rational_grid, rational_lifts
 
 
 points = st.fractions(min_value=-3, max_value=3, max_denominator=997)
+circle_points = st.fractions(min_value=0, max_value=1, max_denominator=997).filter(lambda r: r < 1)
 
 
 def reference_compose(outer, inner):
@@ -175,6 +153,19 @@ class TestEvaluation:
         # wrap piece has slope 5/6: f(0) = (7/8 - 1) + (5/6)(1/2) = 7/24
         assert f(Fr(0)) == Fr(7, 24)
         assert f.inverse(f(Fr(1, 8))) == Fr(1, 8)
+
+    @settings(max_examples=120, deadline=None)
+    @given(rational_lifts(), circle_points)
+    def test_piece_holds_the_point_and_its_affine_form(self, f, r):
+        k = piece(f.breaks, r)
+        assert -1 <= k < f.n
+        if k < 0:  # the wrap piece [b_n - 1, b_1)
+            assert f.breaks[-1] - 1 <= r < f.breaks[0]
+            assert f(r) == (f.values[-1] - 1) + f.slopes[-1] * (r - (f.breaks[-1] - 1))
+        else:
+            right = f.breaks[k + 1] if k + 1 < f.n else f.breaks[0] + 1
+            assert f.breaks[k] <= r < right
+            assert f(r) == f.values[k] + f.slopes[k] * (r - f.breaks[k])
 
     def test_circle_wraps(self, coelho_q2):
         x = Fr(9, 10)

@@ -200,6 +200,26 @@ class TestModeLockInterval:
         # edge, so both bisections stop at their first probe
         assert calls == [2, 2, 2, 2]
 
+    def test_one_lift_per_power(self, monkeypatch):
+        # every lift the family builds is powered once: none is built only
+        # to read the backend
+        lifts, powers = [], []
+
+        def counting_family(mu):
+            lifts.append(mu)
+            return pr.rigid(mu)
+
+        def counting_power(f, k, *rest):
+            powers.append(k)
+            return pr.power(f, k, *rest)
+
+        monkeypatch.setattr(rotation, "power", counting_power)
+        mli = pr.mode_lock_interval(counting_family, 1, 3, (Fr(1, 4), Fr(1, 2)),
+                                    tol=Fr(1, 1000))
+        assert abs(mli.lo - Fr(1, 3)) <= Fr(1, 1000)
+        assert len(powers) > 2
+        assert len(lifts) == len(powers)
+
     def test_decreasing_family_measured_identically(self):
         # refraction moves rho downward in mu; edges must still come out ordered
         fam = pr.refraction(2.0, pr.gmm_critical_beta(2.0))

@@ -1,10 +1,11 @@
 """Backend behavior: coercion, tolerance policy, JSON scalar encoding."""
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 from pwlrotor import FLOAT, RATIONAL, backend_from_tag, errors, infer_backend
-from pwlrotor.backend import FloatBackend
+from pwlrotor.backend import FloatBackend, scalar_json
 
 
 class TestRationalBackend:
@@ -95,3 +96,22 @@ class TestSelection:
         assert infer_backend([1, Fr(1, 2), "3/4"]) is RATIONAL
         assert infer_backend([1, 0.5]) is FLOAT
         assert infer_backend([]) is RATIONAL
+
+
+class TestScalarJson:
+    """The one encoder every result type uses, independent of any backend."""
+
+    def test_none_stays_none(self):
+        assert scalar_json(None) is None
+
+    def test_fraction_becomes_p_over_q(self):
+        assert scalar_json(Fr(-5, 3)) == "-5/3"
+        assert scalar_json(Fr(4)) == "4"
+
+    def test_int_becomes_float(self):
+        out = scalar_json(3)
+        assert out == 3.0 and type(out) is float
+
+    def test_numpy_float_becomes_plain_float(self):
+        out = scalar_json(np.float64(0.25))
+        assert out == 0.25 and type(out) is float
