@@ -222,7 +222,7 @@ def cmd_conjugacy(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     payload = {"mu": scalar_json(family.backend.coerce(mu)), "verdict": verdict.to_json()}
     if isinstance(verdict, Conjugate):
         h = build_conjugacy(f, partition=verdict.partition)
-        dens = invariant_density(f, q=verdict.q)
+        dens = invariant_density(f, partition=verdict.partition)
         payload["h"] = h.to_json()
         payload["invariant_density"] = dens.to_json()
     return _dump_json(payload)

@@ -5,17 +5,18 @@ rotation number ``p/q`` is conjugate to the rigid rotation by ``p/q``
 through a PWL change of coordinates exactly when every genuine break
 point lies on a periodic orbit — equivalently, when ``F^q = x + p``
 identically.  Two independent certificates are therefore available (break
-orbits closing; the explicit ``F^q`` canonicalizing to a rigid shift),
-and :func:`is_conjugate_to_rigid` insists they agree.
+orbits closing; ``F^q(x) = x + p`` at every marked point of the explicit
+``F^q``), and :func:`is_conjugate_to_rigid` insists they agree.
 
 When the test passes, the break orbits partition the break set into
 ``K <= n/2`` classes, each carrying at least two breaks and a jump-ratio
 product of 1 (the trivial cancellations); :func:`build_conjugacy`
 constructs the conjugacy ``h`` itself, affine from the base arc onto
 ``[0, 1/q]`` and propagated by ``h(f(x)) = h(x) + p/q``, and
-:func:`invariant_density` produces the piecewise-constant density of the
-absolutely continuous invariant measure by averaging the ``q`` push-
-forwards of Lebesgue measure.
+:func:`invariant_density` reads the density of the absolutely continuous
+invariant measure off the same partition: ``f`` carries each cell between
+adjacent orbit points affinely onto the next cell of its cycle, so cell
+``C`` gets ``L / (q |C|)``, ``L`` the total length of its cycle.
 
 For maps that are *not* conjugate, the growth diagnostics expose the
 failure quantitatively: break counts of the iterates stay bounded by
@@ -25,28 +26,25 @@ points with a slope above 1.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from . import errors
 from .backend import FloatBackend, Num, RationalBackend, scalar_json
 from .lift import (
     DEFAULT_PIECE_CAP,
     PwlLift,
-    _cluster_circle_points,
     canonicalize,
     compose,
     frac,
-    invert,
     jump,
     make_lift,
     piece,
     power,
 )
-from .rotation import RotationResult, exact_rotation
+from .rotation import RotationResult, _edge_values, exact_rotation
 
 #: Default absolute tolerance for orbit-closure tests in the float backend.
 ORBIT_TOL = 1e-9
@@ -280,14 +278,10 @@ Verdict = Union[Conjugate, NotConjugate, Undecided]
 
 
 def _rigid_power_check(f: PwlLift, p: int, q: int, cap: int) -> bool:
-    """Does ``F^q`` canonicalize to the rigid shift by ``p``?"""
-    P = canonicalize(power(f, q, cap))
-    if not P.is_rigid:
-        return False
-    shift = P.rigid_shift
-    if isinstance(f.backend, RationalBackend):
-        return shift == p
-    return abs(shift - p) <= f.backend.eps_x
+    """Is ``F^q(x) = x + p`` at every marked point of ``F^q``, and so
+    everywhere?  Decided on positions by ``eq_point``, not on slopes."""
+    eq = f.backend.eq_point
+    return all(eq(e, 0) for e in _edge_values(power(f, q, cap), p))
 
 
 def is_conjugate_to_rigid(
@@ -327,7 +321,7 @@ def is_conjugate_to_rigid(
         )
     if not rigid_ok:
         raise errors.InternalMismatch(
-            "all break orbits close but F^%d does not canonicalize to x + %d" % (q, p)
+            "all break orbits close but F^%d(x) != x + %d at a marked point of F^%d" % (q, p, q)
         )
     return Conjugate(p=p, q=q, partition=part)
 
@@ -491,72 +485,74 @@ class PiecewiseConstantDensity:
 def invariant_density(
     f: PwlLift,
     q: Optional[int] = None,
+    partition: Optional[OrbitPartition] = None,
     q_cap: int = 64,
     cap: int = DEFAULT_PIECE_CAP,
 ) -> PiecewiseConstantDensity:
     """Density of the absolutely continuous invariant probability measure.
 
-    For a map with ``f^q = id`` the measure ``(1/q) sum_k f_*^k (Lebesgue)``
-    is invariant; each push-forward has density ``(F^{-k})'``, read off the
-    inverse lift piece by piece.  The averaged density is exact in the
-    exact backend (all Fractions) and is returned with merged equal pieces.
+    The measure is ``(1/q) sum_{k<q} f_*^k (Lebesgue)``, read off the
+    break-orbit partition.  Its ``N = q*K`` sorted orbit points cut the
+    circle into cells on which ``F`` is affine; ``F`` carries cell ``j``
+    onto cell ``j + p*K (mod N)``, so with ``gcd(p, q) = 1`` the cycle of
+    cell ``j`` is its residue class mod ``K``.  ``F^{-k}`` maps a cell
+    ``C`` affinely onto another cell of its cycle, hence
+
+        rho(C_j) = L(j mod K) / (q * |C_j|),
+
+    ``L(r)`` the total length of the cells in class ``r``.  The mass is 1
+    by construction (exactly, in the exact backend); equal neighbours are
+    merged.
+
+    ``partition`` is the one a verdict certified.  Without it the partition
+    is built at the rotation number certified within ``q_cap`` or, given
+    ``q``, at ``(F^q(b) - b)/q`` in lowest terms for a genuine break ``b``.
+    A map with no genuine break gets the uniform density.
+
+    Raises :class:`errors.NotConjugateError` when a break orbit does not
+    close.
     """
-    if q is None:
-        rr = exact_rotation(f, q_max=q_cap, cap=cap)
-        if rr.kind != "exact":
-            raise errors.RotationIrrational(
-                "invariant_density needs a rational rotation number (got enclosure)"
-            )
-        q = rr.q
     backend = f.backend
     zero = backend.coerce(0)
-    one = backend.coerce(1)
-
-    layers = []  # (cuts, values) of each pushforward density
-    P = None
-    for k in range(q):
-        if k == 0:
-            layers.append(((zero,), (one,)))
-            continue
-        P = f if P is None else compose(P, f, cap)
-        inv = invert(P)
-        layers.append((inv.breaks, inv.slopes))
-
-    # The averaged measure is invariant precisely when f^q is the identity
-    # on the circle; refuse to hand back a non-invariant "density".
-    full = f if P is None else compose(P, f, cap)
-    if not canonicalize(full).is_rigid:
+    uniform = PiecewiseConstantDensity(cuts=(zero,), values=(backend.coerce(1),), backend=backend)
+    if partition is None and q is None:
+        partition = break_orbit_partition(f, q_cap=q_cap, cap=cap)
+    elif partition is None:
+        genuine = f.genuine_break_indices()
+        if not genuine:
+            return uniform
+        b = x = f.breaks[genuine[0]]
+        for _ in range(q):
+            x = f(x)
+        r = Fraction(round(x - b), q)
+        partition = break_orbit_partition(f, q_hint=(r.numerator, r.denominator))
+    if isinstance(partition, NotPeriodic):
         raise errors.NotConjugateError(
-            "f^%d is not a rigid shift, so the %d-step average is not invariant" % (q, q)
+            "break %d is not periodic (drift %s after %d steps), so no invariant density"
+            % (partition.break_index, partition.drift, partition.q)
         )
+    if partition.K == 0:
+        return uniform
 
-    all_cuts = set()
-    for cuts, _ in layers:
-        all_cuts.update(cuts)
-    cuts = sorted(all_cuts)
-    if isinstance(backend, FloatBackend):
-        cuts = [cuts[i] for i in _cluster_circle_points(cuts, backend.eps_x)]
+    cuts = partition.landmarks()
+    N, K = len(cuts), partition.K
+    lengths = [cuts[j + 1] - cuts[j] for j in range(N - 1)] + [cuts[0] + 1 - cuts[-1]]
+    # every cell of class r carries invariant mass L(r)/q
+    cell_mass = [sum(lengths[r::K], zero) / partition.q for r in range(K)]
+    values = [cell_mass[j % K] / lengths[j] for j in range(N)]
 
-    qs = backend.coerce(q)
-    values = []
-    for j, c in enumerate(cuts):
-        nxt = cuts[j + 1] if j + 1 < len(cuts) else cuts[0] + 1
-        mid = frac((c + nxt) / 2)
-        values.append(sum(lvals[piece(lcuts, mid)] for lcuts, lvals in layers) / qs)
-
-    # Merge adjacent pieces whose densities agree.
-    keep = [
-        j
-        for j in range(len(cuts))
-        if not backend.eq_slope(values[j], values[j - 1])
+    # Merge runs of adjacent cells whose densities agree.  A run gets its
+    # mass over its length, so float noise inside a run loses no mass.
+    keep = [j for j in range(N) if not backend.eq_slope(values[j], values[j - 1])]
+    if not keep:
+        return uniform
+    runs = list(zip(keep, keep[1:] + [keep[0] + N]))
+    values = [
+        sum(cell_mass[i % K] for i in range(a, b)) / sum(lengths[i % N] for i in range(a, b))
+        for a, b in runs
     ]
-    if keep:
-        cuts = [cuts[j] for j in keep]
-        values = [values[j] for j in keep]
-    else:
-        cuts, values = [cuts[0]], [values[0]]
-
-    dens = PiecewiseConstantDensity(cuts=tuple(cuts), values=tuple(values), backend=backend)
+    cuts = tuple(cuts[j] for j in keep)
+    dens = PiecewiseConstantDensity(cuts=cuts, values=tuple(values), backend=backend)
     total = dens.mass()
     ok = total == 1 if isinstance(backend, RationalBackend) else abs(total - 1) <= 1e-12
     if not ok:

@@ -21,13 +21,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import errors
 from .backend import (
     FLOAT,
-    RATIONAL,
     Backend,
     FloatBackend,
     Num,

@@ -23,7 +23,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from . import errors, kernel
 from .backend import FloatBackend, Num, RationalBackend, scalar_json

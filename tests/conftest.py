@@ -68,3 +68,13 @@ def rational_lifts(draw, max_pieces=5):
     for k in range(n - 1):
         values.append(values[-1] + slopes[k] * gaps[k])
     return pr.make_lift(breaks, values)
+
+
+@st.composite
+def conjugate_maps(draw, q_max=6):
+    """``(f, p, q)`` with ``f = h^{-1} o R_{p/q} o h`` and ``p/q`` in lowest terms."""
+    q = draw(st.integers(2, q_max))
+    rho = Fr(draw(st.integers(1, q - 1)), q)
+    h = draw(rational_lifts())
+    f = pr.compose(pr.invert(h), pr.compose(pr.rigid(rho), h))
+    return f, rho.numerator, rho.denominator

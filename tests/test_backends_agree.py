@@ -8,24 +8,12 @@ but must never answer something else.
 """
 from fractions import Fraction as Fr
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import pwlrotor as pr
 from pwlrotor import errors
 
-from conftest import rational_lifts
-
-Q_MAX = 6
-
-
-@st.composite
-def conjugate_maps(draw):
-    """``(f, p, q)`` with ``f = h^{-1} o R_{p/q} o h`` and ``p/q`` in lowest terms."""
-    q = draw(st.integers(2, Q_MAX))
-    rho = Fr(draw(st.integers(1, q - 1)), q)
-    h = draw(rational_lifts())
-    f = pr.compose(pr.invert(h), pr.compose(pr.rigid(rho), h))
-    return f, rho.numerator, rho.denominator
+from conftest import conjugate_maps
 
 
 def assert_consistent_rotation(rr, p, q):

@@ -2,8 +2,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction as Fr
 
 import pytest
+
+import pwlrotor as pr
 
 HERMAN = {"family": "herman_shifted", "params": {"lam": 1.4142135623730951}}
 REFR_LOCKED = {"family": "refraction", "params": {"alpha": 2.0, "beta": 1.14}}
@@ -82,6 +85,24 @@ class TestConjugacy:
         out = json.loads(proc.stdout)
         assert out["verdict"]["verdict"] == "conjugate"
         assert "h" in out and "invariant_density" in out
+
+    def test_density_comes_from_the_certified_partition(self, tmp_path):
+        # a float custom map h^-1 o R_{10/17} o h: the verdict's partition
+        # carries the density, so no second certificate can contradict it
+        h = pr.make_lift([Fr(13, 97), Fr(18, 97)], [Fr(43, 97), Fr(139, 97)])
+        f = pr.compose(pr.invert(h), pr.compose(pr.rigid(Fr(10, 17)), h))
+        breaks, values = [float(b) for b in f.breaks], [float(v) for v in f.values]
+        family = {"family": "custom", "params": {"mu": [0, 1], "breaks": [breaks, breaks],
+                                                 "values": [values, values]}}
+        proc = run_cli(tmp_path, "conjugacy", {"family": family, "mu": 0})
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert (out["verdict"]["p"], out["verdict"]["q"]) == (10, 17)
+        dens = out["invariant_density"]
+        exact = pr.invariant_density(f)
+        assert dens["backend"] == "float" and len(dens["cuts"]) == len(exact.cuts)
+        for c, d, ec, ed in zip(dens["cuts"], dens["densities"], exact.cuts, exact.values):
+            assert abs(c - ec) <= 1e-12 and abs(d - ed) <= 1e-9 * ed
 
     def test_non_conjugate_point_is_still_a_valid_answer(self, tmp_path):
         proc = run_cli(tmp_path, "conjugacy", {"family": REFR_LOCKED, "mu": 0.0})

@@ -3,14 +3,24 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
 
 import pwlrotor as pr
 from pwlrotor import errors
 from pwlrotor.backend import RationalBackend
+from pwlrotor.lift import piece
 
-from conftest import rational_grid
+from conftest import conjugate_maps, rational_grid
 
 LOCKED = pr.herman_offset(Fr(1, 2), Fr(1, 50)).lift(Fr(1, 200))  # rho = 1/2, not conjugate
+
+# h^-1 o R_{10/17} o h for h through (13/97, 43/97) and (18/97, 139/97).  Its
+# float copy keeps a piece of F^17 with slope 0.99999999935 although
+# |F^17(x) - x - 10| <= 5e-13 everywhere.
+CONJ_10_17 = pr.make_lift(
+    [Fr(78, 97), Fr(110940, 136867), Fr(111416, 136867), Fr(80, 97)],
+    [Fr(111998, 136867), Fr(80, 97), Fr(175, 97), Fr(248389, 136867)],
+)
 
 
 class TestBreakOrbitPartition:
@@ -82,6 +92,14 @@ class TestVerdicts:
         v = pr.is_conjugate_to_rigid(f)
         assert isinstance(v, pr.NotConjugate)
         assert not pr.canonicalize(pr.power(f, v.q)).is_rigid
+
+    def test_float_power_check_decides_on_positions(self):
+        for f in (CONJ_10_17, CONJ_10_17.to_float()):
+            v = pr.is_conjugate_to_rigid(f)
+            assert isinstance(v, pr.Conjugate)
+            assert (v.p, v.q) == (10, 17)
+            rho = pr.invariant_density(f, partition=v.partition)
+            assert abs(float(rho.mass()) - 1) <= 1e-12
 
     def test_undecided_when_no_rational_certificate(self):
         f = pr.coelho(Fr(3, 10), Fr(11, 20)).lift(0)
@@ -198,6 +216,65 @@ class TestInvariantDensity:
     def test_raises_on_locked_map(self):
         with pytest.raises(errors.NotConjugateError):
             pr.invariant_density(LOCKED)
+        with pytest.raises(errors.NotConjugateError):
+            pr.invariant_density(LOCKED, q=2)
+
+    def test_multiple_of_the_period(self, herman_32):
+        rho = pr.invariant_density(herman_32.lift(0), q=4)
+        assert rho.cuts == (Fr(0), Fr(2, 5))
+        assert rho.values == (Fr(5, 4), Fr(5, 6))
+
+    def test_wrong_period_raises(self, herman_32):
+        with pytest.raises(errors.NotConjugateError):
+            pr.invariant_density(herman_32.lift(0), q=3)
+
+    def test_non_genuine_marked_point_is_uniform(self):
+        f = pr.make_lift([Fr(0), Fr(1, 3)], [Fr(2, 5), Fr(11, 15)])  # x + 2/5
+        for q in (None, 5):
+            rho = pr.invariant_density(f, q=q)
+            assert rho.cuts == (Fr(0),) and rho.values == (Fr(1),)
+
+    def test_reads_the_given_partition(self, coelho_q3):
+        v = pr.is_conjugate_to_rigid(coelho_q3)
+        rho = pr.invariant_density(coelho_q3, partition=v.partition)
+        assert rho == pr.invariant_density(coelho_q3)
+        assert rho.values == (Fr(7, 3), Fr(7, 6), Fr(7, 12))
+
+    @pytest.mark.parametrize(
+        "rho, breaks, values",
+        [
+            (Fr(4, 35), (Fr(82, 997), Fr(855, 997)), (Fr(735, 997), Fr(4672, 4985))),
+            (Fr(17, 30), (Fr(78, 97), Fr(82, 97)), (Fr(17, 97), Fr(131, 194))),
+        ],
+    )
+    def test_float_merge_keeps_the_mass(self, rho, breaks, values):
+        # float cells of equal exact density differ by ~1e-11 relative; a
+        # merged run must carry its own mass, not its first cell's value
+        h = pr.make_lift(breaks, values)
+        f = pr.compose(pr.invert(h), pr.compose(pr.rigid(rho), h))
+        exact = pr.invariant_density(f)
+        approx = pr.invariant_density(f.to_float(), q=rho.denominator)
+        assert abs(approx.mass() - 1) <= 1e-12
+        assert len(approx.cuts) == len(exact.cuts)
+        for c, v, ec, ev in zip(approx.cuts, approx.values, exact.cuts, exact.values):
+            assert abs(c - ec) <= 1e-12 and abs(v - ev) <= 1e-10 * ev
+
+    @settings(max_examples=60, deadline=None)
+    @given(conjugate_maps())
+    def test_matches_the_push_forward_average(self, case):
+        # (1/q) sum_{k<q} (F^{-k})'(x), walked back one inverse step at a time
+        f, _, q = case
+        rho = pr.invariant_density(f)
+        cuts = rho.cuts
+        for j, c in enumerate(cuts):
+            nxt = cuts[j + 1] if j + 1 < len(cuts) else cuts[0] + 1
+            x = pr.frac((c + nxt) / 2)
+            total, factor, y = Fr(0), Fr(1), x
+            for _ in range(q):
+                total += factor
+                y = f.inverse(y)
+                factor /= f.slopes[piece(f.breaks, pr.frac(y))]
+            assert rho(x) == total / q
 
 
 class TestGrowth:

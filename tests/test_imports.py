@@ -1,0 +1,44 @@
+"""Every name a module under ``src/pwlrotor`` imports is used there."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pwlrotor"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def imported_names(tree):
+    """Names bound by import statements, with their line numbers."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree):
+    """Names read anywhere in the module, plus the entries of ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = used_names(tree)
+    unused = sorted(
+        "%s (line %d)" % (name, line)
+        for name, line in imported_names(tree).items()
+        if name not in used
+    )
+    assert not unused, "%s imports names it never uses: %s" % (path.name, ", ".join(unused))
