@@ -46,7 +46,7 @@ class ConfigError(ValueError):
 _SCHEMAS = {
     "rho": ({"family", "mu"}, {"m", "q_max", "x0"}),
     "sweep": ({"family", "mu_min", "mu_max"}, {"points", "m", "x0"}),
-    "conjugacy": ({"family", "mu"}, {"q_cap", "orbit_tol"}),
+    "conjugacy": ({"family", "mu"}, {"q_cap"}),
     "scaling": ({"family", "mu_c"}, {"h_fit", "m_fit", "window", "samples", "residual", "q_cap"}),
     "modelock": ({"family", "p", "q", "bracket"}, {"tol"}),
     "pinch": ({"family", "p", "q", "d_grid", "mu_bracket"}, {"tol"}),
@@ -213,12 +213,8 @@ def cmd_sweep(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
 def cmd_conjugacy(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     mu = _scalar(cfg, "mu")
     q_cap = _int_option(cfg, "q_cap", 64)
-    orbit_tol = cfg.get("orbit_tol", None)
     f = family.lift(mu)
-    kwargs = {"q_cap": q_cap}
-    if orbit_tol is not None:
-        kwargs["orbit_tol"] = float(orbit_tol)
-    verdict = is_conjugate_to_rigid(f, **kwargs)
+    verdict = is_conjugate_to_rigid(f, q_cap=q_cap)
     payload = {"mu": scalar_json(family.backend.coerce(mu)), "verdict": verdict.to_json()}
     if isinstance(verdict, Conjugate):
         h = build_conjugacy(f, partition=verdict.partition)

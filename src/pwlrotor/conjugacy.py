@@ -4,9 +4,12 @@ The criterion driving everything here: a PWL circle homeomorphism with
 rotation number ``p/q`` is conjugate to the rigid rotation by ``p/q``
 through a PWL change of coordinates exactly when every genuine break
 point lies on a periodic orbit — equivalently, when ``F^q = x + p``
-identically.  Two independent certificates are therefore available (break
-orbits closing; ``F^q(x) = x + p`` at every marked point of the explicit
-``F^q``), and :func:`is_conjugate_to_rigid` insists they agree.
+identically.  Two independent certificates are therefore available: the
+break orbits close, and ``F^q(x) = x + p`` at every marked point of the
+explicit ``F^q``.  The second is read off the ``F^q`` that the rotation
+search in :func:`exact_rotation` built and certified ``p/q`` with
+(``RotationResult.rigid``), so ``F^q`` is built and decided once, and
+:func:`is_conjugate_to_rigid` insists the two certificates agree.
 
 When the test passes, the break orbits partition the break set into
 ``K <= n/2`` classes, each carrying at least two breaks and a jump-ratio
@@ -32,7 +35,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from . import errors
-from .backend import FloatBackend, Num, RationalBackend, scalar_json
+from .backend import Num, RationalBackend, scalar_json
 from .lift import (
     DEFAULT_PIECE_CAP,
     PwlLift,
@@ -42,11 +45,11 @@ from .lift import (
     jump,
     make_lift,
     piece,
-    power,
 )
-from .rotation import RotationResult, _edge_values, exact_rotation
+from .rotation import RotationResult, exact_rotation
 
-#: Default absolute tolerance for orbit-closure tests in the float backend.
+#: Absolute tolerance of the orbit-closure tests in the float backend; the
+#: exact backend's ``sign`` ignores it, so exact orbits must close exactly.
 ORBIT_TOL = 1e-9
 
 
@@ -133,7 +136,6 @@ def break_orbit_partition(
     f: PwlLift,
     q_hint: Optional[Tuple[int, int]] = None,
     q_cap: int = 64,
-    orbit_tol: float = ORBIT_TOL,
     cap: int = DEFAULT_PIECE_CAP,
 ) -> Union[OrbitPartition, NotPeriodic]:
     """Partition the genuine breaks of ``f`` by periodic orbit.
@@ -143,7 +145,9 @@ def break_orbit_partition(
     :class:`errors.RotationIrrational` when no rational value is found
     within ``q_cap``.  Returns :class:`NotPeriodic` evidence (first break
     whose orbit misses itself, with its drift) instead of a partition as
-    soon as any orbit fails to close.
+    soon as any orbit fails to close.  Two circle points coincide unless
+    ``backend.sign`` of their distance, with band ``ORBIT_TOL``, is 1: they
+    agree to within ``ORBIT_TOL`` in floats and exactly for ``Fraction`` data.
     """
     if q_hint is not None:
         p, q = q_hint
@@ -156,9 +160,11 @@ def break_orbit_partition(
             )
         p, q = rr.p, rr.q
 
-    backend = f.backend
-    is_float = isinstance(backend, FloatBackend)
-    tol = orbit_tol if is_float else 0
+    sign = f.backend.sign
+
+    def near(a, b) -> bool:
+        return sign(_circle_dist(a, b), ORBIT_TOL) != 1
+
     genuine = f.genuine_break_indices()
     if not genuine:
         return OrbitPartition(p=p, q=q, orbits=(), points=())
@@ -169,8 +175,7 @@ def break_orbit_partition(
         b = f.breaks[i]
         pts = _orbit_points(f, b, q)
         closure = frac(f(pts[-1]))
-        drift = _circle_dist(closure, b)
-        if (is_float and drift > tol) or (not is_float and drift != 0):
+        if not near(closure, b):
             signed = closure - b
             if signed > Fraction(1, 2):
                 signed -= 1
@@ -179,7 +184,7 @@ def break_orbit_partition(
             return NotPeriodic(break_index=i, point=b, drift=signed, q=q)
         placed = False
         for r, existing in enumerate(orbit_pts):
-            if any(_circle_dist(b, x) <= tol for x in existing):
+            if any(near(b, x) for x in existing):
                 orbit_of[i] = r
                 placed = True
                 break
@@ -196,17 +201,17 @@ def break_orbit_partition(
         for x in pts:
             brk = None
             for i in genuine:
-                if _circle_dist(x, f.breaks[i]) <= tol:
+                if near(x, f.breaks[i]):
                     brk = i
                     break
             points.append(OrbitPoint(x=x, is_break=brk is not None, break_index=brk, orbit=r))
     points.sort(key=lambda pt: pt.x)
 
-    _check_well_ordered(f, orbit_pts, p, q, tol)
+    _check_well_ordered(orbit_pts, p, q)
     return OrbitPartition(p=p, q=q, orbits=tuple(orbits), points=tuple(points))
 
 
-def _check_well_ordered(f, orbit_pts, p, q, tol):
+def _check_well_ordered(orbit_pts, p, q):
     """Each orbit must be combinatorially a rigid p/q orbit.
 
     Sorting an orbit and following one application of the map should
@@ -277,23 +282,17 @@ class Undecided:
 Verdict = Union[Conjugate, NotConjugate, Undecided]
 
 
-def _rigid_power_check(f: PwlLift, p: int, q: int, cap: int) -> bool:
-    """Is ``F^q(x) = x + p`` at every marked point of ``F^q``, and so
-    everywhere?  Decided on positions by ``eq_point``, not on slopes."""
-    eq = f.backend.eq_point
-    return all(eq(e, 0) for e in _edge_values(power(f, q, cap), p))
-
-
 def is_conjugate_to_rigid(
     f: PwlLift,
     q_cap: int = 64,
-    orbit_tol: float = ORBIT_TOL,
     cap: int = DEFAULT_PIECE_CAP,
 ) -> Verdict:
     """Decide conjugacy to a rigid rational rotation, with cross-checks.
 
-    Certifies the rotation number, then runs the break-orbit test and the
-    ``F^q``-rigidity test independently; the two must agree or
+    Certifies the rotation number, then runs the break-orbit test, and
+    compares it with the ``F^q``-rigidity certificate that the rotation
+    search built on its way to ``p/q`` (``RotationResult.rigid``: ``F^q``
+    is not built a second time).  The two must agree or
     :class:`errors.InternalMismatch` is raised (a tolerance problem, not a
     mathematical possibility).
     """
@@ -304,10 +303,9 @@ def is_conjugate_to_rigid(
             enclosure=rr,
         )
     p, q = rr.p, rr.q
-    part = break_orbit_partition(f, q_hint=(p, q), orbit_tol=orbit_tol, cap=cap)
-    rigid_ok = _rigid_power_check(f, p, q, cap)
+    part = break_orbit_partition(f, q_hint=(p, q), cap=cap)
     if isinstance(part, NotPeriodic):
-        if rigid_ok:
+        if rr.rigid:
             raise errors.InternalMismatch(
                 "F^%d is a rigid shift but break %d drifts by %s; tolerances disagree"
                 % (q, part.break_index, part.drift)
@@ -319,7 +317,7 @@ def is_conjugate_to_rigid(
             q=q,
             evidence=part,
         )
-    if not rigid_ok:
+    if not rr.rigid:
         raise errors.InternalMismatch(
             "all break orbits close but F^%d(x) != x + %d at a marked point of F^%d" % (q, p, q)
         )
@@ -390,8 +388,8 @@ def build_conjugacy(
         return make_lift([zero], [zero], backend)
 
     p, q = partition.p, partition.q
-    shift = Fraction(p, q) if isinstance(backend, RationalBackend) else p / q
-    unit = Fraction(1, q) if isinstance(backend, RationalBackend) else 1.0 / q
+    shift = backend.coerce(Fraction(p, q))
+    unit = backend.coerce(Fraction(1, q))
 
     b1 = f.breaks[partition.orbits[0][0]]
     base_orbit = _orbit_points(f, b1, q)

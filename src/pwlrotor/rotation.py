@@ -9,9 +9,13 @@ Three complementary tools live here.
   ``p/q`` the sign of ``E(x) = F^q(x) - x - p`` over the marked points of
   the explicit lift of ``F^q`` decides ``rho`` against ``p/q``: ``min E > 0``
   means ``rho > p/q``, ``max E < 0`` means ``rho < p/q``, and a zero or sign
-  change certifies ``rho = p/q`` together with a periodic witness.  In the
-  float backend each strict sign must clear a decision band; inside the
-  band the search degrades to the current enclosure instead of guessing.
+  change certifies ``rho = p/q`` together with a periodic witness.  Signs
+  come from ``backend.sign``, so in the float backend each one must clear
+  a decision band.  Inside the band the only certificate left is ``E = 0``
+  at every marked point (``F^q`` is the rigid shift by ``p``); without it
+  the search degrades to the current enclosure instead of guessing.  The
+  same edge values say whether ``F^q = x + p`` identically, which is the
+  conjugacy criterion, so the result carries that verdict as ``rigid``.
 * :func:`mode_lock_interval` — for a monotone one-parameter family, locate
   the parameter interval on which ``rho = p/q`` by bisecting the two sign
   functions ``max E`` (lower edge) and ``min E`` (upper edge) separately,
@@ -26,8 +30,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 from . import errors, kernel
-from .backend import FloatBackend, Num, RationalBackend, scalar_json
-from .lift import DEFAULT_PIECE_CAP, PwlLift, canonicalize, compose, frac, power
+from .backend import Num, RationalBackend, scalar_json
+from .lift import DEFAULT_PIECE_CAP, PwlLift, compose, frac, power
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +51,11 @@ class RotationResult:
     ``kind`` is ``"exact"`` (with ``p``, ``q``, and a periodic ``witness``)
     or ``"enclosure"`` (with rigorous bounds ``lo <= rho <= hi``).  Both
     kinds populate ``lo``/``hi`` so consumers can treat them uniformly.
+
+    ``rigid`` says whether ``F^q(x) = x + p`` at every marked point of the
+    ``F^q`` that certified an exact result (``eq_point`` on its edge
+    values), i.e. whether the map is conjugate to the rigid rotation by
+    ``p/q``.  It is None for enclosures and is not serialized.
     """
 
     kind: str
@@ -56,9 +65,10 @@ class RotationResult:
     hi: Num
     witness: Optional[Num] = None
     iterations: Optional[int] = None
+    rigid: Optional[bool] = None
 
     @classmethod
-    def exact(cls, p: int, q: int, witness, iterations=None) -> "RotationResult":
+    def exact(cls, p: int, q: int, witness, iterations=None, rigid=None) -> "RotationResult":
         value = Fraction(p, q)
         return cls(
             kind="exact",
@@ -68,6 +78,7 @@ class RotationResult:
             hi=value,
             witness=witness,
             iterations=iterations,
+            rigid=rigid,
         )
 
     @classmethod
@@ -176,12 +187,11 @@ def _edge_values(P: PwlLift, p) -> list:
 def _find_witness(P: PwlLift, vals):
     """A root of ``E`` from its edge values ``vals`` once min/max straddle
     zero; None if none is found."""
-    backend = P.backend
-    is_float = isinstance(backend, FloatBackend)
+    eq = P.backend.eq_point
     n = P.n
     for k in range(n):
         ek = vals[k]
-        if (is_float and abs(ek) <= backend.eps_x) or (not is_float and ek == 0):
+        if eq(ek, 0):
             return P.breaks[k]
         e_next = vals[(k + 1) % n]
         if (ek > 0 > e_next) or (ek < 0 < e_next):
@@ -191,45 +201,48 @@ def _find_witness(P: PwlLift, vals):
     return None
 
 
-def _classify(P: PwlLift, p) -> Tuple[str, Optional[Num]]:
+def _is_rigid_shift(P: PwlLift, vals) -> bool:
+    """``E = 0`` at every marked point of ``P``, by ``eq_point``: ``P = F^q``
+    is the rigid shift by ``p``, and so the map is conjugate to ``R_{p/q}``."""
+    eq = P.backend.eq_point
+    return all(eq(e, 0) for e in vals)
+
+
+def _classify(P: PwlLift, p) -> Tuple[str, list]:
+    """Place ``rho`` against ``p/q`` for ``P = F^q``; returns the status and
+    the edge values it was read from.
+
+    ``sign(min E) == 1`` is above, ``sign(max E) == -1`` below, and both
+    signs decided is a hit.  Otherwise a sign lies inside the float
+    decision band, and only ``E = 0`` at every marked point (``F^q`` the
+    rigid shift by ``p``) still certifies a hit.
+    """
     vals = _edge_values(P, p)
-    mn = min(vals)
-    mx = max(vals)
     backend = P.backend
-    if isinstance(backend, RationalBackend):
-        if mn > 0:
-            return _ABOVE, None
-        if mx < 0:
-            return _BELOW, None
-        return _HIT, _find_witness(P, vals)
-    band = backend.decision_band
-    if mn > band:
-        return _ABOVE, None
-    if mx < -band:
-        return _BELOW, None
-    if mn < -band and mx > band:
-        return _HIT, _find_witness(P, vals)
-    # Everything sits inside the decision band.  The one case that can
-    # still be certified is F^q collapsing to the rigid shift by p.
-    Pc = canonicalize(P)
-    if Pc.is_rigid and abs(Pc.rigid_shift - p) <= backend.eps_x:
-        return _HIT, Pc.breaks[0]
-    return _UNDECIDED, None
+    lo, hi = backend.sign(min(vals)), backend.sign(max(vals))
+    if lo == 1:
+        return _ABOVE, vals
+    if hi == -1:
+        return _BELOW, vals
+    if (lo is not None and hi is not None) or _is_rigid_shift(P, vals):
+        return _HIT, vals
+    return _UNDECIDED, vals
 
 
-def _checked_exact(f: PwlLift, P: PwlLift, p: int, q: int, witness, iterations) -> RotationResult:
+def _checked_exact(P: PwlLift, p: int, q: int, vals, iterations) -> RotationResult:
+    witness = _find_witness(P, vals)
     if witness is None:
         raise errors.InternalMismatch(
             "sign data certified rho = %d/%d but no periodic witness was found" % (p, q)
         )
     resid = P(witness) - witness - p
-    backend = f.backend
+    backend = P.backend
     ok = resid == 0 if isinstance(backend, RationalBackend) else abs(resid) <= 10 * backend.eps_x
     if not ok:
         raise errors.InternalMismatch(
             "periodic witness failed verification: residual %s at x=%s" % (resid, witness)
         )
-    return RotationResult.exact(p, q, witness, iterations)
+    return RotationResult.exact(p, q, witness, iterations, rigid=_is_rigid_shift(P, vals))
 
 
 def exact_rotation(f: PwlLift, q_max: int = 10_000, cap: int = DEFAULT_PIECE_CAP) -> RotationResult:
@@ -246,15 +259,15 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000, cap: int = DEFAULT_PIECE_CAP
     zero = backend.coerce(0)
     k0 = math.floor(f(zero))
 
-    status, witness = _classify(f, k0)
+    status, vals = _classify(f, k0)
     if status == _HIT:
-        return _checked_exact(f, f, k0, 1, witness, 0)
+        return _checked_exact(f, k0, 1, vals, 0)
     if status == _UNDECIDED or status == _BELOW:
         return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1), iterations=0)
 
-    status, witness = _classify(f, k0 + 1)
+    status, vals = _classify(f, k0 + 1)
     if status == _HIT:
-        return _checked_exact(f, f, k0 + 1, 1, witness, 0)
+        return _checked_exact(f, k0 + 1, 1, vals, 0)
     if status != _BELOW:
         return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1), iterations=0)
 
@@ -267,9 +280,9 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000, cap: int = DEFAULT_PIECE_CAP
             return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=tested)
         P = compose(Pl, Pr, cap)  # F^{ql} o F^{qr} = F^q
         tested += 1
-        status, witness = _classify(P, p)
+        status, vals = _classify(P, p)
         if status == _HIT:
-            return _checked_exact(f, P, p, q, witness, tested)
+            return _checked_exact(P, p, q, vals, tested)
         if status == _ABOVE:
             pl, ql, Pl = p, q, P
         elif status == _BELOW:
@@ -341,7 +354,6 @@ def periodic_points(f: PwlLift, p: int, q: int, cap: int = DEFAULT_PIECE_CAP) ->
     """
     P = power(f, q, cap)
     backend = P.backend
-    is_float = isinstance(backend, FloatBackend)
     one = backend.coerce(1)
 
     roots = []  # (x, piece_index, at_left_edge)
@@ -353,18 +365,14 @@ def periodic_points(f: PwlLift, p: int, q: int, cap: int = DEFAULT_PIECE_CAP) ->
         b_right = P.breaks[k + 1] if k + 1 < n else P.breaks[0] + 1
         s = P.slopes[k]
         e_left = edges[k]
-        slope_is_one = backend.eq_slope(s, one)
-        if slope_is_one:
-            flat = abs(e_left) <= backend.eps_x if is_float else e_left == 0
-            if flat:
+        if backend.eq_slope(s, one):
+            if backend.eq_point(e_left, 0):
                 intervals.append((b_left, b_right))
             continue
         x = b_left + e_left / (one - s)
-        tol = backend.eps_x if is_float else 0
-        if b_left - tol <= x < b_right:
-            if x < b_left:
-                x = b_left
-            at_edge = backend.eq_point(x, b_left)
+        at_edge = backend.eq_point(x, b_left)
+        if (at_edge or x >= b_left) and x < b_right:
+            x = max(x, b_left)
             roots.append((frac(x) if x >= 1 else x, k, at_edge))
 
     # Merge identity intervals that share an endpoint, including the wrap.

@@ -31,7 +31,6 @@ import numpy as np
 from . import errors
 from .backend import FLOAT, FloatBackend, Num, RationalBackend, scalar_json
 from .conjugacy import (
-    ORBIT_TOL,
     Conjugate,
     NotPeriodic,
     _circle_dist,
@@ -64,7 +63,6 @@ def orbit_landmarks(
     f: PwlLift,
     q: Optional[int] = None,
     q_cap: int = 64,
-    orbit_tol: float = ORBIT_TOL,
     cap: int = DEFAULT_PIECE_CAP,
 ) -> list:
     """Sorted union of the break-point orbits at a conjugacy parameter.
@@ -73,13 +71,13 @@ def orbit_landmarks(
     map (no breaks) the ``q``-point orbit of 0 serves instead.  Raises
     :class:`errors.NotConjugateError` when some break orbit fails to close.
     """
-    return _landmarks(f, q, q_cap=q_cap, orbit_tol=orbit_tol, cap=cap)[1]
+    return _landmarks(f, q, q_cap=q_cap, cap=cap)[1]
 
 
-def _landmarks(f, q, q_cap, orbit_tol, cap):
+def _landmarks(f, q, q_cap, cap):
     """Certified break-orbit partition of ``f`` and its landmarks; ``q``,
     when given, must be the certified period."""
-    part = break_orbit_partition(f, q_cap=q_cap, orbit_tol=orbit_tol, cap=cap)
+    part = break_orbit_partition(f, q_cap=q_cap, cap=cap)
     if isinstance(part, NotPeriodic):
         raise errors.NotConjugateError(
             "break %d is not periodic (drift %s after %d steps)"
@@ -128,7 +126,6 @@ def laminar_coeffs(
     mu_c,
     q: Optional[int] = None,
     q_cap: int = 64,
-    orbit_tol: float = ORBIT_TOL,
     cap: int = DEFAULT_PIECE_CAP,
 ) -> List[Tuple[Num, Num]]:
     """Per-segment ``(A_i, B_i)`` at the conjugacy parameter ``mu_c``.
@@ -140,7 +137,7 @@ def laminar_coeffs(
     """
     mu_c = family.backend.coerce(mu_c)
     f = family.lift(mu_c)
-    part, landmarks = _landmarks(f, q, q_cap=q_cap, orbit_tol=orbit_tol, cap=cap)
+    part, landmarks = _landmarks(f, q, q_cap=q_cap, cap=cap)
     data = _segment_data(family, mu_c, f, landmarks, part.q)
     return list(zip(data["A"], data["B"]))
 
@@ -280,7 +277,6 @@ def r1(
     h_fit: Optional[float] = None,
     m_fit: int = M_FIT,
     q_cap: int = 64,
-    orbit_tol: float = ORBIT_TOL,
     cap: int = DEFAULT_PIECE_CAP,
 ) -> ScalingReport:
     """Scaling report at a conjugacy parameter: closed-form R1 + cross-check.
@@ -293,7 +289,7 @@ def r1(
     backend = family.backend
     mu_c = backend.coerce(mu_c)
     f_c = family.lift(mu_c)
-    verdict = is_conjugate_to_rigid(f_c, q_cap=q_cap, orbit_tol=orbit_tol, cap=cap)
+    verdict = is_conjugate_to_rigid(f_c, q_cap=q_cap, cap=cap)
     if not isinstance(verdict, Conjugate):
         raise errors.NotConjugateError(
             "scaling needs a conjugacy parameter; got %s: %s"

@@ -1,12 +1,17 @@
 """Command-line front end: config validation, exit codes, determinism."""
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
 import pwlrotor as pr
+from pwlrotor import cli
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 HERMAN = {"family": "herman_shifted", "params": {"lam": 1.4142135623730951}}
 REFR_LOCKED = {"family": "refraction", "params": {"alpha": 2.0, "beta": 1.14}}
@@ -24,11 +29,36 @@ def run_cli(tmp_path, command, config, *extra):
     return proc
 
 
+def readme_jobs():
+    """The README's example job files, paired with their subcommands."""
+    text = README.read_text(encoding="utf-8")
+    intro = "Example job files (for `rho`, `conjugacy`, and `sweep` respectively):"
+    assert intro in text
+    blocks = re.findall(r"```json\n(.*?)```", text.split(intro, 1)[1], re.S)
+    return list(zip(("rho", "conjugacy", "sweep"), blocks))
+
+
+class TestReadmeJobs:
+    @pytest.mark.parametrize("command, job", readme_jobs(), ids=["rho", "conjugacy", "sweep"])
+    def test_example_job_runs(self, tmp_path, command, job):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(job)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "-o", str(out)]) == 0
+        assert out.read_text()
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path):
         proc = run_cli(tmp_path, "rho", {"family": HERMAN, "mu": 0.0, "typo": 1})
         assert proc.returncode == 2
         assert "typo" in proc.stderr
+
+    def test_conjugacy_takes_no_orbit_tolerance(self, tmp_path):
+        # the closure tolerance is fixed by the backend, not by the job
+        proc = run_cli(tmp_path, "conjugacy", {"family": HERMAN, "mu": 0.0, "orbit_tol": 1e-9})
+        assert proc.returncode == 2
+        assert "orbit_tol" in proc.stderr
 
     def test_missing_required_key(self, tmp_path):
         proc = run_cli(tmp_path, "rho", {"family": HERMAN})
@@ -86,18 +116,27 @@ class TestConjugacy:
         assert out["verdict"]["verdict"] == "conjugate"
         assert "h" in out and "invariant_density" in out
 
-    def test_density_comes_from_the_certified_partition(self, tmp_path):
-        # a float custom map h^-1 o R_{10/17} o h: the verdict's partition
+    @pytest.mark.parametrize(
+        "rho, breaks, values",
+        [
+            (Fr(10, 17), [Fr(13, 97), Fr(18, 97)], [Fr(43, 97), Fr(139, 97)]),
+            (Fr(31, 33), [Fr(34, 101), Fr(41, 101), Fr(42, 101)],
+             [Fr(57, 101), Fr(2049, 2020), Fr(1479, 1010)]),
+        ],
+        ids=["10_17", "31_33"],
+    )
+    def test_density_comes_from_the_certified_partition(self, tmp_path, rho, breaks, values):
+        # a float custom map h^-1 o R_rho o h: the verdict's partition
         # carries the density, so no second certificate can contradict it
-        h = pr.make_lift([Fr(13, 97), Fr(18, 97)], [Fr(43, 97), Fr(139, 97)])
-        f = pr.compose(pr.invert(h), pr.compose(pr.rigid(Fr(10, 17)), h))
+        h = pr.make_lift(breaks, values)
+        f = pr.compose(pr.invert(h), pr.compose(pr.rigid(rho), h))
         breaks, values = [float(b) for b in f.breaks], [float(v) for v in f.values]
         family = {"family": "custom", "params": {"mu": [0, 1], "breaks": [breaks, breaks],
                                                  "values": [values, values]}}
         proc = run_cli(tmp_path, "conjugacy", {"family": family, "mu": 0})
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
-        assert (out["verdict"]["p"], out["verdict"]["q"]) == (10, 17)
+        assert (out["verdict"]["p"], out["verdict"]["q"]) == (rho.numerator, rho.denominator)
         dens = out["invariant_density"]
         exact = pr.invariant_density(f)
         assert dens["backend"] == "float" and len(dens["cuts"]) == len(exact.cuts)

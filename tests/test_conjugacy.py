@@ -1,5 +1,6 @@
 """Conjugacy to rigid rotations: partitions, verdicts, h, densities, growth."""
 import math
+import sys
 from fractions import Fraction as Fr
 
 import pytest
@@ -20,6 +21,25 @@ LOCKED = pr.herman_offset(Fr(1, 2), Fr(1, 50)).lift(Fr(1, 200))  # rho = 1/2, no
 CONJ_10_17 = pr.make_lift(
     [Fr(78, 97), Fr(110940, 136867), Fr(111416, 136867), Fr(80, 97)],
     [Fr(111998, 136867), Fr(80, 97), Fr(175, 97), Fr(248389, 136867)],
+)
+
+
+def conjugate_to(rho, breaks, values):
+    """``h^-1 o R_rho o h`` for the exact lift ``h`` through ``(breaks, values)``."""
+    h = pr.make_lift(breaks, values)
+    return pr.compose(pr.invert(h), pr.compose(pr.rigid(rho), h))
+
+
+# Float copies of these maps defeat a second, separately rounded F^q:
+# power(f, 33) of the first has a marked point 1.6e-12 off x + 31 although
+# the break orbits close, and power(f, 13) of the second loses monotonicity.
+CONJ_31_33 = conjugate_to(
+    Fr(31, 33), [Fr(34, 101), Fr(41, 101), Fr(42, 101)],
+    [Fr(57, 101), Fr(2049, 2020), Fr(1479, 1010)],
+)
+CONJ_9_13 = conjugate_to(
+    Fr(9, 13), [Fr(367, 997), Fr(689, 997), Fr(690, 997)],
+    [Fr(59, 997), Fr(721, 997), Fr(1051, 997)],
 )
 
 
@@ -93,13 +113,41 @@ class TestVerdicts:
         assert isinstance(v, pr.NotConjugate)
         assert not pr.canonicalize(pr.power(f, v.q)).is_rigid
 
-    def test_float_power_check_decides_on_positions(self):
-        for f in (CONJ_10_17, CONJ_10_17.to_float()):
+    @pytest.mark.parametrize(
+        "conj, p, q",
+        [(CONJ_10_17, 10, 17), (CONJ_31_33, 31, 33), (CONJ_9_13, 9, 13)],
+        ids=["10_17", "31_33", "9_13"],
+    )
+    def test_float_power_check_decides_on_positions(self, conj, p, q):
+        for f in (conj, conj.to_float()):
             v = pr.is_conjugate_to_rigid(f)
             assert isinstance(v, pr.Conjugate)
-            assert (v.p, v.q) == (10, 17)
+            assert (v.p, v.q) == (p, q)
             rho = pr.invariant_density(f, partition=v.partition)
             assert abs(float(rho.mass()) - 1) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "f",
+        [pr.herman_shifted(Fr(3, 2)).lift(0), pr.coelho(Fr(1, 7), Fr(3, 7)).lift(0)],
+        ids=["herman_32", "coelho_q3"],
+    )
+    def test_verdict_composes_no_more_than_its_search(self, f, monkeypatch):
+        # the F^q rigidity certificate comes from the rotation search, so a
+        # verdict adds no composition of its own (no second power(f, q))
+        calls = []
+        compose = pr.lift.compose
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return compose(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("pwlrotor") and vars(module).get("compose") is compose:
+                monkeypatch.setattr(module, "compose", counted)
+        v = pr.is_conjugate_to_rigid(f)
+        monkeypatch.undo()
+        assert isinstance(v, pr.Conjugate)
+        assert len(calls) == pr.exact_rotation(f).iterations
 
     def test_undecided_when_no_rational_certificate(self):
         f = pr.coelho(Fr(3, 10), Fr(11, 20)).lift(0)

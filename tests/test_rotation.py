@@ -119,10 +119,19 @@ class TestExactRotation:
         assert r.iterations == 2
         assert r.to_json()["iterations"] == 2
 
+    def test_rigid_reads_the_certifying_power(self):
+        # F^q = x + p at every marked point of the F^q that certified p/q
+        assert pr.exact_rotation(pr.rigid(Fr(2, 5))).rigid is True
+        locked = pr.exact_rotation(pr.herman_shifted(Fr(3, 2)).lift(Fr(-4, 25)))
+        assert (locked.p, locked.q, locked.rigid) == (1, 3, False)
+        enc = pr.exact_rotation(pr.coelho(Fr(3, 10), Fr(11, 20)).lift(0), q_max=30)
+        assert enc.kind == "enclosure" and enc.rigid is None
+
     def test_result_json(self):
         r = pr.exact_rotation(pr.rigid(Fr(2, 5)))
         j = r.to_json()
         assert j["kind"] == "exact" and j["p"] == 2 and j["q"] == 5
+        assert "rigid" not in j
         e = pr.birkhoff_enclosure(pr.rigid(Fr(2, 5)), 10).to_json()
         assert e["kind"] == "enclosure" and e["p"] is None
 
