@@ -8,12 +8,13 @@ every comparison is decidable; float data are IEEE doubles, and every
 equality test is routed through an explicit tolerance policy instead of
 ``==``.
 
-The float policy uses two scales: ``eps_x`` for positions and values (the
-quantities that enter break/orbit coincidence tests) and ``eps_s`` for
-slopes (which accumulate multiplicative error under composition).  Sign
-decisions additionally honour a ``decision_band``: a quantity within the
-band of zero is *undecided* rather than signed, so callers can degrade to
-an enclosure instead of asserting a wrong strict inequality.
+The float policy is fixed, one set of class constants on
+:class:`FloatBackend`: ``eps_x`` for positions and values (the quantities
+that enter break/orbit coincidence tests) and ``eps_s`` for slopes (which
+accumulate multiplicative error under composition).  Sign decisions
+additionally honour a ``decision_band``: a quantity within the band of
+zero is *undecided* rather than signed, so callers can degrade to an
+enclosure instead of asserting a wrong strict inequality.
 """
 from __future__ import annotations
 
@@ -74,7 +75,7 @@ class RationalBackend:
 
 @dataclass(frozen=True)
 class FloatBackend:
-    """IEEE doubles with an explicit tolerance policy.
+    """IEEE doubles with a fixed tolerance policy.
 
     eps_x: equality scale for positions and values.
     eps_s: equality scale for slopes.
@@ -82,9 +83,9 @@ class FloatBackend:
         ``sign`` declines to answer (returns ``None``).
     """
 
-    eps_x: float = 1e-12
-    eps_s: float = 1e-10
-    decision_band: float = 1e-10
+    eps_x = 1e-12
+    eps_s = 1e-10
+    decision_band = 1e-10
 
     tag = "float"
 
@@ -135,13 +136,11 @@ def scalar_json(x):
     return float(x)
 
 
-def backend_from_tag(tag: str, **tolerances) -> Backend:
+def backend_from_tag(tag: str) -> Backend:
     if tag == "rational":
-        if tolerances:
-            raise ValueError("the rational backend takes no tolerances")
         return RATIONAL
     if tag == "float":
-        return FloatBackend(**tolerances) if tolerances else FLOAT
+        return FLOAT
     raise ValueError("unknown backend tag %r (expected 'rational' or 'float')" % (tag,))
 
 

@@ -31,7 +31,7 @@ from typing import Optional
 
 from . import errors
 from .backend import scalar_json
-from .conjugacy import Conjugate, build_conjugacy, invariant_density, is_conjugate_to_rigid
+from .conjugacy import Q_CAP, Conjugate, build_conjugacy, invariant_density, is_conjugate_to_rigid
 from .families import FamilySpec, _decode_param, family_from_json, herman_offset_family
 from .rotation import birkhoff_enclosure, exact_rotation, mode_lock_interval
 from .scaling import pinch_boundaries, r1, scaling_residual
@@ -212,7 +212,7 @@ def cmd_sweep(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
 
 def cmd_conjugacy(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     mu = _scalar(cfg, "mu")
-    q_cap = _int_option(cfg, "q_cap", 64)
+    q_cap = _int_option(cfg, "q_cap", Q_CAP)
     f = family.lift(mu)
     verdict = is_conjugate_to_rigid(f, q_cap=q_cap)
     payload = {"mu": scalar_json(family.backend.coerce(mu)), "verdict": verdict.to_json()}
@@ -230,7 +230,7 @@ def cmd_scaling(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     mu_c = _scalar(cfg, "mu_c")
     h_fit = cfg.get("h_fit")
     m_fit = _int_option(cfg, "m_fit", 10**7)
-    q_cap = _int_option(cfg, "q_cap", 64)
+    q_cap = _int_option(cfg, "q_cap", Q_CAP)
     rep = r1(family, mu_c, h_fit=None if h_fit is None else float(h_fit),
              m_fit=m_fit, q_cap=q_cap)
     payload = {"scaling": rep.to_json()}

@@ -13,13 +13,19 @@ search in :func:`exact_rotation` built and certified ``p/q`` with
 
 When the test passes, the break orbits partition the break set into
 ``K <= n/2`` classes, each carrying at least two breaks and a jump-ratio
-product of 1 (the trivial cancellations); :func:`build_conjugacy`
-constructs the conjugacy ``h`` itself, affine from the base arc onto
-``[0, 1/q]`` and propagated by ``h(f(x)) = h(x) + p/q``, and
-:func:`invariant_density` reads the density of the absolutely continuous
-invariant measure off the same partition: ``f`` carries each cell between
-adjacent orbit points affinely onto the next cell of its cycle, so cell
-``C`` gets ``L / (q |C|)``, ``L`` the total length of its cycle.
+product of 1 (the trivial cancellations).  Their ``N = q*K`` sorted
+points carry all that either construction needs, since ``f`` carries
+point ``j`` onto point ``j + p*K (mod N)``.  :func:`build_conjugacy` reads the conjugacy
+``h`` off them, affine from the base arc onto ``[0, 1/q]`` and advancing
+by ``1/q`` every ``K`` points, and :func:`invariant_density` reads the
+density of the absolutely continuous invariant measure off the same
+points: ``f`` carries each cell between adjacent orbit points affinely
+onto the next cell of its cycle, so cell ``C`` gets ``L / (q |C|)``,
+``L`` the total length of its cycle.
+
+The float closure tolerance :data:`ORBIT_TOL` and the default search
+depth :data:`Q_CAP` are module constants; only :func:`is_conjugate_to_rigid`
+takes a depth (the ``q_cap`` job key).
 
 For maps that are *not* conjugate, the growth diagnostics expose the
 failure quantitatively: break counts of the iterates stay bounded by
@@ -37,7 +43,6 @@ from typing import List, Optional, Tuple, Union
 from . import errors
 from .backend import Num, RationalBackend, scalar_json
 from .lift import (
-    DEFAULT_PIECE_CAP,
     PwlLift,
     canonicalize,
     compose,
@@ -51,6 +56,9 @@ from .rotation import RotationResult, exact_rotation
 #: Absolute tolerance of the orbit-closure tests in the float backend; the
 #: exact backend's ``sign`` ignores it, so exact orbits must close exactly.
 ORBIT_TOL = 1e-9
+
+#: Largest denominator the rotation search tries when no ``(p, q)`` is given.
+Q_CAP = 64
 
 
 def _circle_dist(a, b):
@@ -133,17 +141,14 @@ def _orbit_points(f: PwlLift, x0, q: int) -> list:
 
 
 def break_orbit_partition(
-    f: PwlLift,
-    q_hint: Optional[Tuple[int, int]] = None,
-    q_cap: int = 64,
-    cap: int = DEFAULT_PIECE_CAP,
+    f: PwlLift, q_hint: Optional[Tuple[int, int]] = None
 ) -> Union[OrbitPartition, NotPeriodic]:
     """Partition the genuine breaks of ``f`` by periodic orbit.
 
     ``q_hint`` may supply ``(p, q)`` directly; otherwise the rotation
     number is certified by :func:`exact_rotation` first, raising
     :class:`errors.RotationIrrational` when no rational value is found
-    within ``q_cap``.  Returns :class:`NotPeriodic` evidence (first break
+    within :data:`Q_CAP`.  Returns :class:`NotPeriodic` evidence (first break
     whose orbit misses itself, with its drift) instead of a partition as
     soon as any orbit fails to close.  Two circle points coincide unless
     ``backend.sign`` of their distance, with band ``ORBIT_TOL``, is 1: they
@@ -152,11 +157,11 @@ def break_orbit_partition(
     if q_hint is not None:
         p, q = q_hint
     else:
-        rr = exact_rotation(f, q_max=q_cap, cap=cap)
+        rr = exact_rotation(f, q_max=Q_CAP)
         if rr.kind != "exact":
             raise errors.RotationIrrational(
                 "rotation number not certified rational within q <= %d: [%s, %s]"
-                % (q_cap, rr.lo, rr.hi)
+                % (Q_CAP, rr.lo, rr.hi)
             )
         p, q = rr.p, rr.q
 
@@ -282,11 +287,7 @@ class Undecided:
 Verdict = Union[Conjugate, NotConjugate, Undecided]
 
 
-def is_conjugate_to_rigid(
-    f: PwlLift,
-    q_cap: int = 64,
-    cap: int = DEFAULT_PIECE_CAP,
-) -> Verdict:
+def is_conjugate_to_rigid(f: PwlLift, q_cap: int = Q_CAP) -> Verdict:
     """Decide conjugacy to a rigid rational rotation, with cross-checks.
 
     Certifies the rotation number, then runs the break-orbit test, and
@@ -296,14 +297,14 @@ def is_conjugate_to_rigid(
     :class:`errors.InternalMismatch` is raised (a tolerance problem, not a
     mathematical possibility).
     """
-    rr = exact_rotation(f, q_max=q_cap, cap=cap)
+    rr = exact_rotation(f, q_max=q_cap)
     if rr.kind != "exact":
         return Undecided(
             reason="rotation number not certified rational within q <= %d" % q_cap,
             enclosure=rr,
         )
     p, q = rr.p, rr.q
-    part = break_orbit_partition(f, q_hint=(p, q), cap=cap)
+    part = break_orbit_partition(f, q_hint=(p, q))
     if isinstance(part, NotPeriodic):
         if rr.rigid:
             raise errors.InternalMismatch(
@@ -358,24 +359,25 @@ def check_trivial_cancellations(f: PwlLift, partition: OrbitPartition) -> Cancel
     return CancellationCheck(global_product=glob, per_orbit=tuple(per))
 
 
-def build_conjugacy(
-    f: PwlLift,
-    partition: Optional[OrbitPartition] = None,
-    q_cap: int = 64,
-    cap: int = DEFAULT_PIECE_CAP,
-) -> PwlLift:
+def build_conjugacy(f: PwlLift, partition: Optional[OrbitPartition] = None) -> PwlLift:
     """Construct the PWL conjugacy ``h`` with ``h o f = r_{p/q} o h``.
 
-    ``h`` is affine from the base arc ``[b_1, v]`` onto ``[0, 1/q]``
-    (``v`` the successor of the first break ``b_1`` on its own orbit) and
-    extended by the conjugacy equation, which pins ``h`` at every orbit
-    point; between adjacent orbit points ``h`` is affine, so interpolating
-    the landmark values reproduces it exactly.  Normalisation: ``h(b_1) = 0``.
+    ``h`` is read off the break-orbit partition (certified within
+    :data:`Q_CAP` when not given).  Its ``N = q*K`` sorted points, from
+    ``b_1`` (the first break of the first orbit) on, are the images of the
+    sorted orbit points of the rigid rotation: the base arc from ``b_1`` to
+    its successor ``v`` on its own orbit holds points ``j1 .. j1+K-1``
+    (``j1`` the index of ``b_1``), one per orbit, and ``h`` maps it
+    affinely onto ``[0, 1/q]``; ``F`` carries point ``j`` onto
+    ``j + p*K (mod N)``, so stepping ``K`` places advances ``h`` by
+    ``1/q``.  Between adjacent orbit points ``h`` is affine, so
+    interpolating these values reproduces it exactly.  Normalisation:
+    ``h(b_1) = 0``.
 
     Raises :class:`errors.NotConjugateError` when the map is not conjugate.
     """
     if partition is None:
-        partition = break_orbit_partition(f, q_cap=q_cap, cap=cap)
+        partition = break_orbit_partition(f)
     if isinstance(partition, NotPeriodic):
         raise errors.NotConjugateError(
             "break %d is not periodic (drift %s)" % (partition.break_index, partition.drift)
@@ -387,47 +389,28 @@ def build_conjugacy(
         # No genuine breaks: f is already the rigid rotation.
         return make_lift([zero], [zero], backend)
 
-    p, q = partition.p, partition.q
-    shift = backend.coerce(Fraction(p, q))
-    unit = backend.coerce(Fraction(1, q))
-
+    q, K = partition.q, partition.K
+    xs = partition.landmarks()
+    N = len(xs)
     b1 = f.breaks[partition.orbits[0][0]]
-    base_orbit = _orbit_points(f, b1, q)
-    pos_sorted = sorted(x if x >= b1 else x + 1 for x in base_orbit)
-    v = pos_sorted[1] if q > 1 else b1 + 1
-    arc_len = v - b1
+    j1 = xs.index(b1)
+    if len({partition.points[(j1 + i) % N].orbit for i in range(K)}) != K:
+        raise errors.InternalMismatch(
+            "expected exactly one point of each orbit in the base arc from break %d"
+            % partition.orbits[0][0]
+        )
 
-    pairs = []  # (circle point, h value in [0,1) relative to H(b1)=0)
-    for orbit in partition.orbits:
-        rep = f.breaks[orbit[0]]
-        pts = _orbit_points(f, rep, q)
-        in_base = [x for x in pts if (x if x >= b1 else x + 1) < v]
-        if len(in_base) != 1:
-            raise errors.InternalMismatch(
-                "expected exactly one point of each orbit in the base arc, got %d"
-                % len(in_base)
-            )
-        u = in_base[0]
-        upos = u if u >= b1 else u + 1
-        t = (upos - b1) / arc_len * unit
-        # walk the orbit from u, advancing h by p/q per step
-        x = u
-        val = t
-        for _ in range(q):
-            pairs.append((x, frac(val)))
-            x = frac(f(x))
-            val = val + shift
+    def lifted(j):  # sorted point j, for j1 <= j <= j1 + N, lifted into [b1, b1 + 1]
+        return xs[j % N] + j // N
 
-    # Convert H on [b1, b1+1) -> [0, 1) into a lift with breaks in [0, 1).
-    marked = []
-    for x, hval in pairs:
-        if x >= b1:
-            marked.append((x, hval))
-        else:
-            marked.append((x, hval - 1))
-    marked.sort()
-    h = make_lift([m[0] for m in marked], [m[1] for m in marked], backend)
-    return h
+    scale = (lifted(j1 + K) - b1) * q
+    ts = [(lifted(j1 + i) - b1) / scale for i in range(K)]
+    values = []
+    for j in range(N):
+        m, i = divmod((j - j1) % N, K)
+        value = ts[i] + backend.coerce(Fraction(m, q))
+        values.append(value - 1 if j < j1 else value)
+    return make_lift(xs, values, backend)
 
 
 @dataclass(frozen=True)
@@ -481,11 +464,7 @@ class PiecewiseConstantDensity:
 
 
 def invariant_density(
-    f: PwlLift,
-    q: Optional[int] = None,
-    partition: Optional[OrbitPartition] = None,
-    q_cap: int = 64,
-    cap: int = DEFAULT_PIECE_CAP,
+    f: PwlLift, q: Optional[int] = None, partition: Optional[OrbitPartition] = None
 ) -> PiecewiseConstantDensity:
     """Density of the absolutely continuous invariant probability measure.
 
@@ -503,7 +482,7 @@ def invariant_density(
     merged.
 
     ``partition`` is the one a verdict certified.  Without it the partition
-    is built at the rotation number certified within ``q_cap`` or, given
+    is built at the rotation number certified within :data:`Q_CAP` or, given
     ``q``, at ``(F^q(b) - b)/q`` in lowest terms for a genuine break ``b``.
     A map with no genuine break gets the uniform density.
 
@@ -514,7 +493,7 @@ def invariant_density(
     zero = backend.coerce(0)
     uniform = PiecewiseConstantDensity(cuts=(zero,), values=(backend.coerce(1),), backend=backend)
     if partition is None and q is None:
-        partition = break_orbit_partition(f, q_cap=q_cap, cap=cap)
+        partition = break_orbit_partition(f)
     elif partition is None:
         genuine = f.genuine_break_indices()
         if not genuine:
@@ -558,26 +537,20 @@ def invariant_density(
     return dens
 
 
-def verify_invariance(
-    f: PwlLift,
-    density: Optional[PiecewiseConstantDensity] = None,
-    trials: int = 64,
-    seed: int = 0,
-    q: Optional[int] = None,
-) -> Num:
+def verify_invariance(f: PwlLift, density: PiecewiseConstantDensity) -> Num:
     """Max discrepancy ``|nu(A) - nu(f^{-1} A)]|`` over random arcs ``A``.
 
+    ``nu`` is the measure of ``density``; the arcs are 64 draws of a
+    ``random.Random(0)`` stream, so repeated calls test the same arcs.
     Exact backend: the discrepancy is exactly zero for a correct density.
     Float backend: expect a few units of rounding noise.
     """
-    if density is None:
-        density = invariant_density(f, q=q)
     phi = density.cdf_lift()
     backend = f.backend
-    rng = random.Random(seed)
+    rng = random.Random(0)
     worst = backend.coerce(0)
     denom = 10**6
-    for _ in range(trials):
+    for _ in range(64):
         if isinstance(backend, RationalBackend):
             u = Fraction(rng.randrange(denom), denom)
             v = Fraction(rng.randrange(denom), denom)
@@ -596,31 +569,31 @@ def verify_invariance(
     return worst
 
 
-def _canonical_iterates(f: PwlLift, k_max: int, cap: int):
+def _canonical_iterates(f: PwlLift, k_max: int):
     P = None
     for _ in range(k_max):
-        P = canonicalize(f if P is None else compose(P, f, cap))
+        P = canonicalize(f if P is None else compose(P, f))
         yield P
 
 
-def break_count_growth(f: PwlLift, k_max: int, cap: int = DEFAULT_PIECE_CAP) -> list:
+def break_count_growth(f: PwlLift, k_max: int) -> list:
     """Genuine break counts of ``f^k`` for ``k = 1..k_max``.
 
     Bounded by ``q*K`` along conjugate maps; grows linearly otherwise.
     """
     counts = []
-    for P in _canonical_iterates(f, k_max, cap):
+    for P in _canonical_iterates(f, k_max):
         counts.append(0 if P.is_rigid else P.n)
     return counts
 
 
-def derivative_growth(f: PwlLift, k_max: int, cap: int = DEFAULT_PIECE_CAP) -> list:
+def derivative_growth(f: PwlLift, k_max: int) -> list:
     """Maximal one-sided slope of ``F^k`` for ``k = 1..k_max``.
 
     Conjugate maps stay below ``max_slope**(q-1)``; locked non-conjugate
     maps grow geometrically (powers of ``(F^q)'`` at a periodic point).
     """
     out = []
-    for P in _canonical_iterates(f, k_max, cap):
+    for P in _canonical_iterates(f, k_max):
         out.append(max(P.slopes))
     return out

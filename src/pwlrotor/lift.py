@@ -14,7 +14,9 @@ removed by :func:`canonicalize`.
 
 Everything here is generic over the two scalar backends: exact rationals
 and tolerance-governed floats.  ``F(x + 1) = F(x) + 1`` holds exactly in
-the exact backend and to rounding in the float backend.
+the exact backend and to rounding in the float backend.  A composition
+carries at most :data:`PIECE_CAP` marked points and raises
+:class:`errors.Overflow` past it; no call sets another cap.
 """
 from __future__ import annotations
 
@@ -33,8 +35,8 @@ from .backend import (
     infer_backend,
 )
 
-#: Default cap on marked points produced by compose/power.
-DEFAULT_PIECE_CAP = 10**6
+#: Most marked points a composition may carry; more raises Overflow.
+PIECE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -102,16 +104,14 @@ class PwlLift:
         eq = self.backend.eq_slope
         return [k for k in range(self.n) if not eq(self.slopes[k], self.slopes[k - 1])]
 
-    def to_float(self, backend: Optional[FloatBackend] = None) -> "PwlLift":
+    def to_float(self) -> "PwlLift":
         """Float-backend copy (used for kernel iteration and reporting)."""
-        target = backend or FLOAT
         if isinstance(self.backend, FloatBackend):
-            if backend is None or backend == self.backend:
-                return self
+            return self
         return make_lift(
             [float(b) for b in self.breaks],
             [float(v) for v in self.values],
-            backend=target,
+            backend=FLOAT,
         )
 
     def to_json(self) -> dict:
@@ -223,7 +223,7 @@ def _cluster_circle_points(points: Sequence, eps) -> list:
     return keep
 
 
-def compose(outer: PwlLift, inner: PwlLift, cap: int = DEFAULT_PIECE_CAP) -> PwlLift:
+def compose(outer: PwlLift, inner: PwlLift) -> PwlLift:
     """The lift of ``outer o inner``.
 
     Marked points of the result are the marked points of ``inner``
@@ -244,7 +244,7 @@ def compose(outer: PwlLift, inner: PwlLift, cap: int = DEFAULT_PIECE_CAP) -> Pwl
     :func:`_cluster_circle_points`).
 
     Raises:
-        Overflow: more than ``cap`` marked points.
+        Overflow: more than :data:`PIECE_CAP` marked points.
         PrecisionLoss: float rounding made neighbouring values of the
             composition coincide or cross (strong contraction, as near an
             attracting periodic orbit); the exact backend cannot hit this.
@@ -298,9 +298,9 @@ def compose(outer: PwlLift, inner: PwlLift, cap: int = DEFAULT_PIECE_CAP) -> Pwl
         xs = [xs[i] for i in keep]
         fx = [fx[i] for i in keep]
 
-    if len(xs) > cap:
+    if len(xs) > PIECE_CAP:
         raise errors.Overflow(
-            "composition would carry %d marked points (cap %d)" % (len(xs), cap)
+            "composition would carry %d marked points (cap %d)" % (len(xs), PIECE_CAP)
         )
     try:
         return make_lift(xs, fx, backend)
@@ -313,14 +313,14 @@ def compose(outer: PwlLift, inner: PwlLift, cap: int = DEFAULT_PIECE_CAP) -> Pwl
         raise
 
 
-def power(f: PwlLift, k: int, cap: int = DEFAULT_PIECE_CAP) -> PwlLift:
+def power(f: PwlLift, k: int) -> PwlLift:
     """Explicit lift of the k-th iterate, by repeated squaring.
 
     Powers of the same map commute, so the square-and-multiply order does
-    not matter.  Marked-point counts grow at most linearly in ``k``; the
-    cap bounds them and raises :class:`errors.Overflow` beyond.  Float
-    powers of strongly contracting maps raise :class:`errors.PrecisionLoss`
-    (see :func:`compose`).
+    not matter.  Marked-point counts grow at most linearly in ``k``;
+    :data:`PIECE_CAP` bounds them and raises :class:`errors.Overflow`
+    beyond.  Float powers of strongly contracting maps raise
+    :class:`errors.PrecisionLoss` (see :func:`compose`).
     """
     if k < 1:
         raise ValueError("power wants k >= 1, got %d" % k)
@@ -328,11 +328,11 @@ def power(f: PwlLift, k: int, cap: int = DEFAULT_PIECE_CAP) -> PwlLift:
     base = f
     while True:
         if k & 1:
-            result = base if result is None else compose(result, base, cap)
+            result = base if result is None else compose(result, base)
         k >>= 1
         if not k:
             return result
-        base = compose(base, base, cap)
+        base = compose(base, base)
 
 
 def invert(f: PwlLift) -> PwlLift:

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Tuple
 
 from . import errors, kernel
 from .backend import Num, RationalBackend, scalar_json
-from .lift import DEFAULT_PIECE_CAP, PwlLift, compose, frac, power
+from .lift import PwlLift, compose, frac, power
 
 log = logging.getLogger(__name__)
 
@@ -245,7 +245,7 @@ def _checked_exact(P: PwlLift, p: int, q: int, vals, iterations) -> RotationResu
     return RotationResult.exact(p, q, witness, iterations, rigid=_is_rigid_shift(P, vals))
 
 
-def exact_rotation(f: PwlLift, q_max: int = 10_000, cap: int = DEFAULT_PIECE_CAP) -> RotationResult:
+def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
     """Stern-Brocot search for an exact rational rotation number.
 
     Starting from the integer interval ``[floor(F(0)), floor(F(0)) + 1]``,
@@ -278,7 +278,7 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000, cap: int = DEFAULT_PIECE_CAP
         p, q = pl + pr, ql + qr
         if q > q_max:
             return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=tested)
-        P = compose(Pl, Pr, cap)  # F^{ql} o F^{qr} = F^q
+        P = compose(Pl, Pr)  # F^{ql} o F^{qr} = F^q
         tested += 1
         status, vals = _classify(P, p)
         if status == _HIT:
@@ -345,14 +345,14 @@ class PeriodicScan:
         }
 
 
-def periodic_points(f: PwlLift, p: int, q: int, cap: int = DEFAULT_PIECE_CAP) -> PeriodicScan:
+def periodic_points(f: PwlLift, p: int, q: int) -> PeriodicScan:
     """Solve ``F^q(x) = x + p`` piece by piece on the explicit lift of F^q.
 
     Each affine piece contributes at most one isolated root, found by a
     one-line solve; pieces with slope 1 are either disjoint from the
     solution set or consist entirely of it.
     """
-    P = power(f, q, cap)
+    P = power(f, q)
     backend = P.backend
     one = backend.coerce(1)
 
@@ -485,7 +485,6 @@ def mode_lock_interval(
     q: int,
     bracket: Tuple,
     tol=None,
-    cap: int = DEFAULT_PIECE_CAP,
 ) -> ModeLockInterval:
     """Measure the locked interval ``{mu : rho(F_mu) = p/q}`` in a bracket.
 
@@ -511,7 +510,7 @@ def mode_lock_interval(
         tol = Fraction(tol)
 
     def stats(F):
-        vals = _edge_values(power(F, q, cap), p)
+        vals = _edge_values(power(F, q), p)
         return min(vals), max(vals)
 
     def g_min(mu):
@@ -526,14 +525,13 @@ def mode_lock_interval(
     hi_l, hi_r, ha, hb = _bisect_root(g_min, a, b, min_a, min_b, tol)
     edge_max = (lo_l + lo_r) / 2
     edge_min = (hi_l + hi_r) / 2
-    lo, hi = (edge_max, edge_min) if edge_max <= edge_min else (edge_min, edge_max)
-    certificates = {
-        "lo": {"which": "max", "bracket": (lo_l, lo_r), "values": (ga, gb)},
-        "hi": {"which": "min", "bracket": (hi_l, hi_r), "values": (ha, hb)},
-    }
-    if edge_max > edge_min:
-        certificates = {
-            "lo": {"which": "min", "bracket": (hi_l, hi_r), "values": (ha, hb)},
-            "hi": {"which": "max", "bracket": (lo_l, lo_r), "values": (ga, gb)},
-        }
+    # A stable sort: on a tie the "max" edge stays the lower one.
+    (lo, lo_cert), (hi, hi_cert) = sorted(
+        [
+            (edge_max, {"which": "max", "bracket": (lo_l, lo_r), "values": (ga, gb)}),
+            (edge_min, {"which": "min", "bracket": (hi_l, hi_r), "values": (ha, hb)}),
+        ],
+        key=lambda edge: edge[0],
+    )
+    certificates = {"lo": lo_cert, "hi": hi_cert}
     return ModeLockInterval(p=p, q=q, lo=lo, hi=hi, tol=tol, certificates=certificates)

@@ -17,6 +17,10 @@ number; :func:`scaling_residual` measures the quadratic remainder and the
 inverse symmetry ``G_{-mu} = G_mu^{-1} + O(mu^2)``; and
 :func:`pinch_boundaries` traces how a mode-locked wedge in a second
 parameter collapses onto such a conjugacy point.
+
+The branch switch of the passage-time formula, :data:`B_THRESHOLD`, is a
+module constant, and the conjugacy point is certified with the default
+search depth of :mod:`pwlrotor.conjugacy` unless ``r1`` is given ``q_cap``.
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ import numpy as np
 from . import errors
 from .backend import FLOAT, FloatBackend, Num, RationalBackend, scalar_json
 from .conjugacy import (
+    Q_CAP,
     Conjugate,
     NotPeriodic,
     _circle_dist,
@@ -39,7 +44,7 @@ from .conjugacy import (
     is_conjugate_to_rigid,
 )
 from .families import FamilySpec, TwoParamFamilySpec, family_from_json, monotonicity_margin
-from .lift import DEFAULT_PIECE_CAP, PwlLift, frac, invert, make_lift, piece, power
+from .lift import PwlLift, frac, invert, make_lift, piece, power
 from .rotation import birkhoff_enclosure, mode_lock_interval
 
 log = logging.getLogger(__name__)
@@ -59,33 +64,23 @@ def _float_spec(family: FamilySpec) -> FamilySpec:
     return family_from_json(family.to_json(), backend=FLOAT)
 
 
-def orbit_landmarks(
-    f: PwlLift,
-    q: Optional[int] = None,
-    q_cap: int = 64,
-    cap: int = DEFAULT_PIECE_CAP,
-) -> list:
+def orbit_landmarks(f: PwlLift) -> list:
     """Sorted union of the break-point orbits at a conjugacy parameter.
 
     Exactly ``q*K`` points for a map with ``K`` break orbits; for a rigid
     map (no breaks) the ``q``-point orbit of 0 serves instead.  Raises
     :class:`errors.NotConjugateError` when some break orbit fails to close.
     """
-    return _landmarks(f, q, q_cap=q_cap, cap=cap)[1]
+    return _landmarks(f)[1]
 
 
-def _landmarks(f, q, q_cap, cap):
-    """Certified break-orbit partition of ``f`` and its landmarks; ``q``,
-    when given, must be the certified period."""
-    part = break_orbit_partition(f, q_cap=q_cap, cap=cap)
+def _landmarks(f):
+    """Certified break-orbit partition of ``f`` and its landmarks."""
+    part = break_orbit_partition(f)
     if isinstance(part, NotPeriodic):
         raise errors.NotConjugateError(
             "break %d is not periodic (drift %s after %d steps)"
             % (part.break_index, part.drift, part.q)
-        )
-    if q is not None and part.q != q:
-        raise errors.InternalMismatch(
-            "expected period %d but certified rotation number has q = %d" % (q, part.q)
         )
     return part, _partition_landmarks(f, part)
 
@@ -121,13 +116,7 @@ def _dF_dmu(f: PwlLift, ds, db, dphi, x, k):
     return dphi[k] + ds[k] * delta - f.slopes[k] * db[k]
 
 
-def laminar_coeffs(
-    family: FamilySpec,
-    mu_c,
-    q: Optional[int] = None,
-    q_cap: int = 64,
-    cap: int = DEFAULT_PIECE_CAP,
-) -> List[Tuple[Num, Num]]:
+def laminar_coeffs(family: FamilySpec, mu_c) -> List[Tuple[Num, Num]]:
     """Per-segment ``(A_i, B_i)`` at the conjugacy parameter ``mu_c``.
 
     ``A_i`` is the parameter-derivative of ``F^q`` at the midpoint of gap
@@ -137,7 +126,7 @@ def laminar_coeffs(
     """
     mu_c = family.backend.coerce(mu_c)
     f = family.lift(mu_c)
-    part, landmarks = _landmarks(f, q, q_cap=q_cap, cap=cap)
+    part, landmarks = _landmarks(f)
     data = _segment_data(family, mu_c, f, landmarks, part.q)
     return list(zip(data["A"], data["B"]))
 
@@ -195,11 +184,11 @@ def _segment_data(family: FamilySpec, mu_c, f: PwlLift, landmarks, q: int) -> di
     }
 
 
-def kappa(A, B, lo, hi, b_threshold: float = B_THRESHOLD) -> Num:
+def kappa(A, B, lo, hi) -> Num:
     """Passage-time coefficient of one laminar segment ``(lo, hi)``.
 
     ``kappa = gap/A`` when the slope perturbation ``B`` is negligible
-    (``|B|*gap/A`` below ``b_threshold``), else ``log(1 + gap*B/A)/B``.
+    (``|B|*gap/A`` below :data:`B_THRESHOLD`), else ``log(1 + gap*B/A)/B``.
     The two branches agree to ~1e-8 relative at the threshold.
     """
     gap = hi - lo
@@ -210,7 +199,7 @@ def kappa(A, B, lo, hi, b_threshold: float = B_THRESHOLD) -> Num:
             "segment coefficient A = %s is not positive; the passage-time "
             "formula needs a transverse family" % (A,)
         )
-    if abs(B) * gap / A < b_threshold:
+    if abs(B) * gap / A < B_THRESHOLD:
         return gap / A
     arg = 1 + gap * B / A
     if arg <= 0:
@@ -244,10 +233,7 @@ class ScalingReport:
     transversality: Optional[Num]
 
     def kappa_total(self) -> Num:
-        total = self.kappas[0]
-        for k in self.kappas[1:]:
-            total = total + k
-        return total
+        return sum(self.kappas[1:], self.kappas[0])
 
     def to_json(self) -> dict:
         return {
@@ -276,8 +262,7 @@ def r1(
     mu_c,
     h_fit: Optional[float] = None,
     m_fit: int = M_FIT,
-    q_cap: int = 64,
-    cap: int = DEFAULT_PIECE_CAP,
+    q_cap: int = Q_CAP,
 ) -> ScalingReport:
     """Scaling report at a conjugacy parameter: closed-form R1 + cross-check.
 
@@ -289,7 +274,7 @@ def r1(
     backend = family.backend
     mu_c = backend.coerce(mu_c)
     f_c = family.lift(mu_c)
-    verdict = is_conjugate_to_rigid(f_c, q_cap=q_cap, cap=cap)
+    verdict = is_conjugate_to_rigid(f_c, q_cap=q_cap)
     if not isinstance(verdict, Conjugate):
         raise errors.NotConjugateError(
             "scaling needs a conjugacy parameter; got %s: %s"
@@ -306,9 +291,7 @@ def r1(
     for i in range(m):
         hi = landmarks[i + 1] if i + 1 < m else landmarks[0] + 1
         kappas.append(kappa(data["A"][i], data["B"][i], landmarks[i], hi))
-    total = kappas[0]
-    for k in kappas[1:]:
-        total = total + k
+    total = sum(kappas[1:], kappas[0])
     if isinstance(total, Fraction):
         R1 = sigma / (q * total)
     else:
@@ -339,7 +322,7 @@ def r1(
     fam_f = _float_spec(family)
     sample_mu = mu_f + sigma * h
     f_s = fam_f.lift(sample_mu)
-    P_s = power(f_s, q, cap)
+    P_s = power(f_s, q)
     S_sample = tuple(P_s.slopes[piece(P_s.breaks, frac(float(y)))] for y in data["mids"])
 
     deltas = [s * k * h for k in (1, 2, 4) for s in (1, -1)]
@@ -405,7 +388,6 @@ def scaling_residual(
     samples: int = 40,
     m: int = M_FIT,
     report: Optional[ScalingReport] = None,
-    cap: int = DEFAULT_PIECE_CAP,
 ) -> ResidualReport:
     """Empirical ``R2``: max of ``|rho - p/q - R1*delta| / delta^2``.
 
@@ -427,7 +409,7 @@ def scaling_residual(
     was measured.
     """
     if report is None:
-        report = r1(family, mu_c, cap=cap)
+        report = r1(family, mu_c)
     R1f = float(report.R1)
     p, q = report.p, report.q
     rho0 = p / q
@@ -458,8 +440,8 @@ def scaling_residual(
     strip_factor = 2.0 * (1.0 + s_M ** max(1, q - 1))
     centers = [float(x) for x in report.landmarks]
     for mu_t in (window / 4, window / 8):
-        Gp = _normalized_power(fam_f, mu_f + mu_t, p, q, cap)
-        Gm = _normalized_power(fam_f, mu_f - mu_t, p, q, cap)
+        Gp = _normalized_power(fam_f, mu_f + mu_t, p, q)
+        Gm = _normalized_power(fam_f, mu_f - mu_t, p, q)
         diff = _sup_outside_strips(Gm, invert(Gp), centers, strip_factor * mu_t)
         if diff is None:
             log.warning("symmetry check skipped at mu~=%s: strips cover the circle", mu_t)
@@ -479,9 +461,9 @@ def scaling_residual(
     )
 
 
-def _normalized_power(fam: FamilySpec, mu: float, p: int, q: int, cap: int) -> PwlLift:
+def _normalized_power(fam: FamilySpec, mu: float, p: int, q: int) -> PwlLift:
     """``G_mu = F_mu^q - p``, the near-identity return map."""
-    P = power(fam.lift(mu), q, cap)
+    P = power(fam.lift(mu), q)
     return make_lift(list(P.breaks), [v - p for v in P.values], P.backend)
 
 
@@ -592,7 +574,6 @@ def pinch_boundaries(
     d_grid: Sequence,
     mu_bracket: Tuple,
     tol=None,
-    cap: int = DEFAULT_PIECE_CAP,
 ) -> PinchReport:
     """Trace the ``p/q`` locked interval across a grid of ``d`` values.
 
@@ -609,7 +590,7 @@ def pinch_boundaries(
     for d in d_grid:
         fam_d = two_param.at(d)
         try:
-            mli = mode_lock_interval(fam_d, p, q, mu_bracket, tol=tol, cap=cap)
+            mli = mode_lock_interval(fam_d, p, q, mu_bracket, tol=tol)
             rows.append(PinchRow(d=d, lo=mli.lo, hi=mli.hi))
             used_tol = mli.tol
         except errors.NotBracketed as exc:

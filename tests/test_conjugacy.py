@@ -76,7 +76,7 @@ class TestBreakOrbitPartition:
     def test_unresolvable_rotation_raises(self):
         f = pr.coelho(Fr(3, 10), Fr(11, 20)).lift(0)
         with pytest.raises(errors.RotationIrrational):
-            pr.break_orbit_partition(f, q_cap=30)
+            pr.break_orbit_partition(f)
 
     def test_partition_json(self, coelho_q3):
         j = pr.break_orbit_partition(coelho_q3).to_json()

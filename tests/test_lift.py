@@ -310,14 +310,16 @@ class TestCanonicalForm:
 
 
 class TestPieceCap:
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr("pwlrotor.lift.PIECE_CAP", 40)
         f = pr.refraction(2.0, 1.14).lift(0.0)
         with pytest.raises(errors.Overflow):
-            pr.power(f, 50, cap=40)
+            pr.power(f, 50)
 
-    def test_cap_roomy_enough_passes(self):
+    def test_cap_roomy_enough_passes(self, monkeypatch):
+        monkeypatch.setattr("pwlrotor.lift.PIECE_CAP", 10**4)
         f = pr.refraction(2.0, 1.14).lift(0.0)
-        assert pr.power(f, 50, cap=10**4).n <= 104
+        assert pr.power(f, 50).n <= 104
 
 
 class TestPrecisionLoss:

@@ -1,4 +1,5 @@
 """Rotation numbers: enclosures, exact certification, locked intervals."""
+import logging
 import math
 from fractions import Fraction as Fr
 
@@ -39,6 +40,16 @@ class TestBirkhoffEnclosure:
         r = pr.birkhoff_enclosure(f, 10**5)
         assert r.contains(0.5)
         assert abs(r.width - 2e-5) < 1e-15
+
+    def test_overflow_falls_back_to_the_last_square(self, monkeypatch, caplog):
+        # F^32 of this map carries more than 40 marked points, F^16 fewer.
+        monkeypatch.setattr("pwlrotor.lift.PIECE_CAP", 40)
+        f = pr.refraction(2.0, 1.14).lift(0.0)
+        with caplog.at_level(logging.DEBUG, logger="pwlrotor.rotation"):
+            r = pr.birkhoff_enclosure(f, 10**5)
+        assert "(cap 40)); falling back to Q=16" in caplog.text
+        assert r.width == pytest.approx(2e-5)
+        assert r.contains(5 / 6)
 
     def test_x0_argument(self):
         f = pr.rigid(Fr(1, 3))

@@ -1,11 +1,45 @@
 """Backend behavior: coercion, tolerance policy, JSON scalar encoding."""
+import dataclasses
+import inspect
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
+import pwlrotor as pr
 from pwlrotor import FLOAT, RATIONAL, backend_from_tag, errors, infer_backend
 from pwlrotor.backend import FloatBackend, scalar_json
+
+#: Settings that are module or class constants, not parameters, anywhere.
+FIXED = {"cap", "eps_x", "eps_s", "decision_band", "b_threshold", "trials", "seed", "tolerances"}
+
+#: Parameters that some public functions keep and these ones do not take.
+FIXED_IN = {
+    "break_orbit_partition": {"q_cap"},
+    "build_conjugacy": {"q_cap"},
+    "invariant_density": {"q_cap"},
+    "orbit_landmarks": {"q", "q_cap"},
+    "laminar_coeffs": {"q", "q_cap"},
+    "verify_invariance": {"q"},
+}
+
+#: Parameters that a job key, an internal caller or the benchmark sets.
+KEPT = {
+    "exact_rotation": {"q_max"},
+    "is_conjugate_to_rigid": {"q_cap"},
+    "r1": {"h_fit", "m_fit", "q_cap"},
+    "scaling_residual": {"window", "samples", "m", "report"},
+    "mode_lock_interval": {"family", "tol"},
+    "pinch_boundaries": {"tol"},
+    "birkhoff_enclosure": {"x0"},
+    "invariant_density": {"q", "partition"},
+    "build_conjugacy": {"partition"},
+    "break_orbit_partition": {"q_hint"},
+}
+
+
+def parameters(fn) -> set:
+    return set(inspect.signature(fn).parameters)
 
 
 class TestRationalBackend:
@@ -78,15 +112,22 @@ class TestSelection:
         assert backend_from_tag("rational") is RATIONAL
         assert backend_from_tag("float") is FLOAT
 
-    def test_float_tag_with_custom_tolerances(self):
-        b = backend_from_tag("float", eps_x=1e-9)
-        assert isinstance(b, FloatBackend)
-        assert b.eps_x == 1e-9
-        assert b.eps_s == FLOAT.eps_s
+    def test_tolerances_are_class_constants(self):
+        assert dataclasses.fields(FloatBackend) == ()
+        assert (FLOAT.eps_x, FLOAT.eps_s, FLOAT.decision_band) == (1e-12, 1e-10, 1e-10)
+        with pytest.raises(TypeError):
+            backend_from_tag("float", eps_x=1e-9)
 
-    def test_rational_tag_rejects_tolerances(self):
-        with pytest.raises(ValueError):
-            backend_from_tag("rational", eps_x=1e-9)
+    def test_fixed_settings_are_no_parameters(self):
+        for name in pr.__all__:
+            obj = getattr(pr, name)
+            if callable(obj):
+                taken = parameters(obj) & (FIXED | FIXED_IN.get(name, set()))
+                assert not taken, "%s still takes %s" % (name, sorted(taken))
+        assert parameters(pr.PwlLift.to_float) == {"self"}
+        for name, kept in KEPT.items():
+            assert kept <= parameters(getattr(pr, name)), name
+        assert "band" in parameters(FLOAT.sign)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
