@@ -17,8 +17,8 @@ circle maps, in either exact rational or float arithmetic:
   conjugacy parameter, quadratic residuals, and pinch measurements.
 - :mod:`pwlrotor.cli` — the ``pwl-rotor`` batch command.
 
-Long float orbits iterate the explicit lift of a power ``F^Q`` in the
-pure-Python kernel :mod:`pwlrotor.kernel`; nothing is compiled.
+Long orbits, exact or float, iterate the explicit lift of a power ``F^Q``
+in the pure-Python kernel :mod:`pwlrotor.kernel`; nothing is compiled.
 """
 
 from . import errors

@@ -15,6 +15,10 @@ accumulate multiplicative error under composition).  Sign decisions
 additionally honour a ``decision_band``: a quantity within the band of
 zero is *undecided* rather than signed, so callers can degrade to an
 enclosure instead of asserting a wrong strict inequality.
+
+Every other float band is one of the named constants below, and callers
+decide with ``backend.sign(x, BAND)``; the exact backend ignores the band.
+Code outside this module never asks which backend it holds.
 """
 from __future__ import annotations
 
@@ -22,9 +26,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import BackendMismatch
+from .errors import BackendMismatch, Overflow
 
 Num = Union[Fraction, float]
+
+#: Two circle points on one break orbit coincide (orbit closure, orbit
+#: membership) when their distance is within this band.
+ORBIT_TOL = 1e-9
+#: A periodic witness must satisfy ``F^q(x) = x + p`` to within this band.
+WITNESS_TOL = 1e-11
+#: An invariant density's total mass must be 1 to within this band.
+MASS_TOL = 1e-12
+#: Adjacent laminar landmarks collide when closer than this, keyed by the
+#: family's derivative provenance.
+COLLISION_TOL = {"analytic": 1e-11, "numerical": 1e-9}
+#: Default bisection width of locked-interval edges (both backends).
+LOCK_TOL = Fraction(1, 10**10)
 
 
 @dataclass(frozen=True)
@@ -61,8 +78,9 @@ class RationalBackend:
             return -1
         return 0
 
-    def scalar_to_json(self, x):
-        return str(Fraction(x))
+    def merge_close(self, xs, fx):
+        """Exact marked points never merge: the lists come back as given."""
+        return xs, fx
 
     def scalar_from_json(self, v) -> Fraction:
         if isinstance(v, float):
@@ -110,8 +128,25 @@ class FloatBackend:
             return -1
         return None
 
-    def scalar_to_json(self, x):
-        return float(x)
+    def merge_close(self, xs, fx):
+        """Drop the circle points ``xs`` (with their values ``fx``) that lie
+        within ``eps_x`` of the last kept one.
+
+        ``xs`` run increasing (up to rounding) through a window of length
+        one.  A cluster keeps its first member; the last kept point is
+        dropped as well when it lies within ``eps_x`` of the first plus one
+        (the wrap pair).
+        """
+        eps = self.eps_x
+        keep = [0]
+        last = xs[0]
+        for i in range(1, len(xs)):
+            if xs[i] - last > eps:
+                keep.append(i)
+                last = xs[i]
+        if len(keep) > 1 and (xs[0] + 1) - last <= eps:
+            keep.pop()
+        return [xs[i] for i in keep], [fx[i] for i in keep]
 
     def scalar_from_json(self, v) -> float:
         return self.coerce(v)
@@ -128,11 +163,22 @@ def scalar_json(x):
 
     Decides by the value, not by a backend: float-backend results can
     still hold Fraction bounds (Stern-Brocot enclosures), which stay exact.
+
+    Raises:
+        Overflow: the numerator or denominator has more decimal digits
+            than Python converts to a string.
     """
     if x is None:
         return None
     if isinstance(x, Fraction):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError as exc:
+            raise Overflow(
+                "exact scalar with a %d-bit numerator and a %d-bit denominator "
+                "is too large to print: %s"
+                % (x.numerator.bit_length(), x.denominator.bit_length(), exc)
+            ) from exc
     return float(x)
 
 

@@ -14,8 +14,9 @@ plus the command's own options; unknown keys are rejected.  CSV output
 is deterministic (same config, any worker count, byte-identical) and
 carries a comment line with the backend and tolerances in force.
 
-Exit codes: 0 success; 2 bad config or parameter out of domain; 3 piece
-overflow or float precision loss; 4 conjugacy required but absent; 5
+Exit codes: 0 success; 2 bad config or parameter out of domain; 3 size
+limit exceeded (the piece cap of a composition, or an exact result too
+large to print) or float precision loss; 4 conjugacy required but absent; 5
 mode-locking bracket does not straddle the interval.  Set ``PWL_ROTOR_LOG=debug`` (or info,
 warning, ...) for progress logging on stderr.
 """
@@ -336,7 +337,7 @@ def main(argv=None) -> int:
         print("error: parameter out of domain: %s" % exc, file=sys.stderr)
         return 2
     except errors.Overflow as exc:
-        print("error: piece budget exceeded: %s" % exc, file=sys.stderr)
+        print("error: size limit exceeded: %s" % exc, file=sys.stderr)
         return 3
     except errors.PrecisionLoss as exc:
         print("error: float precision lost: %s" % exc, file=sys.stderr)

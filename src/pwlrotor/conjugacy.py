@@ -23,8 +23,9 @@ points: ``f`` carries each cell between adjacent orbit points affinely
 onto the next cell of its cycle, so cell ``C`` gets ``L / (q |C|)``,
 ``L`` the total length of its cycle.
 
-The float closure tolerance :data:`ORBIT_TOL` and the default search
-depth :data:`Q_CAP` are module constants; only :func:`is_conjugate_to_rigid`
+The float closure band ``ORBIT_TOL`` and the mass band ``MASS_TOL`` live
+in :mod:`pwlrotor.backend` with the other bands, and the default search
+depth :data:`Q_CAP` is a module constant; only :func:`is_conjugate_to_rigid`
 takes a depth (the ``q_cap`` job key).
 
 For maps that are *not* conjugate, the growth diagnostics expose the
@@ -41,7 +42,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from . import errors
-from .backend import Num, RationalBackend, scalar_json
+from .backend import MASS_TOL, ORBIT_TOL, Num, scalar_json
 from .lift import (
     PwlLift,
     canonicalize,
@@ -52,10 +53,6 @@ from .lift import (
     piece,
 )
 from .rotation import RotationResult, exact_rotation
-
-#: Absolute tolerance of the orbit-closure tests in the float backend; the
-#: exact backend's ``sign`` ignores it, so exact orbits must close exactly.
-ORBIT_TOL = 1e-9
 
 #: Largest denominator the rotation search tries when no ``(p, q)`` is given.
 Q_CAP = 64
@@ -531,8 +528,7 @@ def invariant_density(
     cuts = tuple(cuts[j] for j in keep)
     dens = PiecewiseConstantDensity(cuts=cuts, values=tuple(values), backend=backend)
     total = dens.mass()
-    ok = total == 1 if isinstance(backend, RationalBackend) else abs(total - 1) <= 1e-12
-    if not ok:
+    if backend.sign(abs(total - 1), MASS_TOL) == 1:
         raise errors.InternalMismatch("invariant density mass came out as %s" % (total,))
     return dens
 
@@ -540,8 +536,9 @@ def invariant_density(
 def verify_invariance(f: PwlLift, density: PiecewiseConstantDensity) -> Num:
     """Max discrepancy ``|nu(A) - nu(f^{-1} A)]|`` over random arcs ``A``.
 
-    ``nu`` is the measure of ``density``; the arcs are 64 draws of a
-    ``random.Random(0)`` stream, so repeated calls test the same arcs.
+    ``nu`` is the measure of ``density``; the arcs are 64 pairs of ends
+    ``k/10^6`` drawn from a ``random.Random(0)`` stream, the same in both
+    backends, so repeated calls test the same arcs.
     Exact backend: the discrepancy is exactly zero for a correct density.
     Float backend: expect a few units of rounding noise.
     """
@@ -551,12 +548,8 @@ def verify_invariance(f: PwlLift, density: PiecewiseConstantDensity) -> Num:
     worst = backend.coerce(0)
     denom = 10**6
     for _ in range(64):
-        if isinstance(backend, RationalBackend):
-            u = Fraction(rng.randrange(denom), denom)
-            v = Fraction(rng.randrange(denom), denom)
-        else:
-            u = rng.random()
-            v = rng.random()
+        u = backend.coerce(Fraction(rng.randrange(denom), denom))
+        v = backend.coerce(Fraction(rng.randrange(denom), denom))
         if u == v:
             continue
         if u > v:

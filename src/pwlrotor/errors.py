@@ -18,7 +18,9 @@ class BackendMismatch(PwlError):
 
 
 class Overflow(PwlError):
-    """Piece count exceeded the configured cap during composition."""
+    """A size limit was exceeded: the piece cap of a composition, or the
+    digit limit of Python's integer-to-string conversion when an exact
+    scalar is written out."""
 
 
 class PrecisionLoss(PwlError):

@@ -48,9 +48,7 @@ from .backend import (
     FLOAT,
     RATIONAL,
     Backend,
-    FloatBackend,
     Num,
-    RationalBackend,
     backend_from_tag,
     infer_backend,
     scalar_json,
@@ -110,10 +108,7 @@ class FamilySpec:
         mu = self.backend.coerce(mu)
         if self._derivs is not None:
             return self._derivs(mu)
-        if isinstance(self.backend, RationalBackend):
-            h0 = Fraction(1, 10**6) * max(Fraction(1), abs(mu))
-        else:
-            h0 = 1e-6 * max(1.0, abs(mu))
+        h0 = self.backend.coerce(Fraction(1, 10**6)) * max(1, abs(mu))
 
         def central(h):
             b_hi, v_hi = self.table(mu + h)
@@ -166,14 +161,9 @@ def herman(lam, beta=1, backend=None) -> FamilySpec:
     beta_b = backend.coerce(beta)
     if not (lam_b > 1 and beta_b > 0):
         raise errors.OutOfDomain("herman needs lam > 1 and beta > 0")
-    if isinstance(backend, RationalBackend):
-        if beta_b.denominator != 1:
-            raise errors.BackendMismatch(
-                "non-integer beta makes lam**-beta irrational; use the float backend"
-            )
-        t = 1 / lam_b ** int(beta_b)
-    else:
-        t = lam_b ** (-beta_b)
+    # An exact non-integer beta gives a float power, which the exact
+    # backend refuses (BackendMismatch).
+    t = backend.coerce(lam_b ** -beta_b)
     c = (1 - t) / (lam_b - t)
     zero = backend.coerce(0)
 
@@ -515,6 +505,23 @@ class MarginReport:
         }
 
 
+def _transversality(family: FamilySpec, mu_c) -> tuple:
+    """Local transversality at ``mu_c``, one value per marked point:
+    ``d(value)/dmu - max(0, adjacent slopes * d(break)/dmu)``, taken in the
+    increasing orientation (see :class:`MarginReport`)."""
+    backend = family.backend
+    mu_c = backend.coerce(mu_c)
+    sigma = family.direction_sign
+    f = family.lift(mu_c)
+    db, dphi = family.derivatives(mu_c)
+    zero = backend.coerce(0)
+    vals = []
+    for k in range(f.n):
+        bd = sigma * db[k]
+        vals.append(sigma * dphi[k] - max(zero, f.slopes[k - 1] * bd, f.slopes[k] * bd))
+    return tuple(vals)
+
+
 def monotonicity_margin(family: FamilySpec, interval, grid: int = 9, mu_c=None) -> MarginReport:
     """Evaluate strict-monotonicity margins of a family over an interval.
 
@@ -530,8 +537,6 @@ def monotonicity_margin(family: FamilySpec, interval, grid: int = 9, mu_c=None) 
     b = backend.coerce(interval[1])
     sigma = family.direction_sign
     mus = [a + (b - a) * Fraction(i, grid - 1) for i in range(grid)]
-    if isinstance(backend, FloatBackend):
-        mus = [float(m) for m in mus]
 
     min_dphi = None
     max_db = None
@@ -565,18 +570,8 @@ def monotonicity_margin(family: FamilySpec, interval, grid: int = 9, mu_c=None) 
 
     trans = trans_per_k = None
     if mu_c is not None:
-        mu_c = backend.coerce(mu_c)
-        f = family.lift(mu_c)
-        db, dphi = family.derivatives(mu_c)
-        zero = backend.coerce(0)
-        vals = []
-        for k in range(f.n):
-            bd = sigma * db[k]
-            vals.append(
-                sigma * dphi[k] - max(zero, f.slopes[k - 1] * bd, f.slopes[k] * bd)
-            )
-        trans_per_k = tuple(vals)
-        trans = min(vals)
+        trans_per_k = _transversality(family, mu_c)
+        trans = min(trans_per_k)
 
     return MarginReport(
         margin=margin,

@@ -26,14 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import errors
-from .backend import (
-    FLOAT,
-    Backend,
-    FloatBackend,
-    Num,
-    backend_from_tag,
-    infer_backend,
-)
+from .backend import FLOAT, Backend, Num, backend_from_tag, infer_backend, scalar_json
 
 #: Most marked points a composition may carry; more raises Overflow.
 PIECE_CAP = 10**6
@@ -105,20 +98,14 @@ class PwlLift:
         return [k for k in range(self.n) if not eq(self.slopes[k], self.slopes[k - 1])]
 
     def to_float(self) -> "PwlLift":
-        """Float-backend copy (used for kernel iteration and reporting)."""
-        if isinstance(self.backend, FloatBackend):
-            return self
-        return make_lift(
-            [float(b) for b in self.breaks],
-            [float(v) for v in self.values],
-            backend=FLOAT,
-        )
+        """Float-backend copy of the same marked points, e.g. to compare
+        a float computation against its exact oracle."""
+        return make_lift(self.breaks, self.values, FLOAT)
 
     def to_json(self) -> dict:
-        enc = self.backend.scalar_to_json
         return {
-            "breaks": [enc(b) for b in self.breaks],
-            "values": [enc(v) for v in self.values],
+            "breaks": [scalar_json(b) for b in self.breaks],
+            "values": [scalar_json(v) for v in self.values],
             "backend": self.backend.tag,
         }
 
@@ -204,25 +191,6 @@ def rigid(shift, backend: Optional[Backend] = None) -> PwlLift:
     return make_lift([zero], [backend.coerce(shift)], backend)
 
 
-def _cluster_circle_points(points: Sequence, eps) -> list:
-    """Indices of the float points that survive merging within ``eps``.
-
-    ``points`` run increasing (up to rounding) through a window of length
-    one.  A point within ``eps`` of the last kept one joins its cluster,
-    which keeps its first member; the last kept point is dropped as well
-    when it lies within ``eps`` of the first plus one (the wrap pair).
-    """
-    keep = [0]
-    last = points[0]
-    for i in range(1, len(points)):
-        if points[i] - last > eps:
-            keep.append(i)
-            last = points[i]
-    if len(keep) > 1 and (points[0] + 1) - last <= eps:
-        keep.pop()
-    return keep
-
-
 def compose(outer: PwlLift, inner: PwlLift) -> PwlLift:
     """The lift of ``outer o inner``.
 
@@ -239,9 +207,9 @@ def compose(outer: PwlLift, inner: PwlLift) -> PwlLift:
     preimage ``b_k + (y - v_k)/s_k`` of a lifted outer break ``y`` is that
     break's own value, and the value at ``b_k`` is one affine evaluation of
     ``outer`` on the piece the sweep holds.  Points at or above 1 rotate to
-    the front.  A preimage equal to an inner break collapses into it; in
-    the float backend points closer than ``eps_x`` also merge (see
-    :func:`_cluster_circle_points`).
+    the front.  A preimage equal to an inner break collapses into it; the
+    backend's ``merge_close`` then merges float points closer than
+    ``eps_x`` (exact points never merge).
 
     Raises:
         Overflow: more than :data:`PIECE_CAP` marked points.
@@ -293,10 +261,7 @@ def compose(outer: PwlLift, inner: PwlLift) -> PwlLift:
     if cut < len(xs):
         xs = [x - 1 for x in xs[cut:]] + xs[:cut]
         fx = [y - 1 for y in fx[cut:]] + fx[:cut]
-    if isinstance(backend, FloatBackend):
-        keep = _cluster_circle_points(xs, backend.eps_x)
-        xs = [xs[i] for i in keep]
-        fx = [fx[i] for i in keep]
+    xs, fx = backend.merge_close(xs, fx)
 
     if len(xs) > PIECE_CAP:
         raise errors.Overflow(
@@ -304,13 +269,11 @@ def compose(outer: PwlLift, inner: PwlLift) -> PwlLift:
         )
     try:
         return make_lift(xs, fx, backend)
-    except errors.NonMonotone as exc:
-        if isinstance(backend, FloatBackend):
-            raise errors.PrecisionLoss(
-                "float composition over %d marked points lost monotonicity: %s"
-                % (len(xs), exc)
-            ) from exc
-        raise
+    except errors.NonMonotone as exc:  # only float rounding gets here
+        raise errors.PrecisionLoss(
+            "float composition over %d marked points lost monotonicity: %s"
+            % (len(xs), exc)
+        ) from exc
 
 
 def power(f: PwlLift, k: int) -> PwlLift:

@@ -4,7 +4,8 @@ Three complementary tools live here.
 
 * :func:`birkhoff_enclosure` — iterate the orbit of 0 and use the classical
   bound ``|F^m(0) - m rho| < 1`` to trap the rotation number in an interval
-  of width ``2/m``.  Cheap, rigorous, never exact.
+  of width ``2/m``.  Cheap, rigorous, never exact.  Both backends take the
+  same path: the orbit kernel iterates the explicit lift of a power ``F^Q``.
 * :func:`exact_rotation` — walk the Stern-Brocot tree.  For a candidate
   ``p/q`` the sign of ``E(x) = F^q(x) - x - p`` over the marked points of
   the explicit lift of ``F^q`` decides ``rho`` against ``p/q``: ``min E > 0``
@@ -20,6 +21,10 @@ Three complementary tools live here.
   the parameter interval on which ``rho = p/q`` by bisecting the two sign
   functions ``max E`` (lower edge) and ``min E`` (upper edge) separately,
   which keeps width-zero intervals (conjugacy pinches) honest.
+
+Float bands (the witness check, the default bisection width) are the named
+constants of :mod:`pwlrotor.backend`; nothing here asks which backend it
+holds.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 from . import errors, kernel
-from .backend import Num, RationalBackend, scalar_json
+from .backend import LOCK_TOL, WITNESS_TOL, Num, scalar_json
 from .lift import PwlLift, compose, frac, power
 
 log = logging.getLogger(__name__)
@@ -125,13 +130,15 @@ def _orbit_power(m: int) -> int:
     return q if q >= MIN_POWER else 1
 
 
-def _float_orbit(f: PwlLift, x0: float, m: int) -> Tuple[int, float]:
+def _orbit(f: PwlLift, x0: Num, m: int) -> Tuple[int, Num]:
     """``m`` steps of ``F`` from ``x0`` as ``m//q`` steps of ``P = F^q``
     then ``m%q`` steps of ``F``; returns the total winding and end point.
 
     ``P`` comes from repeated squaring.  A squaring that loses float
     precision or exceeds the piece cap stops it, and the last square
-    built is used instead (``F`` itself when the first one fails).
+    built is used instead (``F`` itself when the first one fails).  Exact
+    lifts give exactly ``F`` applied ``m`` times: exact ``F^q`` is ``F``
+    applied ``q`` times, with no rounding.
     """
     q_target = _orbit_power(m)
     P, q = f, 1
@@ -153,26 +160,20 @@ def birkhoff_enclosure(f: PwlLift, m: int, x0=0) -> RotationResult:
     """Trap the rotation number via ``m`` orbit steps from ``x0``.
 
     Uses the bound ``|F^m(x) - x - m rho| < 1``, so the enclosure has
-    width exactly ``2/m``.  Float lifts iterate the explicit lift of a
+    width exactly ``2/m``.  Both backends iterate the explicit lift of a
     power ``F^Q`` (``Q`` grows like ``sqrt(m)``, see :func:`_orbit_power`)
     in the Python kernel, with the winding tracked separately from the
-    fractional position; exact lifts iterate ``F`` in rational arithmetic
-    and the result is fully rigorous.
+    fractional position.  In the exact backend every step is a rational
+    operation, so the result is fully rigorous.
     """
     if m < 1:
         raise ValueError("need at least one iterate, got m=%d" % m)
     x0 = f.backend.coerce(x0)
     if not (0 <= x0 < 1):
         x0 = frac(x0)
-    if isinstance(f.backend, RationalBackend):
-        x = x0
-        for _ in range(m):
-            x = f(x)
-        disp = x - x0
-        return RotationResult.enclosure((disp - 1) / m, (disp + 1) / m, iterations=m)
-    wind, x_end = _float_orbit(f, x0, m)
+    wind, x_end = _orbit(f, x0, m)
     disp = wind + (x_end - x0)
-    return RotationResult.enclosure((disp - 1.0) / m, (disp + 1.0) / m, iterations=m)
+    return RotationResult.enclosure((disp - 1) / m, (disp + 1) / m, iterations=m)
 
 
 def _edge_values(P: PwlLift, p) -> list:
@@ -236,9 +237,7 @@ def _checked_exact(P: PwlLift, p: int, q: int, vals, iterations) -> RotationResu
             "sign data certified rho = %d/%d but no periodic witness was found" % (p, q)
         )
     resid = P(witness) - witness - p
-    backend = P.backend
-    ok = resid == 0 if isinstance(backend, RationalBackend) else abs(resid) <= 10 * backend.eps_x
-    if not ok:
+    if P.backend.sign(abs(resid), WITNESS_TOL) == 1:
         raise errors.InternalMismatch(
             "periodic witness failed verification: residual %s at x=%s" % (resid, witness)
         )
@@ -493,6 +492,8 @@ def mode_lock_interval(
     ``max_x E_mu`` and ``min_x E_mu`` with ``E_mu = F_mu^q - x - p``; each
     is bisected independently, so a width-zero interval (a conjugacy
     pinch) comes out as ``lo == hi`` up to ``tol`` instead of being missed.
+    ``tol`` (default :data:`backend.LOCK_TOL`) is taken in the family's
+    backend.
 
     Raises:
         NotBracketed: an edge's sign function does not change over the
@@ -504,10 +505,7 @@ def mode_lock_interval(
     backend = f_a.backend
     a = backend.coerce(a)
     b = backend.coerce(b)
-    if tol is None:
-        tol = Fraction(1, 10**10) if isinstance(backend, RationalBackend) else 1e-10
-    elif isinstance(backend, RationalBackend) and not isinstance(tol, Fraction):
-        tol = Fraction(tol)
+    tol = backend.coerce(Fraction(LOCK_TOL if tol is None else tol))
 
     def stats(F):
         vals = _edge_values(power(F, q), p)

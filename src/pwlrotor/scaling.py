@@ -19,7 +19,8 @@ inverse symmetry ``G_{-mu} = G_mu^{-1} + O(mu^2)``; and
 parameter collapses onto such a conjugacy point.
 
 The branch switch of the passage-time formula, :data:`B_THRESHOLD`, is a
-module constant, and the conjugacy point is certified with the default
+module constant, the landmark collision bands are ``COLLISION_TOL`` in
+:mod:`pwlrotor.backend`, and the conjugacy point is certified with the default
 search depth of :mod:`pwlrotor.conjugacy` unless ``r1`` is given ``q_cap``.
 """
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import errors
-from .backend import FLOAT, FloatBackend, Num, RationalBackend, scalar_json
+from .backend import COLLISION_TOL, FLOAT, LOCK_TOL, Num, scalar_json
 from .conjugacy import (
     Q_CAP,
     Conjugate,
@@ -43,7 +44,7 @@ from .conjugacy import (
     break_orbit_partition,
     is_conjugate_to_rigid,
 )
-from .families import FamilySpec, TwoParamFamilySpec, family_from_json, monotonicity_margin
+from .families import FamilySpec, TwoParamFamilySpec, _transversality, family_from_json
 from .lift import PwlLift, frac, invert, make_lift, piece, power
 from .rotation import birkhoff_enclosure, mode_lock_interval
 
@@ -59,8 +60,6 @@ M_FIT = 10**7
 
 def _float_spec(family: FamilySpec) -> FamilySpec:
     """A float-backend clone of ``family`` for long iteration runs."""
-    if isinstance(family.backend, FloatBackend):
-        return family
     return family_from_json(family.to_json(), backend=FLOAT)
 
 
@@ -141,10 +140,7 @@ def _segment_data(family: FamilySpec, mu_c, f: PwlLift, landmarks, q: int) -> di
         )
     ds = _slope_derivatives(f, db, dphi)
 
-    if isinstance(backend, FloatBackend):
-        col_tol = 1e-11 if family.analytic else 1e-9
-    else:
-        col_tol = 0
+    band = COLLISION_TOL["analytic" if family.analytic else "numerical"]
     two = backend.coerce(2)
 
     gaps, mids = [], []
@@ -152,7 +148,7 @@ def _segment_data(family: FamilySpec, mu_c, f: PwlLift, landmarks, q: int) -> di
     for i in range(m):
         hi = landmarks[i + 1] if i + 1 < m else landmarks[0] + 1
         gap = hi - landmarks[i]
-        if gap <= col_tol:
+        if backend.sign(gap, band) != 1:
             raise errors.SegmentCollision(
                 "landmarks %d and %d are only %s apart" % (i, (i + 1) % m, gap)
             )
@@ -292,10 +288,7 @@ def r1(
         hi = landmarks[i + 1] if i + 1 < m else landmarks[0] + 1
         kappas.append(kappa(data["A"][i], data["B"][i], landmarks[i], hi))
     total = sum(kappas[1:], kappas[0])
-    if isinstance(total, Fraction):
-        R1 = sigma / (q * total)
-    else:
-        R1 = sigma / (q * float(total))
+    R1 = sigma / (q * total)
 
     mu_f = float(mu_c)
     h = h_fit if h_fit is not None else 1e-4 * (1.0 + abs(mu_f))
@@ -304,13 +297,8 @@ def r1(
     # moves exactly with its image; the closed form may still be fine).
     transversality = None
     try:
-        if isinstance(backend, RationalBackend):
-            span = Fraction(1, 10**4) * (1 + abs(mu_c))
-        else:
-            span = h
-        mrep = monotonicity_margin(family, (mu_c - span, mu_c + span), grid=3, mu_c=mu_c)
-        transversality = mrep.transversality
-        if transversality is not None and transversality <= 0:
+        transversality = min(_transversality(family, mu_c))
+        if transversality <= 0:
             log.warning(
                 "transversality margin %s at mu_c = %s is not positive",
                 transversality,
@@ -582,17 +570,18 @@ def pinch_boundaries(
     failure is recorded on that row and the sweep continues.  Boundary
     slopes in ``d`` are fitted per sign of ``d`` (the wedge is generally
     not symmetric) through the origin, for comparison against the
-    family's first-order reference slopes.
+    family's first-order reference slopes.  ``tol`` (default
+    :data:`backend.LOCK_TOL`) is taken, and reported, in the family's
+    backend.
     """
     p, q = pq
+    tol = two_param.backend.coerce(Fraction(LOCK_TOL if tol is None else tol))
     rows = []
-    used_tol = None
     for d in d_grid:
         fam_d = two_param.at(d)
         try:
             mli = mode_lock_interval(fam_d, p, q, mu_bracket, tol=tol)
             rows.append(PinchRow(d=d, lo=mli.lo, hi=mli.hi))
-            used_tol = mli.tol
         except errors.NotBracketed as exc:
             log.warning("d = %s: %s", d, exc)
             rows.append(PinchRow(d=d, lo=None, hi=None, note=str(exc)))
@@ -613,16 +602,12 @@ def pinch_boundaries(
         else:
             fitted[side] = None
 
-    tol_out = tol
-    if tol_out is None:
-        tol_out = used_tol if used_tol is not None else 1e-10
-
     return PinchReport(
         p=p,
         q=q,
         rows=tuple(rows),
         bracket=(mu_bracket[0], mu_bracket[1]),
-        tol=tol_out,
+        tol=tol,
         width_at_zero=width_at_zero,
         fitted_slopes=fitted,
         reference_slopes=two_param.reference_slopes,

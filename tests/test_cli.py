@@ -204,6 +204,19 @@ class TestPrecisionLoss:
         assert "precision" in proc.stderr
 
 
+class TestSizeLimit:
+    def test_exact_result_too_long_to_print_exits_3(self, tmp_path, capsys):
+        # The exact Birkhoff end point of 10^5 steps has a denominator of
+        # far more than 4300 digits, Python's integer-to-string limit.
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"family": {"family": "herman_shifted",
+                                              "params": {"lam": "3/2"}}, "mu": "-4/25"}))
+        assert cli.main(["rho", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "size limit exceeded" in captured.err
+
+
 class TestSweep:
     CFG = {"family": HERMAN, "mu_min": -0.05, "mu_max": 0.05,
            "points": 9, "m": 2000}

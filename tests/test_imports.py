@@ -1,4 +1,5 @@
-"""Every name a module under ``src/pwlrotor`` imports is used there."""
+"""Import hygiene of ``src/pwlrotor``: every imported name is used, and
+only the backend module knows the backend classes."""
 import ast
 from pathlib import Path
 
@@ -42,3 +43,39 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, "%s imports names it never uses: %s" % (path.name, ", ".join(unused))
+
+
+#: The backend classes; only these modules may name them.
+BACKEND_CLASSES = {"RationalBackend", "FloatBackend"}
+KNOWS_BACKENDS = {"backend.py", "__init__.py"}
+
+
+def identifiers(tree):
+    """Every identifier a module binds or reads, with its line number."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name, node.lineno
+                if alias.asname:
+                    yield alias.asname, node.lineno
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name not in KNOWS_BACKENDS],
+    ids=[p.name for p in MODULES if p.name not in KNOWS_BACKENDS],
+)
+def test_only_the_backend_names_backend_classes(path):
+    """Exact-vs-float decisions go through a backend object, never through
+    ``isinstance`` on its class."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named = sorted(
+        "%s (line %d)" % (name, line)
+        for name, line in identifiers(tree)
+        if name in BACKEND_CLASSES
+    )
+    assert not named, "%s names backend classes: %s" % (path.name, ", ".join(named))

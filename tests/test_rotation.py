@@ -51,6 +51,22 @@ class TestBirkhoffEnclosure:
         assert r.width == pytest.approx(2e-5)
         assert r.contains(5 / 6)
 
+    @pytest.mark.parametrize("f, m", [
+        (pr.herman_shifted(Fr(3, 2)).lift(0), 5000),
+        (pr.herman_shifted(Fr(3, 2)).lift(Fr(-4, 25)), 5000),
+        (pr.rigid(Fr(2, 7)), 10**4),
+    ], ids=["herman_shifted(3/2)@0", "herman_shifted(3/2)@-4/25", "rigid(2/7)"])
+    def test_exact_power_path_equals_direct_iteration(self, f, m, caplog):
+        # m is above the power threshold: the orbit runs on the exact F^16.
+        with caplog.at_level(logging.DEBUG, logger="pwlrotor.rotation"):
+            r = pr.birkhoff_enclosure(f, m)
+        assert "Q=16" in caplog.messages[-1]
+        x = Fr(0)
+        for _ in range(m):
+            x = f(x)
+        assert (r.lo, r.hi) == ((x - 1) / m, (x + 1) / m)
+        assert type(r.lo) is Fr and type(r.hi) is Fr
+
     def test_x0_argument(self):
         f = pr.rigid(Fr(1, 3))
         r = pr.birkhoff_enclosure(f, 30, x0=Fr(5, 7))

@@ -67,7 +67,8 @@ class TestRationalBackend:
         assert RATIONAL.sign(Fr(0)) == 0
 
     def test_json_round_trip(self):
-        assert RATIONAL.scalar_to_json(Fr(-5, 3)) == "-5/3"
+        assert scalar_json(Fr(-5, 3)) == "-5/3"
+        assert RATIONAL.scalar_from_json(scalar_json(Fr(-5, 3))) == Fr(-5, 3)
         assert RATIONAL.scalar_from_json("-5/3") == Fr(-5, 3)
         assert RATIONAL.scalar_from_json(4) == Fr(4)
 
@@ -102,7 +103,8 @@ class TestFloatBackend:
         assert FLOAT.sign(1e-9, band=1e-8) is None
 
     def test_json_round_trip(self):
-        assert FLOAT.scalar_to_json(0.25) == 0.25
+        assert scalar_json(0.25) == 0.25
+        assert FLOAT.scalar_from_json(scalar_json(0.25)) == 0.25
         assert FLOAT.scalar_from_json(0.25) == 0.25
         assert FLOAT.scalar_from_json("1/2") == 0.5
 
@@ -156,3 +158,7 @@ class TestScalarJson:
     def test_numpy_float_becomes_plain_float(self):
         out = scalar_json(np.float64(0.25))
         assert out == 0.25 and type(out) is float
+
+    def test_fraction_too_long_to_print_is_an_overflow(self):
+        with pytest.raises(errors.Overflow, match="14950-bit denominator"):
+            scalar_json(Fr(1, 3**9432))

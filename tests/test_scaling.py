@@ -138,6 +138,16 @@ class TestR1:
         assert len(calls) == 1
         assert len(rep.landmarks) == 2
 
+    def test_transversality_is_read_at_mu_c(self):
+        # x + 1/2 + mu tabulated only down to mu = -1/20000: transversality
+        # at mu_c = 0 reads the family at mu_c and within its 1e-6
+        # finite-difference step, never 1e-4 away.
+        fam = pr.custom_family([Fr(-1, 20000), Fr(1)], [[Fr(0)], [Fr(0)]],
+                               [[Fr(1, 2) - Fr(1, 20000)], [Fr(3, 2)]])
+        rep = pr.r1(fam, Fr(0), h_fit=1e-5, m_fit=10**3)
+        assert rep.R1 == 1
+        assert rep.transversality == 1
+
     def test_report_fields_and_json(self, herman_sqrt2):
         rep = pr.r1(herman_sqrt2, 0.0, m_fit=10**5)
         assert rep.derivative_provenance == "analytic"
@@ -215,6 +225,13 @@ class TestPinchBoundaries:
         bad = [r for r in rep.rows if r.lo is None]
         assert len(good) == 1 and len(bad) == 1
         assert bad[0].d == Fr(1, 5) and bad[0].note
+
+    def test_exact_tol_when_no_row_is_bracketed(self):
+        plane = pr.herman_offset_family(Fr(1, 2))
+        rep = pr.pinch_boundaries(plane, (1, 3), [Fr(0)], (Fr(-1, 100), Fr(1, 100)))
+        assert rep.rows[0].lo is None and rep.rows[0].note
+        assert rep.tol == Fr(1, 10**10)
+        assert rep.to_json()["tol"] == "1/10000000000"
 
     def test_report_serialisation(self):
         plane = pr.herman_offset_family(Fr(1, 2))
