@@ -35,7 +35,7 @@ from .backend import scalar_json
 from .conjugacy import Q_CAP, Conjugate, build_conjugacy, invariant_density, is_conjugate_to_rigid
 from .families import FamilySpec, _decode_param, family_from_json, herman_offset_family
 from .rotation import birkhoff_enclosure, exact_rotation, mode_lock_interval
-from .scaling import pinch_boundaries, r1, scaling_residual
+from .scaling import M_FIT, SAMPLES, WINDOW, pinch_boundaries, r1, scaling_residual
 
 log = logging.getLogger("pwlrotor.cli")
 
@@ -230,14 +230,14 @@ def cmd_conjugacy(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
 def cmd_scaling(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     mu_c = _scalar(cfg, "mu_c")
     h_fit = cfg.get("h_fit")
-    m_fit = _int_option(cfg, "m_fit", 10**7)
+    m_fit = _int_option(cfg, "m_fit", M_FIT)
     q_cap = _int_option(cfg, "q_cap", Q_CAP)
     rep = r1(family, mu_c, h_fit=None if h_fit is None else float(h_fit),
              m_fit=m_fit, q_cap=q_cap)
     payload = {"scaling": rep.to_json()}
     if cfg.get("residual", True):
-        window = float(cfg.get("window", 1e-2))
-        samples = _int_option(cfg, "samples", 16)
+        window = float(cfg.get("window", WINDOW))
+        samples = _int_option(cfg, "samples", SAMPLES)
         res = scaling_residual(
             family, mu_c, window=window, samples=samples, m=m_fit, report=rep
         )
@@ -261,6 +261,9 @@ def cmd_modelock(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
 def cmd_pinch(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     if family.name != "herman_offset":
         raise ConfigError("pinch requires the herman_offset family")
+    if family.params["d"] != 0:
+        raise ConfigError("pinch sweeps d over d_grid; the family's d must be 0 (got %s)"
+                          % (family.params["d"],))
     p = _int_option(cfg, "p", None, minimum=-(10**9))
     q = _int_option(cfg, "q", None)
     d_grid = cfg.get("d_grid")

@@ -48,7 +48,7 @@ from .lift import (
     canonicalize,
     compose,
     frac,
-    jump,
+    jump_product,
     make_lift,
     piece,
 )
@@ -342,18 +342,8 @@ def check_trivial_cancellations(f: PwlLift, partition: OrbitPartition) -> Cancel
     Exact backend: literal equality holds (assert it upstream if wanted).
     Float backend: expect agreement to roughly ``n`` rounding errors.
     """
-    one = f.backend.coerce(1)
-    per = []
-    for orbit in partition.orbits:
-        prod = one
-        for i in orbit:
-            prod = prod * jump(f, i)
-        per.append(prod)
-    glob = one
-    for i in f.genuine_break_indices():
-        prod = f.slopes[i] / f.slopes[i - 1]
-        glob = glob * prod
-    return CancellationCheck(global_product=glob, per_orbit=tuple(per))
+    per = tuple(jump_product(f, orbit) for orbit in partition.orbits)
+    return CancellationCheck(global_product=jump_product(f), per_orbit=per)
 
 
 def build_conjugacy(f: PwlLift, partition: Optional[OrbitPartition] = None) -> PwlLift:

@@ -1,10 +1,14 @@
 """One- and two-parameter families of PWL circle lifts.
 
 A :class:`FamilySpec` wraps a parametrised marked-point table
-``mu -> (breaks, values)`` together with its mu-derivatives (analytic
-callbacks for the built-ins, Richardson-extrapolated central differences
-otherwise), a monotonicity direction flag, and a domain guard.  The
-built-in families:
+``mu -> (breaks, values)`` together with its mu-derivatives, a
+monotonicity direction flag, and a domain guard.  A family with a
+derivative callback is ``analytic``; one without (``custom_family``)
+falls back to Richardson-extrapolated central differences.
+
+Four built-ins are shift families: no break moves with ``mu`` and every
+value moves at rate 1, so one builder gives them their constant
+derivative table ``((0, ...), (1, ...))``:
 
 ``herman(lam, beta)``
     Slope ``lam`` on ``[0, c]`` and ``lam**-beta`` on ``[c, 1]``, shifted
@@ -12,14 +16,23 @@ built-in families:
     ``lam*c = 1 + lam**-beta * (c - 1)``, which for ``beta = 1`` gives
     ``c = 1/(1 + lam)``.
 
+``herman_offset(lam, d)``
+    The ``beta = 1`` family re-centred on the rho = 1/2 closure, with the
+    break moved to ``c = 1/(1+lam) + d`` while the second branch is
+    re-solved exactly for continuity.  The ``d``-indexed collection
+    :func:`herman_offset_family` is the standard two-parameter input for
+    pinch measurements.
+
 ``herman_shifted(lam)``
-    The ``beta = 1`` family re-centred so that ``mu = 0`` is the map
-    whose break orbit ``{0, c}`` closes with rotation number 1/2.
+    ``herman_offset`` at ``d = 0``: ``mu = 0`` is the map whose break
+    orbit ``{0, c}`` closes with rotation number 1/2.
 
 ``coelho(a, b)``
     Two-piece lift through ``(0, a)`` and ``(b, 1)``, shifted by ``mu``;
     slopes ``alpha = (1-a)/b`` and ``beta = a/(1-b)``, with the closed
     rotation-number form in :func:`coelho_rho`.
+
+The other two move their breaks:
 
 ``refraction(alpha, beta)``
     Four-piece map with breaks ``0 < alpha*(beta-1)/(2*beta) < 1/2 <
@@ -29,18 +42,19 @@ built-in families:
     At ``beta = gmm_critical_beta(alpha)`` the break orbit closes into a
     single period-5 cycle with rotation number 4/5.
 
-``herman_offset(lam, d)``
-    The shifted family with the break moved to ``c = 1/(1+lam) + d``
-    while the second branch is re-solved exactly for continuity.  The
-    ``d``-indexed collection :func:`herman_offset_family` is the standard
-    two-parameter input for pinch measurements.
+``custom_family(mu, breaks, values)``
+    Rows of marked points tabulated at ``mu`` nodes, interpolated
+    linearly between them.
+
+:func:`family_from_json` reads every one of them from one registry,
+``name -> (constructor, required params, optional params)``.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
+from math import log, sqrt
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import errors
@@ -50,22 +64,17 @@ from .backend import (
     Backend,
     Num,
     backend_from_tag,
-    infer_backend,
     scalar_json,
 )
 from .lift import PwlLift, make_lift
 
 
-def _is_exactable(*values) -> bool:
-    return all(isinstance(v, (int, Fraction, str)) for v in values)
-
-
-def _pick_backend(backend, *params) -> Backend:
-    if backend is not None:
-        if isinstance(backend, str):
-            backend = backend_from_tag(backend)
-        return backend
-    return RATIONAL if _is_exactable(*params) else FLOAT
+def _pick_backend(backend, *values) -> Backend:
+    """The given backend (or tag), else exact when every value is exact."""
+    if backend is None:
+        exact = all(isinstance(v, (int, Fraction, str)) for v in values)
+        return RATIONAL if exact else FLOAT
+    return backend_from_tag(backend) if isinstance(backend, str) else backend
 
 
 @dataclass(frozen=True)
@@ -76,10 +85,14 @@ class FamilySpec:
     params: dict = field(compare=False)
     backend: Backend = field(compare=False)
     increasing: bool = True
-    analytic: bool = True
     _table: Callable = field(repr=False, compare=False, default=None)
     _derivs: Optional[Callable] = field(repr=False, compare=False, default=None)
     _domain: Optional[Callable] = field(repr=False, compare=False, default=None)
+
+    @property
+    def analytic(self) -> bool:
+        """True when the derivatives come from a closed-form callback."""
+        return self._derivs is not None
 
     @property
     def direction_sign(self) -> int:
@@ -154,6 +167,21 @@ class TwoParamFamilySpec:
         return self._at(d)
 
 
+def _shift_family(name, params, backend, breaks, values) -> FamilySpec:
+    """A shift family: fixed ``breaks``, ``values(mu)`` moving at rate 1.
+
+    Its derivative table is the constant ``((0, ...), (1, ...))``.
+    """
+    derivs = ((backend.coerce(0),) * len(breaks), (backend.coerce(1),) * len(breaks))
+    return FamilySpec(
+        name=name,
+        params=params,
+        backend=backend,
+        _table=lambda mu: (breaks, values(mu)),
+        _derivs=lambda mu: derivs,
+    )
+
+
 def herman(lam, beta=1, backend=None) -> FamilySpec:
     """Two-slope family: ``lam`` then ``lam**-beta``, plus the shift mu."""
     backend = _pick_backend(backend, lam, beta)
@@ -165,49 +193,15 @@ def herman(lam, beta=1, backend=None) -> FamilySpec:
     # backend refuses (BackendMismatch).
     t = backend.coerce(lam_b ** -beta_b)
     c = (1 - t) / (lam_b - t)
-    zero = backend.coerce(0)
-
-    def table(mu):
-        return (zero, c), (mu, mu + lam_b * c)
-
-    def derivs(mu):
-        return (zero, zero), (backend.coerce(1), backend.coerce(1))
-
-    return FamilySpec(
-        name="herman",
-        params={"lam": lam, "beta": beta},
-        backend=backend,
-        increasing=True,
-        analytic=True,
-        _table=table,
-        _derivs=derivs,
+    return _shift_family(
+        "herman", {"lam": lam, "beta": beta}, backend,
+        (backend.coerce(0), c), lambda mu: (mu, mu + lam_b * c),
     )
 
 
 def herman_shifted(lam, backend=None) -> FamilySpec:
-    """The lam-slope family centred so mu = 0 is the rho = 1/2 closure."""
-    backend = _pick_backend(backend, lam)
-    lam_b = backend.coerce(lam)
-    if not lam_b > 0:
-        raise errors.OutOfDomain("herman_shifted needs lam > 0")
-    c = 1 / (1 + lam_b)
-    zero = backend.coerce(0)
-
-    def table(mu):
-        return (zero, c), (mu + c, mu + c + lam_b * c)
-
-    def derivs(mu):
-        return (zero, zero), (backend.coerce(1), backend.coerce(1))
-
-    return FamilySpec(
-        name="herman_shifted",
-        params={"lam": lam},
-        backend=backend,
-        increasing=True,
-        analytic=True,
-        _table=table,
-        _derivs=derivs,
-    )
+    """:func:`herman_offset` at ``d = 0``: mu = 0 is the rho = 1/2 closure."""
+    return _herman_offset("herman_shifted", {"lam": lam}, _pick_backend(backend, lam), lam, 0)
 
 
 def coelho(a, b, backend=None) -> FamilySpec:
@@ -217,23 +211,10 @@ def coelho(a, b, backend=None) -> FamilySpec:
     b_b = backend.coerce(b)
     if not (0 < a_b < 1 and 0 < b_b < 1):
         raise errors.OutOfDomain("coelho needs a and b strictly inside (0, 1)")
-    zero = backend.coerce(0)
     one = backend.coerce(1)
-
-    def table(mu):
-        return (zero, b_b), (mu + a_b, mu + one)
-
-    def derivs(mu):
-        return (zero, zero), (one, one)
-
-    return FamilySpec(
-        name="coelho",
-        params={"a": a, "b": b},
-        backend=backend,
-        increasing=True,
-        analytic=True,
-        _table=table,
-        _derivs=derivs,
+    return _shift_family(
+        "coelho", {"a": a, "b": b}, backend,
+        (backend.coerce(0), b_b), lambda mu: (mu + a_b, mu + one),
     )
 
 
@@ -251,14 +232,12 @@ def coelho_rho(a, b) -> float:
     b = float(b)
     if not (0 < a < 1 and 0 < b < 1):
         raise errors.OutOfDomain("coelho_rho needs a and b strictly inside (0, 1)")
-    import math
-
     if abs(a + b - 1) < 1e-14:
         # Both slopes are 1 there: the lift is x + a and the log ratio
         # below degenerates to 0/0.
         return a
-    la = math.log((1 - a) / b)
-    lb = math.log(a / (1 - b))
+    la = log((1 - a) / b)
+    lb = log(a / (1 - b))
     return la / (la - lb)
 
 
@@ -309,7 +288,6 @@ def refraction(alpha, beta, backend=None) -> FamilySpec:
         params={"alpha": alpha, "beta": beta},
         backend=backend,
         increasing=False,
-        analytic=True,
         _table=table,
         _derivs=derivs,
         _domain=domain,
@@ -351,10 +329,15 @@ def herman_offset(lam, d, backend=None) -> FamilySpec:
     so ``d = 0`` reduces to :func:`herman_shifted` identically.
     """
     backend = _pick_backend(backend, lam, d)
+    return _herman_offset("herman_offset", {"lam": lam, "d": d}, backend, lam, d)
+
+
+def _herman_offset(name, params, backend, lam, d) -> FamilySpec:
+    """The offset family, named ``name``; ``herman_shifted`` is ``d = 0``."""
     lam_b = backend.coerce(lam)
     d_b = backend.coerce(d)
     if not lam_b > 0:
-        raise errors.OutOfDomain("herman_offset needs lam > 0")
+        raise errors.OutOfDomain("%s needs lam > 0" % name)
     c0 = 1 / (1 + lam_b)
     c = c0 + d_b
     if not (0 < c < 1):
@@ -363,35 +346,25 @@ def herman_offset(lam, d, backend=None) -> FamilySpec:
         raise errors.OutOfDomain(
             "offset makes the second slope non-positive (lam*c=%s)" % (lam_b * c,)
         )
-    zero = backend.coerce(0)
-
-    def table(mu):
-        return (zero, c), (mu + c0, mu + c0 + lam_b * c)
-
-    def derivs(mu):
-        return (zero, zero), (backend.coerce(1), backend.coerce(1))
-
-    return FamilySpec(
-        name="herman_offset",
-        params={"lam": lam, "d": d},
-        backend=backend,
-        increasing=True,
-        analytic=True,
-        _table=table,
-        _derivs=derivs,
+    return _shift_family(
+        name, params, backend,
+        (backend.coerce(0), c), lambda mu: (mu + c0, mu + c0 + lam_b * c),
     )
 
 
 def herman_offset_family(lam, backend=None) -> TwoParamFamilySpec:
-    """The ``(mu, d)`` plane of offset families, for pinch measurements."""
+    """The ``(mu, d)`` plane of offset families, for pinch measurements.
+
+    Every slice ``at(d)`` is built in the plane's backend, so a float
+    ``d`` on an exact plane raises :class:`errors.BackendMismatch`.
+    """
     picked = _pick_backend(backend, lam)
-    lam_f = float(picked.coerce(lam))
     return TwoParamFamilySpec(
         name="herman_offset",
         params={"lam": lam},
         backend=picked,
-        _at=lambda d: herman_offset(lam, d, backend=backend),
-        reference_slopes=(0.0, 1.0 - lam_f),
+        _at=lambda d: herman_offset(lam, d, backend=picked),
+        reference_slopes=(0.0, 1.0 - float(picked.coerce(lam))),
     )
 
 
@@ -399,32 +372,21 @@ def custom_family(
     mu_nodes: Sequence,
     breaks_table: Sequence[Sequence],
     values_table: Sequence[Sequence],
-    interpolation: str = "linear",
     increasing: bool = True,
     backend=None,
 ) -> FamilySpec:
-    """Tabulated family: componentwise interpolation between mu nodes.
+    """Tabulated family: componentwise linear interpolation between mu nodes.
 
-    Only ``"linear"`` interpolation is supported.  Derivatives fall back
-    to finite differences (flagged numerical); near the nodes they see
-    the interpolation kinks, so prefer analytic families when derivative
-    quality matters.
+    Derivatives fall back to finite differences (flagged numerical); near
+    the nodes they see the interpolation kinks, so prefer analytic
+    families when derivative quality matters.
     """
-    if interpolation != "linear":
-        raise ValueError("unsupported interpolation %r (only 'linear')" % (interpolation,))
     if len(mu_nodes) < 2:
         raise errors.OutOfDomain("need at least two mu nodes")
     if len(breaks_table) != len(mu_nodes) or len(values_table) != len(mu_nodes):
         raise errors.OutOfDomain("tables must list one row per mu node")
-    flat = list(mu_nodes)
-    for row in breaks_table:
-        flat.extend(row)
-    for row in values_table:
-        flat.extend(row)
-    if backend is None:
-        backend = infer_backend(flat)
-    elif isinstance(backend, str):
-        backend = backend_from_tag(backend)
+    rows = [*breaks_table, *values_table]
+    backend = _pick_backend(backend, *mu_nodes, *(x for row in rows for x in row))
     nodes = [backend.coerce(x) for x in mu_nodes]
     for i in range(1, len(nodes)):
         if not nodes[i - 1] < nodes[i]:
@@ -458,14 +420,11 @@ def custom_family(
             "mu": list(mu_nodes),
             "breaks": [list(r) for r in breaks_table],
             "values": [list(r) for r in values_table],
-            "interpolation": interpolation,
             "increasing": increasing,
         },
         backend=backend,
         increasing=increasing,
-        analytic=False,
         _table=table,
-        _derivs=None,
         _domain=domain,
     )
 
@@ -584,22 +543,23 @@ def monotonicity_margin(family: FamilySpec, interval, grid: int = 9, mu_c=None) 
     )
 
 
-_FAMILY_PARAM_KEYS = {
-    "herman": ({"lam"}, {"beta"}),
-    "herman_shifted": ({"lam"}, set()),
-    "coelho": ({"a", "b"}, set()),
-    "refraction": ({"alpha", "beta"}, set()),
-    "herman_offset": ({"lam", "d"}, set()),
-    "custom": (
-        {"mu", "breaks", "values"},
-        {"interpolation", "increasing"},
-    ),
+#: name -> (constructor, required params in positional order, optional params)
+_FAMILIES = {
+    "herman": (herman, ("lam",), ("beta",)),
+    "herman_shifted": (herman_shifted, ("lam",), ()),
+    "coelho": (coelho, ("a", "b"), ()),
+    "refraction": (refraction, ("alpha", "beta"), ()),
+    "herman_offset": (herman_offset, ("lam", "d"), ()),
+    "custom": (custom_family, ("mu", "breaks", "values"), ("increasing",)),
 }
 
 
 def _decode_param(v):
+    """A JSON scalar, with ``"p/q"`` strings read as Fractions, lists entrywise."""
     if isinstance(v, str):
         return Fraction(v)
+    if isinstance(v, list):
+        return [_decode_param(x) for x in v]
     return v
 
 
@@ -617,40 +577,25 @@ def family_from_json(obj: dict, backend=None) -> FamilySpec:
     if unknown:
         raise ValueError("unknown keys in family description: %s" % sorted(unknown))
     name = obj.get("family")
-    if name not in _FAMILY_PARAM_KEYS:
+    if name not in _FAMILIES:
         raise ValueError(
-            "unknown family %r (expected one of %s)"
-            % (name, sorted(_FAMILY_PARAM_KEYS))
+            "unknown family %r (expected one of %s)" % (name, sorted(_FAMILIES))
         )
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("params must be an object")
-    required, optional = _FAMILY_PARAM_KEYS[name]
-    missing = required - set(params)
-    extra = set(params) - required - optional
+    build, required, optional = _FAMILIES[name]
+    missing = [k for k in required if k not in params]
+    extra = [k for k in params if k not in required and k not in optional]
     if missing:
         raise ValueError("family %r missing params: %s" % (name, sorted(missing)))
     if extra:
         raise ValueError("family %r got unknown params: %s" % (name, sorted(extra)))
     if backend is None:
         backend = obj.get("backend")
-
-    if name == "custom":
-        return custom_family(
-            [_decode_param(x) for x in params["mu"]],
-            [[_decode_param(x) for x in row] for row in params["breaks"]],
-            [[_decode_param(x) for x in row] for row in params["values"]],
-            interpolation=params.get("interpolation", "linear"),
-            increasing=bool(params.get("increasing", True)),
-            backend=backend,
-        )
-    decoded = {k: _decode_param(v) for k, v in params.items()}
-    if name == "herman":
-        return herman(decoded["lam"], decoded.get("beta", 1), backend=backend)
-    if name == "herman_shifted":
-        return herman_shifted(decoded["lam"], backend=backend)
-    if name == "coelho":
-        return coelho(decoded["a"], decoded["b"], backend=backend)
-    if name == "refraction":
-        return refraction(decoded["alpha"], decoded["beta"], backend=backend)
-    return herman_offset(decoded["lam"], decoded["d"], backend=backend)
+    args = [_decode_param(params[k]) for k in required]
+    kwargs = {k: _decode_param(params[k]) for k in optional if k in params}
+    try:
+        return build(*args, backend=backend, **kwargs)
+    except TypeError as exc:
+        raise ValueError("family %r has ill-typed params: %s" % (name, exc)) from exc

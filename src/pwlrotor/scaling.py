@@ -57,6 +57,11 @@ B_THRESHOLD = 1e-8
 #: Default iterate count for empirical rotation-number slopes.
 M_FIT = 10**7
 
+#: Defaults of ``scaling_residual``: the largest offset from mu_c, and the
+#: number of offsets sampled (half on each side of mu_c).
+WINDOW = 1e-2
+SAMPLES = 16
+
 
 def _float_spec(family: FamilySpec) -> FamilySpec:
     """A float-backend clone of ``family`` for long iteration runs."""
@@ -372,8 +377,8 @@ class ResidualReport:
 def scaling_residual(
     family: FamilySpec,
     mu_c,
-    window: float = 1e-2,
-    samples: int = 40,
+    window: float = WINDOW,
+    samples: int = SAMPLES,
     m: int = M_FIT,
     report: Optional[ScalingReport] = None,
 ) -> ResidualReport:

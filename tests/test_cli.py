@@ -264,6 +264,14 @@ class TestPinch:
         assert lines[1].split(",")[:3] == ["d", "mu_lo", "mu_hi"]
         assert len(lines) == 2 + 3
 
+    def test_family_d_must_be_zero(self, tmp_path):
+        # pinch sweeps d over d_grid; a d set in the family would be ignored
+        cfg = {"family": {"family": "herman_offset", "params": {"lam": "1/2", "d": "1/50"}},
+               "p": 1, "q": 2, "d_grid": ["0"], "mu_bracket": ["-1/20", "1/20"]}
+        proc = run_cli(tmp_path, "pinch", cfg)
+        assert proc.returncode == 2
+        assert "pinch sweeps d over d_grid" in proc.stderr
+
     def test_requires_the_offset_family(self, tmp_path):
         cfg = {"family": HERMAN, "p": 1, "q": 2,
                "d_grid": ["0"], "mu_bracket": ["-1/20", "1/20"]}

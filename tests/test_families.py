@@ -1,4 +1,5 @@
 """Built-in families: tables, derivatives, domains, JSON round trips."""
+import dataclasses
 import math
 from fractions import Fraction as Fr
 
@@ -68,6 +69,43 @@ class TestHermanShifted:
         f0, f1 = herman_32.lift(0), herman_32.lift(Fr(1, 8))
         for x in (Fr(0), Fr(1, 3), Fr(7, 10)):
             assert f1(x) - f0(x) == Fr(1, 8)
+
+    def test_domain_names_the_family(self):
+        with pytest.raises(errors.OutOfDomain, match="herman_shifted needs lam > 0"):
+            pr.herman_shifted(Fr(-1, 2))
+        with pytest.raises(errors.OutOfDomain, match="herman_offset needs lam > 0"):
+            pr.herman_offset(Fr(-1, 2), Fr(0))
+
+
+#: Float tables away from mu = 0, as the value expressions of each family
+#: round them.  Writing a value as ``mu + (c0 + lam*c)`` instead of
+#: ``mu + c0 + lam*c`` moves the second value by 1 ulp at some of these mu.
+PINNED_FLOAT_TABLES = [
+    ("herman_shifted", (SQRT2,), -0.0071,
+     "((0.0, 0.4142135623730951), (0.4071135623730951, 0.9929000000000001))"),
+    ("herman_shifted", (SQRT2,), 0.1,
+     "((0.0, 0.4142135623730951), (0.5142135623730951, 1.1))"),
+    ("herman_shifted", (SQRT2,), 0.013,
+     "((0.0, 0.4142135623730951), (0.4272135623730951, 1.0130000000000001))"),
+    ("herman_offset", (1.5, 0.01), -0.137,
+     "((0.0, 0.41000000000000003), (0.263, 0.878))"),
+    ("herman_offset", (1.5, 0.01), 0.07,
+     "((0.0, 0.41000000000000003), (0.47000000000000003, 1.085))"),
+    ("herman_offset", (1.5, 0.01), -0.3,
+     "((0.0, 0.41000000000000003), (0.10000000000000003, 0.7150000000000001))"),
+    ("coelho", (0.3, 0.6), -0.137, "((0.0, 0.6), (0.16299999999999998, 0.863))"),
+    ("coelho", (0.3, 0.6), 0.1, "((0.0, 0.6), (0.4, 1.1))"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, args, mu, expected", PINNED_FLOAT_TABLES,
+    ids=["%s@%s" % (row[0], row[2]) for row in PINNED_FLOAT_TABLES],
+)
+def test_float_shift_tables_are_pinned(name, args, mu, expected):
+    fam = getattr(pr, name)(*args)
+    assert repr(fam.table(mu)) == expected
+    assert fam.derivatives(mu) == ((0.0, 0.0), (1.0, 1.0))
 
 
 class TestCoelho:
@@ -207,6 +245,14 @@ class TestHermanOffset:
             Fr(1, 2), Fr(1, 50)
         ).table(Fr(0))
 
+    def test_slices_keep_the_plane_backend(self):
+        exact = pr.herman_offset_family(Fr(1, 2))
+        assert exact.at(Fr(1, 50)).backend is pr.RATIONAL
+        with pytest.raises(errors.BackendMismatch):
+            exact.at(0.01)
+        floated = pr.herman_offset_family(Fr(1, 2), backend="float")
+        assert floated.at(Fr(1, 50)).backend is pr.FLOAT
+
 
 class TestCustomFamily:
     NODES = [Fr(-1), Fr(1)]
@@ -226,8 +272,11 @@ class TestCustomFamily:
             self.family().lift(Fr(3, 2))
 
     def test_only_linear_interpolation(self):
-        with pytest.raises(ValueError):
-            pr.custom_family(self.NODES, self.BREAKS, self.VALUES, interpolation="cubic")
+        j = self.family().to_json()
+        assert "interpolation" not in j["params"]
+        j["params"]["interpolation"] = "linear"
+        with pytest.raises(ValueError, match=r"unknown params: \['interpolation'\]"):
+            pr.family_from_json(j)
 
     def test_table_shape_validation(self):
         with pytest.raises(errors.OutOfDomain):
@@ -240,6 +289,9 @@ class TestCustomFamily:
     def test_numeric_derivatives_flagged(self):
         fam = pr.custom_family([-1.0, 1.0], [[0.0], [0.0]], [[-0.5], [1.5]])
         assert not fam.analytic
+        assert pr.herman_shifted(1.5).analytic and pr.refraction(2.0, 1.2).analytic
+        # analytic is read off the derivative callback, not stored beside it
+        assert "analytic" not in {f.name for f in dataclasses.fields(pr.FamilySpec)}
         db, dv = fam.derivatives(0.25)
         assert abs(db[0]) < 1e-9
         assert abs(dv[0] - 1.0) < 1e-9
@@ -281,12 +333,17 @@ class TestJsonRoundTrips:
 
     @pytest.mark.parametrize("idx", range(len(FAMILIES)))
     def test_round_trip_preserves_tables(self, idx):
-        fam = self.FAMILIES[idx]
-        clone = pr.family_from_json(fam.to_json())
-        assert clone.name == fam.name
-        assert clone.backend.tag == fam.backend.tag
-        mu = fam.backend.coerce(0)
-        assert clone.table(mu) == fam.table(mu)
+        exact = self.FAMILIES[idx]
+        # the family as built, and its float copy
+        for fam in (exact, pr.family_from_json(exact.to_json(), backend="float")):
+            clone = pr.family_from_json(fam.to_json())
+            assert clone.name == fam.name
+            assert clone.backend.tag == fam.backend.tag
+            assert clone.analytic == fam.analytic
+            for mu in (Fr(0), Fr(1, 8), Fr(-1, 10)):
+                mu = fam.backend.coerce(mu)
+                assert clone.table(mu) == fam.table(mu)
+                assert clone.derivatives(mu) == fam.derivatives(mu)
 
     def test_integer_parameters_stay_integers(self):
         # ints must not become floats, or the round trip would pick the
@@ -319,6 +376,16 @@ class TestJsonRoundTrips:
             pr.family_from_json(
                 {"family": "coelho", "params": {"a": "1/7", "b": "3/7", "c": 1}}
             )
+
+    @pytest.mark.parametrize("name, params", [
+        ("herman_shifted", {"lam": None}),
+        ("coelho", {"a": [1, 2], "b": "1/3"}),
+        ("custom", {"mu": "1/2", "breaks": [["0"], ["0"]], "values": [["1/2"], ["3/2"]]}),
+        ("custom", {"mu": ["0", "1"], "breaks": ["0", "0"], "values": [["1/2"], ["3/2"]]}),
+    ])
+    def test_ill_typed_params(self, name, params):
+        with pytest.raises(ValueError):
+            pr.family_from_json({"family": name, "params": params})
 
     def test_unknown_top_level_keys(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ FIXED_IN = {
     "orbit_landmarks": {"q", "q_cap"},
     "laminar_coeffs": {"q", "q_cap"},
     "verify_invariance": {"q"},
+    "custom_family": {"interpolation"},
 }
 
 #: Parameters that a job key, an internal caller or the benchmark sets.
