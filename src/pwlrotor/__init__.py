@@ -18,7 +18,8 @@ circle maps, in either exact rational or float arithmetic:
 - :mod:`pwlrotor.cli` — the ``pwl-rotor`` batch command.
 
 Long orbits, exact or float, iterate the explicit lift of a power ``F^Q``
-in the pure-Python kernel :mod:`pwlrotor.kernel`; nothing is compiled.
+in the kernel :mod:`pwlrotor.kernel`, which runs a large batch of float
+orbits (a sweep) in lock-step on numpy arrays; nothing is compiled.
 """
 
 from . import errors
@@ -85,6 +86,7 @@ from .rotation import (
     PeriodicScan,
     RotationResult,
     birkhoff_enclosure,
+    birkhoff_enclosures,
     exact_rotation,
     mode_lock_interval,
     periodic_points,
@@ -126,6 +128,7 @@ __all__ = [
     "sup_difference",
     "RotationResult",
     "birkhoff_enclosure",
+    "birkhoff_enclosures",
     "exact_rotation",
     "PeriodicPoint",
     "PeriodicScan",

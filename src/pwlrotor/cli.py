@@ -34,7 +34,7 @@ from . import errors
 from .backend import scalar_json
 from .conjugacy import Q_CAP, Conjugate, build_conjugacy, invariant_density, is_conjugate_to_rigid
 from .families import FamilySpec, _decode_param, family_from_json, herman_offset_family
-from .rotation import birkhoff_enclosure, exact_rotation, mode_lock_interval
+from .rotation import birkhoff_enclosure, birkhoff_enclosures, exact_rotation, mode_lock_interval
 from .scaling import M_FIT, SAMPLES, WINDOW, pinch_boundaries, r1, scaling_residual
 
 log = logging.getLogger("pwlrotor.cli")
@@ -118,16 +118,6 @@ def _csv_text(tool: str, meta: dict, header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _backend_meta(family: FamilySpec) -> dict:
-    b = family.backend
-    meta = {"backend": b.tag}
-    if b.tag == "float":
-        meta.update(
-            eps_x=repr(b.eps_x), eps_s=repr(b.eps_s), decision_band=repr(b.decision_band)
-        )
-    return meta
-
-
 # ----------------------------------------------------------------- rho
 
 def cmd_rho(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
@@ -152,14 +142,35 @@ def _dump_json(payload) -> str:
 
 # --------------------------------------------------------------- sweep
 
-def _sweep_point(payload):
-    fam_json, backend, mu, m, x0 = payload
+def _error_text(exc) -> str:
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _sweep_chunk(payload):
+    """``(lo, hi, error)`` for each mu of one contiguous chunk of the grid.
+
+    The family is rebuilt once per chunk, and the orbits of all its lifts
+    run as one :func:`birkhoff_enclosures` batch.  A mu whose lift raises
+    gets an error in place of bounds, and so does every mu when the batch
+    raises (a start ``x0`` the backend refuses).
+    """
+    fam_json, backend, mus, m, x0 = payload
+    family = family_from_json(fam_json, backend=backend)
+    rows = [None] * len(mus)
+    lifts, lanes = [], []
+    for i, mu in enumerate(mus):
+        try:
+            lifts.append(family.lift(mu))
+            lanes.append(i)
+        except errors.PwlError as exc:
+            rows[i] = (None, None, _error_text(exc))
     try:
-        family = family_from_json(fam_json, backend=backend)
-        enc = birkhoff_enclosure(family.lift(mu), m, x0=x0)
-        return (float(enc.lo), float(enc.hi), None)
+        for i, enc in zip(lanes, birkhoff_enclosures(lifts, m, x0=x0)):
+            rows[i] = (float(enc.lo), float(enc.hi), None)
     except errors.PwlError as exc:
-        return (None, None, "%s: %s" % (type(exc).__name__, exc))
+        for i in lanes:
+            rows[i] = (None, None, _error_text(exc))
+    return rows
 
 
 def cmd_sweep(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
@@ -178,12 +189,14 @@ def cmd_sweep(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
         grid = [mu_min + i * step for i in range(points)]
 
     fam_json = family.to_json()
-    jobs = [(fam_json, family.backend.tag, mu, m, x0) for mu in grid]
+    chunks = [(fam_json, family.backend.tag, grid[i * points // workers:(i + 1) * points // workers],
+               m, x0) for i in range(workers)]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_sweep_point, jobs, chunksize=max(1, points // (8 * workers)))
+            parts = pool.map(_sweep_chunk, chunks, chunksize=1)
     else:
-        results = [_sweep_point(job) for job in jobs]
+        parts = [_sweep_chunk(chunks[0])]
+    results = [r for part in parts for r in part]
 
     rows = []
     for mu, (lo, hi, err) in zip(grid, results):
@@ -193,7 +206,7 @@ def cmd_sweep(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
         else:
             rows.append((_fnum(mu), repr(lo), repr(hi)))
 
-    meta = _backend_meta(family)
+    meta = family.backend.describe()
     meta.update(m=m, points=points, seed="none")
     if fmt == "json":
         return _dump_json(
@@ -276,7 +289,7 @@ def cmd_pinch(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     rep = pinch_boundaries(two, (p, q), d_grid, mu_bracket, tol=tol)
     if fmt == "json":
         return _dump_json(rep.to_json())
-    meta = _backend_meta(family)
+    meta = family.backend.describe()
     meta.update(p=p, q=q, tol=repr(float(rep.tol)), seed="none")
     rows = [
         (_fnum(d), "" if lo == "" else repr(lo), "" if hi == "" else repr(hi))

@@ -153,8 +153,16 @@ def make_lift(breaks: Sequence, values: Sequence, backend: Optional[Backend] = N
         )
     if backend is None:
         backend = infer_backend(list(breaks) + list(values))
-    b = tuple(backend.coerce(x) for x in breaks)
-    v = tuple(backend.coerce(x) for x in values)
+    return _checked_lift(
+        tuple(backend.coerce(x) for x in breaks), tuple(backend.coerce(x) for x in values), backend
+    )
+
+
+def _checked_lift(b: Sequence, v: Sequence, backend: Backend) -> PwlLift:
+    """The lift through marked points ``b``, ``v`` that are already
+    ``backend`` scalars, two non-empty sequences of one length; checks
+    order and slope signs as :func:`make_lift` does, but coerces nothing."""
+    b, v = tuple(b), tuple(v)
     if not (0 <= b[0]):
         raise errors.NonMonotone("first break %s must lie in [0, 1)" % (b[0],))
     if not (b[-1] < 1):
@@ -268,7 +276,7 @@ def compose(outer: PwlLift, inner: PwlLift) -> PwlLift:
             "composition would carry %d marked points (cap %d)" % (len(xs), PIECE_CAP)
         )
     try:
-        return make_lift(xs, fx, backend)
+        return _checked_lift(xs, fx, backend)
     except errors.NonMonotone as exc:  # only float rounding gets here
         raise errors.PrecisionLoss(
             "float composition over %d marked points lost monotonicity: %s"
@@ -314,7 +322,7 @@ def invert(f: PwlLift) -> PwlLift:
             w += 1
         pairs.append((r, b - w))
     pairs.sort()
-    return make_lift([p[0] for p in pairs], [p[1] for p in pairs], f.backend)
+    return _checked_lift([p[0] for p in pairs], [p[1] for p in pairs], f.backend)
 
 
 def canonicalize(f: PwlLift) -> PwlLift:
@@ -329,11 +337,10 @@ def canonicalize(f: PwlLift) -> PwlLift:
     while True:
         keep = current.genuine_break_indices()
         if not keep:
-            reduced = make_lift([current.breaks[0]], [current.values[0]], current.backend)
-            return reduced
+            return _checked_lift(current.breaks[:1], current.values[:1], current.backend)
         if len(keep) == current.n:
             return current
-        current = make_lift(
+        current = _checked_lift(
             [current.breaks[i] for i in keep],
             [current.values[i] for i in keep],
             current.backend,

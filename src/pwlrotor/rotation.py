@@ -6,6 +6,9 @@ Three complementary tools live here.
   bound ``|F^m(0) - m rho| < 1`` to trap the rotation number in an interval
   of width ``2/m``.  Cheap, rigorous, never exact.  Both backends take the
   same path: the orbit kernel iterates the explicit lift of a power ``F^Q``.
+  :func:`birkhoff_enclosures` does the same for many lifts at once (a
+  sweep over a parameter grid); the backend runs a large float batch in
+  lock-step, bit for bit the orbits one call per lift would give.
 * :func:`exact_rotation` — walk the Stern-Brocot tree.  For a candidate
   ``p/q`` the sign of ``E(x) = F^q(x) - x - p`` over the marked points of
   the explicit lift of ``F^q`` decides ``rho`` against ``p/q``: ``min E > 0``
@@ -32,9 +35,9 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from . import errors, kernel
+from . import errors
 from .backend import LOCK_TOL, WITNESS_TOL, Num, scalar_json
 from .lift import PwlLift, compose, frac, power
 
@@ -130,17 +133,14 @@ def _orbit_power(m: int) -> int:
     return q if q >= MIN_POWER else 1
 
 
-def _orbit(f: PwlLift, x0: Num, m: int) -> Tuple[int, Num]:
-    """``m`` steps of ``F`` from ``x0`` as ``m//q`` steps of ``P = F^q``
-    then ``m%q`` steps of ``F``; returns the total winding and end point.
+def _power_for_orbit(f: PwlLift, q_target: int) -> Tuple[PwlLift, int]:
+    """``(P, q)`` with ``P = F^q`` built by repeated squaring up to
+    ``q_target`` (see :func:`_orbit_power`).
 
-    ``P`` comes from repeated squaring.  A squaring that loses float
-    precision or exceeds the piece cap stops it, and the last square
-    built is used instead (``F`` itself when the first one fails).  Exact
-    lifts give exactly ``F`` applied ``m`` times: exact ``F^q`` is ``F``
-    applied ``q`` times, with no rounding.
+    A squaring that loses float precision or exceeds the piece cap stops
+    it, and the last square built is used instead (``F`` itself when the
+    first one fails).
     """
-    q_target = _orbit_power(m)
     P, q = f, 1
     while q < q_target:
         try:
@@ -150,10 +150,56 @@ def _orbit(f: PwlLift, x0: Num, m: int) -> Tuple[int, Num]:
                       2 * q, exc, q)
             break
         q *= 2
-    log.debug("birkhoff_enclosure: m=%d, Q=%d, %d marked points", m, q, P.n)
-    wind, x = kernel.iterate(P.breaks, P.values, P.slopes, x0, m // q)
-    rest, x = kernel.iterate(f.breaks, f.values, f.slopes, x, m % q)
-    return wind + rest, x
+    return P, q
+
+
+def _run_lanes(backend, q: int, lanes: list, m: int, out: list) -> None:
+    """Enclose the rotation numbers of ``lanes``, each ``(index, F, P =
+    F^q, start)``, into ``out[index]``: ``m//q`` steps of ``P``, then
+    ``m%q`` steps of ``F``."""
+    starts = [start for _, _, _, start in lanes]
+    head = backend.orbits([(P.breaks, P.values, P.slopes) for _, _, P, _ in lanes],
+                          starts, m // q)
+    tail = backend.orbits([(f.breaks, f.values, f.slopes) for _, f, _, _ in lanes],
+                          [x for _, x in head], m % q)
+    for (i, _, _, start), (wind, _), (rest, x_end) in zip(lanes, head, tail):
+        disp = (wind + rest) + (x_end - start)
+        out[i] = RotationResult.enclosure((disp - 1) / m, (disp + 1) / m, iterations=m)
+
+
+def birkhoff_enclosures(lifts: Sequence[PwlLift], m: int, x0=0) -> list:
+    """:func:`birkhoff_enclosure` of each lift in ``lifts``, all from ``x0``.
+
+    Each lift gets its own ``P = F^Q`` (``Q`` grows like ``sqrt(m)``, see
+    :func:`_orbit_power`; a squaring that loses float precision or
+    exceeds the piece cap falls back to the last square built).  Lanes
+    that reached the same ``Q`` in the same backend run together,
+    ``m//Q`` steps of their ``P`` and then ``m%Q`` steps of ``F``, when
+    ``backend.lockstep`` may batch them; every other lane runs as soon
+    as its ``P`` is built, so its ``P`` is not kept.  Lock-step lanes get
+    the bits of lone orbits, so no result depends on which lifts share a
+    call.  Exact lifts give exactly ``F`` applied ``m`` times: exact
+    ``F^Q`` is ``F`` applied ``Q`` times, with no rounding.
+    """
+    if m < 1:
+        raise ValueError("need at least one iterate, got m=%d" % m)
+    q_target = _orbit_power(m)
+    out = [None] * len(lifts)
+    groups = {}  # (backend, Q) -> [(index, F, P, start)]
+    for i, f in enumerate(lifts):
+        backend = f.backend
+        start = backend.coerce(x0)
+        if not (0 <= start < 1):
+            start = frac(start)
+        P, q = _power_for_orbit(f, q_target)
+        log.debug("birkhoff_enclosure: m=%d, Q=%d, %d marked points", m, q, P.n)
+        if backend.lockstep(len(lifts), P.n):
+            groups.setdefault((backend, q), []).append((i, f, P, start))
+        else:
+            _run_lanes(backend, q, [(i, f, P, start)], m, out)
+    for (backend, q), lanes in groups.items():
+        _run_lanes(backend, q, lanes, m, out)
+    return out
 
 
 def birkhoff_enclosure(f: PwlLift, m: int, x0=0) -> RotationResult:
@@ -164,16 +210,10 @@ def birkhoff_enclosure(f: PwlLift, m: int, x0=0) -> RotationResult:
     power ``F^Q`` (``Q`` grows like ``sqrt(m)``, see :func:`_orbit_power`)
     in the Python kernel, with the winding tracked separately from the
     fractional position.  In the exact backend every step is a rational
-    operation, so the result is fully rigorous.
+    operation, so the result is fully rigorous.  The one-lift case of
+    :func:`birkhoff_enclosures`.
     """
-    if m < 1:
-        raise ValueError("need at least one iterate, got m=%d" % m)
-    x0 = f.backend.coerce(x0)
-    if not (0 <= x0 < 1):
-        x0 = frac(x0)
-    wind, x_end = _orbit(f, x0, m)
-    disp = wind + (x_end - x0)
-    return RotationResult.enclosure((disp - 1) / m, (disp + 1) / m, iterations=m)
+    return birkhoff_enclosures([f], m, x0)[0]
 
 
 def _edge_values(P: PwlLift, p) -> list:

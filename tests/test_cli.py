@@ -1,4 +1,5 @@
 """Command-line front end: config validation, exit codes, determinism."""
+import hashlib
 import json
 import re
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import pwlrotor as pr
 from pwlrotor import cli
+from pwlrotor.backend import LOCKSTEP_LANES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,6 +40,10 @@ def readme_jobs():
     return list(zip(("rho", "conjugacy", "sweep"), blocks))
 
 
+#: SHA-256 of the README sweep job's CSV, as one orbit per call printed it.
+README_SWEEP_SHA256 = "d06353621a4c585c721988f8394ada795fc0518151616078906a6c23ef7cd2cd"
+
+
 class TestReadmeJobs:
     @pytest.mark.parametrize("command, job", readme_jobs(), ids=["rho", "conjugacy", "sweep"])
     def test_example_job_runs(self, tmp_path, command, job):
@@ -46,6 +52,8 @@ class TestReadmeJobs:
         out = tmp_path / "out"
         assert cli.main([command, "--config", str(cfg), "-o", str(out)]) == 0
         assert out.read_text()
+        if command == "sweep":
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == README_SWEEP_SHA256
 
 
 class TestConfigValidation:
@@ -242,6 +250,28 @@ class TestSweep:
         assert proc.returncode == 0, proc.stderr
         rows = json.loads(proc.stdout)["rows"]
         assert len(rows) == 9
+
+    def test_blank_rows_survive_batching(self, tmp_path):
+        # refraction needs beta + mu > 1: the first quarter of the grid has
+        # no lift.  One worker runs the rest in lock-step; two and three
+        # workers split it into chunks on both sides of LOCKSTEP_LANES.
+        points = 2 * LOCKSTEP_LANES + 1
+        cfg = {"family": {"family": "refraction", "params": {"alpha": 2.0, "beta": 1.2}},
+               "mu_min": -0.3, "mu_max": 0.1, "points": points, "m": 1000}
+        outs = []
+        for workers in ("1", "2", "3"):
+            p = run_cli(tmp_path, "sweep", cfg, "--workers", workers)
+            assert p.returncode == 0, p.stderr
+            outs.append(p.stdout)
+        assert outs[0] == outs[1] == outs[2]
+        lines = outs[0].splitlines()
+        assert lines[0] == ("# pwl-rotor sweep backend=float eps_x=1e-12 eps_s=1e-10 "
+                            "decision_band=1e-10 m=1000 points=%d seed=none" % points)
+        step = (0.1 - -0.3) / (points - 1)  # as cmd_sweep builds the grid
+        blank = [line.endswith(",,") for line in lines[2:]]
+        assert blank == [not (1.2 + (-0.3 + i * step) > 1) for i in range(points)]
+        assert 0 < sum(blank) < points - LOCKSTEP_LANES
+        assert p.stderr.count("OutOfDomain: refraction needs beta + mu > 1") == sum(blank)
 
     def test_midpoints_non_decreasing(self, tmp_path):
         proc = run_cli(tmp_path, "sweep", self.CFG)

@@ -338,3 +338,21 @@ class TestPrecisionLoss:
     def test_not_reported_as_bad_data(self):
         assert not issubclass(errors.PrecisionLoss, errors.NonMonotone)
         assert pr.power(self.LOCKED, 256).n > 256
+
+
+class TestNoRecoercion:
+    """Composition builds its result from backend scalars as they are."""
+
+    def test_float_compose_coerces_nothing(self, monkeypatch):
+        f = pr.refraction(2.0, 1.14).lift(0.0)
+        calls = []
+        coerce = FloatBackend.coerce
+        monkeypatch.setattr(FloatBackend, "coerce", lambda self, x: calls.append(x) or coerce(self, x))
+        h = pr.power(f, 16)
+        assert not calls
+        assert h == pr.make_lift(h.breaks, h.values)
+        assert calls
+
+    def test_exact_compose_keeps_fractions(self, coelho_q3):
+        h = pr.compose(coelho_q3, coelho_q3)
+        assert all(type(x) is Fr for x in h.breaks + h.values + h.slopes)

@@ -8,7 +8,7 @@ import pytest
 
 import pwlrotor as pr
 from pwlrotor import FLOAT, RATIONAL, backend_from_tag, errors, infer_backend
-from pwlrotor.backend import FloatBackend, scalar_json
+from pwlrotor.backend import LOCKSTEP_LANES, LOCKSTEP_PIECES, FloatBackend, scalar_json
 
 #: Settings that are module or class constants, not parameters, anywhere.
 FIXED = {"cap", "eps_x", "eps_s", "decision_band", "b_threshold", "trials", "seed", "tolerances"}
@@ -33,6 +33,7 @@ KEPT = {
     "mode_lock_interval": {"family", "tol"},
     "pinch_boundaries": {"tol"},
     "birkhoff_enclosure": {"x0"},
+    "birkhoff_enclosures": {"x0"},
     "invariant_density": {"q", "partition"},
     "build_conjugacy": {"partition"},
     "break_orbit_partition": {"q_hint"},
@@ -77,6 +78,12 @@ class TestRationalBackend:
         with pytest.raises(errors.BackendMismatch):
             RATIONAL.scalar_from_json(0.25)
 
+    def test_describes_itself(self):
+        assert RATIONAL.describe() == {"backend": "rational"}
+
+    def test_never_runs_lock_step(self):
+        assert not RATIONAL.lockstep(10**6, 1)
+
 
 class TestFloatBackend:
     def test_coerce_accepts_everything_numeric(self):
@@ -108,6 +115,16 @@ class TestFloatBackend:
         assert FLOAT.scalar_from_json(scalar_json(0.25)) == 0.25
         assert FLOAT.scalar_from_json(0.25) == 0.25
         assert FLOAT.scalar_from_json("1/2") == 0.5
+
+    def test_describes_itself(self):
+        # the header of every float sweep and pinch CSV
+        assert FLOAT.describe() == {"backend": "float", "eps_x": "1e-12", "eps_s": "1e-10",
+                                    "decision_band": "1e-10"}
+
+    def test_lock_step_from_enough_narrow_lanes(self):
+        assert FLOAT.lockstep(LOCKSTEP_LANES, LOCKSTEP_PIECES)
+        assert not FLOAT.lockstep(LOCKSTEP_LANES - 1, 1)
+        assert not FLOAT.lockstep(10**6, LOCKSTEP_PIECES + 1)
 
 
 class TestSelection:
