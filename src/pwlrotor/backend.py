@@ -45,14 +45,19 @@ MASS_TOL = 1e-12
 COLLISION_TOL = {"analytic": 1e-11, "numerical": 1e-9}
 #: Default bisection width of locked-interval edges (both backends).
 LOCK_TOL = Fraction(1, 10**10)
-#: Float orbits run in lock-step (:func:`kernel.iterate_lanes`) from this
-#: many lanes on; fewer run one by one.  Measured crossover of the two at
-#: m = 1000 on ``refraction`` lifts (four marked points).
+#: A batch of float orbits runs in lock-step (:func:`kernel.iterate_lanes`)
+#: when that is cheaper than one orbit at a time.  A lock-step step costs
+#: numpy overhead worth about ``LOCKSTEP_LANES`` lone steps, plus, per lane,
+#: ``width / LOCKSTEP_WIDTH`` of a lone step for comparing ``x`` with every
+#: marked point (``width`` the most marked points of any lane).  So a batch
+#: runs in lock-step when ``lanes * (1 - width / LOCKSTEP_WIDTH) >=
+#: LOCKSTEP_LANES``: from 49 lanes of four marked points, 98 lanes of an
+#: ``F^64`` (about 130), never for an ``F^128`` (about 256).  Fitted to the
+#: measured crossovers of the two paths on ``refraction`` lifts and their
+#: powers (2-core Xeon, CPython 3.11, numpy 2.4): about 48-64 lanes at 4
+#: marked points, 60 at 66, 90 at 130, and none up to 401 lanes at 258.
 LOCKSTEP_LANES = 48
-#: ... and only while no lane has more marked points than this.  A
-#: lock-step step compares ``x`` with every break of its lane where a lone
-#: orbit bisects; at 48 lanes the two break even near 64 marked points.
-LOCKSTEP_PIECES = 64
+LOCKSTEP_WIDTH = 256
 
 
 def _one_by_one(lanes, x0s, m):
@@ -96,10 +101,6 @@ class RationalBackend:
     def merge_close(self, xs, fx):
         """Exact marked points never merge: the lists come back as given."""
         return xs, fx
-
-    def lockstep(self, lanes: int, pieces: int) -> bool:
-        """Exact orbits never run in lock-step."""
-        return False
 
     def orbits(self, lanes, x0s, m):
         """``kernel.iterate`` of ``m`` steps for each ``(breaks, values,
@@ -176,17 +177,13 @@ class FloatBackend:
             keep.pop()
         return [xs[i] for i in keep], [fx[i] for i in keep]
 
-    def lockstep(self, lanes: int, pieces: int) -> bool:
-        """Whether ``lanes`` orbits of lifts with at most ``pieces`` marked
-        points run in lock-step (see :data:`LOCKSTEP_LANES`)."""
-        return lanes >= LOCKSTEP_LANES and pieces <= LOCKSTEP_PIECES
-
     def orbits(self, lanes, x0s, m):
         """``kernel.iterate`` of ``m`` steps for each ``(breaks, values,
-        slopes)`` lane from its start in ``x0s``: in lock-step when
-        :meth:`lockstep` says so, else one lane at a time.  Both give the
-        same bits."""
-        if self.lockstep(len(lanes), max((len(b) for b, _, _ in lanes), default=0)):
+        slopes)`` lane from its start in ``x0s``: in lock-step when that
+        is cheaper (see :data:`LOCKSTEP_LANES`), else one lane at a time.
+        Both give the same bits."""
+        width = max((len(b) for b, _, _ in lanes), default=0)
+        if len(lanes) * (LOCKSTEP_WIDTH - width) >= LOCKSTEP_LANES * LOCKSTEP_WIDTH:
             return kernel.iterate_lanes(lanes, x0s, m)
         return _one_by_one(lanes, x0s, m)
 

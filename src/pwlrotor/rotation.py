@@ -173,13 +173,13 @@ def birkhoff_enclosures(lifts: Sequence[PwlLift], m: int, x0=0) -> list:
     Each lift gets its own ``P = F^Q`` (``Q`` grows like ``sqrt(m)``, see
     :func:`_orbit_power`; a squaring that loses float precision or
     exceeds the piece cap falls back to the last square built).  Lanes
-    that reached the same ``Q`` in the same backend run together,
-    ``m//Q`` steps of their ``P`` and then ``m%Q`` steps of ``F``, when
-    ``backend.lockstep`` may batch them; every other lane runs as soon
-    as its ``P`` is built, so its ``P`` is not kept.  Lock-step lanes get
-    the bits of lone orbits, so no result depends on which lifts share a
-    call.  Exact lifts give exactly ``F`` applied ``m`` times: exact
-    ``F^Q`` is ``F`` applied ``Q`` times, with no rounding.
+    that reached the same ``Q`` in the same backend form one batch of
+    ``backend.orbits``: ``m//Q`` steps of their ``P``, then ``m%Q`` steps
+    of ``F``.  The backend decides whether a batch runs in lock-step;
+    lock-step lanes get the bits of lone orbits, so no result depends on
+    which lifts share a call.  Exact lifts give exactly ``F`` applied
+    ``m`` times: exact ``F^Q`` is ``F`` applied ``Q`` times, with no
+    rounding.
     """
     if m < 1:
         raise ValueError("need at least one iterate, got m=%d" % m)
@@ -193,10 +193,7 @@ def birkhoff_enclosures(lifts: Sequence[PwlLift], m: int, x0=0) -> list:
             start = frac(start)
         P, q = _power_for_orbit(f, q_target)
         log.debug("birkhoff_enclosure: m=%d, Q=%d, %d marked points", m, q, P.n)
-        if backend.lockstep(len(lifts), P.n):
-            groups.setdefault((backend, q), []).append((i, f, P, start))
-        else:
-            _run_lanes(backend, q, [(i, f, P, start)], m, out)
+        groups.setdefault((backend, q), []).append((i, f, P, start))
     for (backend, q), lanes in groups.items():
         _run_lanes(backend, q, lanes, m, out)
     return out

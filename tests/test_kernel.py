@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import pwlrotor as pr
 from pwlrotor import kernel
-from pwlrotor.backend import LOCKSTEP_LANES, LOCKSTEP_PIECES
+from pwlrotor.backend import LOCKSTEP_LANES
 from pwlrotor.rotation import _orbit_power
 
 
@@ -178,27 +178,31 @@ def test_lanes_group_by_the_power_they_reached(monkeypatch):
     monkeypatch.setattr("pwlrotor.lift.PIECE_CAP", 40)
     fam = pr.refraction(2.0, 1.14)
     lifts = []
-    for i in range(LOCKSTEP_LANES):
-        lifts += [fam.lift(-0.05 + 0.1 * i / LOCKSTEP_LANES), pr.rigid((i % 7 + 1) / 8)]
+    for i in range(64):
+        lifts += [fam.lift(-0.05 + 0.1 * i / 64), pr.rigid((i % 7 + 1) / 8)]
     calls = _count_lockstep_calls(monkeypatch)
     batch = pr.birkhoff_enclosures(lifts, 10**5)
-    assert calls == [(LOCKSTEP_LANES, 6250), (LOCKSTEP_LANES, 0),
-                     (LOCKSTEP_LANES, 1562), (LOCKSTEP_LANES, 32)]
+    assert calls == [(64, 6250), (64, 0), (64, 1562), (64, 32)]
     assert batch == [pr.birkhoff_enclosure(f, 10**5) for f in lifts]
 
 
-def test_wide_powers_run_one_by_one(monkeypatch, caplog):
-    # At m = 10^5 every lift's F^64 has more than LOCKSTEP_PIECES marked
-    # points: no lock-step, however many lanes.
+@pytest.mark.parametrize("lanes, lockstep", [(64, False), (100, True)])
+def test_wide_powers_need_more_lanes(lanes, lockstep, monkeypatch, caplog):
+    # At m = 10^5 every lift's F^64 has about 130 marked points: 64 such
+    # lanes run one by one, 100 in lock-step.  The 32 closing steps of F
+    # (four marked points) run in lock-step either way, and every lane
+    # gets its lone orbit.
     fam = pr.refraction(2.0, pr.gmm_critical_beta(2.0))
-    lifts = [fam.lift(mu) for mu in REFRACTION_GRID]
+    lifts = [fam.lift(-0.15 + 0.18 * i / (lanes - 1)) for i in range(lanes)]
     calls = _count_lockstep_calls(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="pwlrotor.rotation"):
         batch = pr.birkhoff_enclosures(lifts, 10**5)
     runs = re.findall(r"Q=64, (\d+) marked", caplog.text)
-    assert len(runs) == len(lifts) and min(int(n) for n in runs) > LOCKSTEP_PIECES
-    assert not calls
+    assert len(runs) == lanes and min(int(n) for n in runs) > 64
+    assert calls == [(lanes, 1562)] * lockstep + [(lanes, 32)]
+    del calls[:]
     assert batch == [pr.birkhoff_enclosure(f, 10**5) for f in lifts]
+    assert not calls
 
 
 @pytest.mark.parametrize("m", [300, 5000])

@@ -8,7 +8,8 @@ import pytest
 
 import pwlrotor as pr
 from pwlrotor import FLOAT, RATIONAL, backend_from_tag, errors, infer_backend
-from pwlrotor.backend import LOCKSTEP_LANES, LOCKSTEP_PIECES, FloatBackend, scalar_json
+from pwlrotor import kernel
+from pwlrotor.backend import LOCKSTEP_LANES, FloatBackend, scalar_json
 
 #: Settings that are module or class constants, not parameters, anywhere.
 FIXED = {"cap", "eps_x", "eps_s", "decision_band", "b_threshold", "trials", "seed", "tolerances"}
@@ -81,8 +82,12 @@ class TestRationalBackend:
     def test_describes_itself(self):
         assert RATIONAL.describe() == {"backend": "rational"}
 
-    def test_never_runs_lock_step(self):
-        assert not RATIONAL.lockstep(10**6, 1)
+    def test_never_runs_lock_step(self, monkeypatch):
+        f = pr.make_lift([Fr(0), Fr(1, 2)], [Fr(1, 3), Fr(2, 3)])
+        lanes = [(f.breaks, f.values, f.slopes)] * LOCKSTEP_LANES
+        want = kernel.iterate(f.breaks, f.values, f.slopes, Fr(1, 5), 7)
+        monkeypatch.setattr(kernel, "iterate_lanes", None)
+        assert RATIONAL.orbits(lanes, [Fr(1, 5)] * LOCKSTEP_LANES, 7) == [want] * LOCKSTEP_LANES
 
 
 class TestFloatBackend:
@@ -121,11 +126,25 @@ class TestFloatBackend:
         assert FLOAT.describe() == {"backend": "float", "eps_x": "1e-12", "eps_s": "1e-10",
                                     "decision_band": "1e-10"}
 
-    def test_lock_step_from_enough_narrow_lanes(self):
-        assert FLOAT.lockstep(LOCKSTEP_LANES, LOCKSTEP_PIECES)
-        assert not FLOAT.lockstep(LOCKSTEP_LANES - 1, 1)
-        assert not FLOAT.lockstep(10**6, LOCKSTEP_PIECES + 1)
+    @pytest.mark.parametrize("q, lanes_needed", [(1, 49), (64, 98), (128, None)],
+                             ids=["4 points", "F^64", "F^128"])
+    def test_lock_step_when_cheaper(self, q, lanes_needed, monkeypatch):
+        # The lanes needed grow with the marked points per lane; an F^128
+        # (258 points) never runs in lock-step.
+        f = pr.power(pr.refraction(2.0, pr.gmm_critical_beta(2.0)).lift(-0.1), q)
+        calls = []
+        original = kernel.iterate_lanes
 
+        def counting(lanes, x0s, m):
+            calls.append(len(lanes))
+            return original(lanes, x0s, m)
+
+        monkeypatch.setattr(kernel, "iterate_lanes", counting)
+        want = kernel.iterate(f.breaks, f.values, f.slopes, 0.25, 5)
+        for n in (lanes_needed - 1, lanes_needed) if lanes_needed else (401,):
+            lanes = [(f.breaks, f.values, f.slopes)] * n
+            assert FLOAT.orbits(lanes, [0.25] * n, 5) == [want] * n
+        assert calls == ([lanes_needed] if lanes_needed else [])
 
 class TestSelection:
     def test_backend_from_tag(self):
