@@ -63,7 +63,6 @@ from .families import (
     herman_shifted,
     monotonicity_margin,
     refraction,
-    refraction_slice_alpha,
 )
 from .kernel import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from .lift import (
@@ -74,7 +73,6 @@ from .lift import (
     invert,
     jump,
     jump_product,
-    lift_from_json,
     make_lift,
     power,
     rigid,
@@ -116,7 +114,6 @@ __all__ = [
     "KERNEL_IMPLEMENTATION",
     "PwlLift",
     "make_lift",
-    "lift_from_json",
     "rigid",
     "frac",
     "compose",
@@ -159,7 +156,6 @@ __all__ = [
     "coelho_rho",
     "refraction",
     "gmm_critical_beta",
-    "refraction_slice_alpha",
     "herman_offset",
     "herman_offset_family",
     "custom_family",

@@ -152,7 +152,7 @@ def _sweep_chunk(payload):
     The family is rebuilt once per chunk, and the orbits of all its lifts
     run as one :func:`birkhoff_enclosures` batch.  A mu whose lift raises
     gets an error in place of bounds, and so does every mu when the batch
-    raises (a start ``x0`` the backend refuses).
+    raises.
     """
     fam_json, backend, mus, m, x0 = payload
     family = family_from_json(fam_json, backend=backend)
@@ -178,7 +178,7 @@ def cmd_sweep(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     mu_max = family.backend.coerce(_scalar(cfg, "mu_max"))
     points = _int_option(cfg, "points", 1000)
     m = _int_option(cfg, "m", 100_000)
-    x0 = _scalar(cfg, "x0", 0)
+    x0 = family.backend.coerce(_scalar(cfg, "x0", 0))
     if mu_max < mu_min:
         raise ConfigError("mu_max must be >= mu_min")
 

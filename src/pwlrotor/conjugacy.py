@@ -15,13 +15,15 @@ When the test passes, the break orbits partition the break set into
 ``K <= n/2`` classes, each carrying at least two breaks and a jump-ratio
 product of 1 (the trivial cancellations).  Their ``N = q*K`` sorted
 points carry all that either construction needs, since ``f`` carries
-point ``j`` onto point ``j + p*K (mod N)``.  :func:`build_conjugacy` reads the conjugacy
-``h`` off them, affine from the base arc onto ``[0, 1/q]`` and advancing
-by ``1/q`` every ``K`` points, and :func:`invariant_density` reads the
-density of the absolutely continuous invariant measure off the same
-points: ``f`` carries each cell between adjacent orbit points affinely
-onto the next cell of its cycle, so cell ``C`` gets ``L / (q |C|)``,
-``L`` the total length of its cycle.
+point ``j`` onto point ``j + p*K (mod N)``.  :func:`build_conjugacy`
+reads the conjugacy ``h`` off them, affine from the base arc onto
+``[0, 1/q]`` and advancing by ``1/q`` every ``K`` points, and
+:func:`invariant_density` reads the density of the absolutely continuous
+invariant measure off the same points: ``f`` carries each cell between
+adjacent orbit points affinely onto the next cell of its cycle, so cell
+``C`` gets ``L / (q |C|)``, ``L`` the total length of its cycle.
+:func:`verify_invariance` checks a density against the map over all arcs
+at once, from the one composition ``Phi o F`` with its cumulative ``Phi``.
 
 The float closure band ``ORBIT_TOL`` and the mass band ``MASS_TOL`` live
 in :mod:`pwlrotor.backend` with the other bands, and the default search
@@ -36,7 +38,7 @@ points with a slope above 1.
 """
 from __future__ import annotations
 
-import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
@@ -137,6 +139,22 @@ def _orbit_points(f: PwlLift, x0, q: int) -> list:
     return pts
 
 
+def _lowest_near(xs: list, tags: list, x, near):
+    """Lowest ``tags[t]`` over the sorted circle points ``xs[t]`` near ``x``,
+    or None.  They form one arc around the place of ``x`` in ``xs``: a
+    bisection and a walk outward each way, across the 0/1 wrap, find them."""
+    n = len(xs)
+    pos = bisect_left(xs, x)
+    hits = []
+    for start, step in ((pos, 1), (pos - 1, -1)):
+        for k in range(n):
+            t = (start + step * k) % n
+            if not near(x, xs[t]):
+                break
+            hits.append(tags[t])
+    return min(hits, default=None)
+
+
 def break_orbit_partition(
     f: PwlLift, q_hint: Optional[Tuple[int, int]] = None
 ) -> Union[OrbitPartition, NotPeriodic]:
@@ -150,6 +168,9 @@ def break_orbit_partition(
     soon as any orbit fails to close.  Two circle points coincide unless
     ``backend.sign`` of their distance, with band ``ORBIT_TOL``, is 1: they
     agree to within ``ORBIT_TOL`` in floats and exactly for ``Fraction`` data.
+    A break joins the lowest orbit with a point that coincides with it, and
+    an orbit point marks the lowest genuine break it coincides with; both
+    are found by bisection into the sorted points (:func:`_lowest_near`).
     """
     if q_hint is not None:
         p, q = q_hint
@@ -173,6 +194,8 @@ def break_orbit_partition(
 
     orbit_of: dict = {}
     orbit_pts: List[list] = []
+    placed_xs: list = []  # every point of the orbits so far, sorted ...
+    placed_rs: list = []  # ... with its orbit
     for i in genuine:
         b = f.breaks[i]
         pts = _orbit_points(f, b, q)
@@ -184,33 +207,28 @@ def break_orbit_partition(
             elif signed < -Fraction(1, 2):
                 signed += 1
             return NotPeriodic(break_index=i, point=b, drift=signed, q=q)
-        placed = False
-        for r, existing in enumerate(orbit_pts):
-            if any(near(b, x) for x in existing):
-                orbit_of[i] = r
-                placed = True
-                break
-        if not placed:
-            orbit_of[i] = len(orbit_pts)
+        r = _lowest_near(placed_xs, placed_rs, b, near)
+        if r is None:
+            r = len(orbit_pts)
             orbit_pts.append(pts)
+            for x in pts:
+                t = bisect_right(placed_xs, x)
+                placed_xs.insert(t, x)
+                placed_rs.insert(t, r)
+        orbit_of[i] = r
 
-    orbits = []
-    for r in range(len(orbit_pts)):
-        orbits.append(tuple(i for i in genuine if orbit_of[i] == r))
+    orbits = tuple(tuple(i for i in genuine if orbit_of[i] == r) for r in range(len(orbit_pts)))
 
+    genuine_xs = [f.breaks[i] for i in genuine]
     points = []
     for r, pts in enumerate(orbit_pts):
         for x in pts:
-            brk = None
-            for i in genuine:
-                if near(x, f.breaks[i]):
-                    brk = i
-                    break
+            brk = _lowest_near(genuine_xs, genuine, x, near)
             points.append(OrbitPoint(x=x, is_break=brk is not None, break_index=brk, orbit=r))
     points.sort(key=lambda pt: pt.x)
 
     _check_well_ordered(orbit_pts, p, q)
-    return OrbitPartition(p=p, q=q, orbits=tuple(orbits), points=tuple(points))
+    return OrbitPartition(p=p, q=q, orbits=orbits, points=tuple(points))
 
 
 def _check_well_ordered(orbit_pts, p, q):
@@ -524,32 +542,34 @@ def invariant_density(
 
 
 def verify_invariance(f: PwlLift, density: PiecewiseConstantDensity) -> Num:
-    """Max discrepancy ``|nu(A) - nu(f^{-1} A)]|`` over random arcs ``A``.
+    """Supremum of ``|nu(A) - nu(f^{-1} A)|`` over all arcs ``A``.
 
-    ``nu`` is the measure of ``density``; the arcs are 64 pairs of ends
-    ``k/10^6`` drawn from a ``random.Random(0)`` stream, the same in both
-    backends, so repeated calls test the same arcs.
-    Exact backend: the discrepancy is exactly zero for a correct density.
+    ``nu`` is the measure of ``density``, ``Phi`` its cumulative lift.  With
+    ``A = [F(u), F(v)]`` the discrepancy is ``|D(v) - D(u)|`` for
+    ``D = Phi o F - Phi``, so the supremum is the oscillation ``max D - min D``.
+    ``D`` is PWL, with kinks at the marked points of ``G = Phi o F`` (one
+    composition) and at the density's cuts: one merged walk over both
+    accumulates it by ``(G' - rho) * dx``.
+    Exact backend: the defect is exactly zero for a correct density.
     Float backend: expect a few units of rounding noise.
     """
-    phi = density.cdf_lift()
-    backend = f.backend
-    rng = random.Random(0)
-    worst = backend.coerce(0)
-    denom = 10**6
-    for _ in range(64):
-        u = backend.coerce(Fraction(rng.randrange(denom), denom))
-        v = backend.coerce(Fraction(rng.randrange(denom), denom))
-        if u == v:
-            continue
-        if u > v:
-            u, v = v, u
-        direct = phi(v) - phi(u)
-        pulled = phi(f.inverse(v)) - phi(f.inverse(u))
-        d = abs(direct - pulled)
-        if d > worst:
-            worst = d
-    return worst
+    g = compose(density.cdf_lift(), f)
+    gx, gs = g.breaks, g.slopes
+    cuts, rho = density.cuts, density.values
+    zero = f.backend.coerce(0)
+    x = d = lo = hi = zero
+    i = j = -1  # pieces of G and rho holding [x, next point); -1 is the wrap piece
+    while True:
+        while i + 1 < len(gx) and gx[i + 1] <= x:
+            i += 1
+        while j + 1 < len(cuts) and cuts[j + 1] <= x:
+            j += 1
+        nxt = min(gx[i + 1] if i + 1 < len(gx) else 1, cuts[j + 1] if j + 1 < len(cuts) else 1)
+        d += (gs[i] - rho[j]) * (nxt - x)
+        lo, hi = min(lo, d), max(hi, d)
+        if nxt == 1:
+            return hi - lo
+        x = nxt
 
 
 def _canonical_iterates(f: PwlLift, k_max: int):

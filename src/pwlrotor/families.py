@@ -309,18 +309,6 @@ def gmm_critical_beta(alpha) -> float:
     return (-a + sqrt(a * a * (a + 3) / (a - 1))) / 2
 
 
-def refraction_slice_alpha(m) -> float:
-    """Solve ``gmm_critical_beta(alpha) = alpha/m`` for alpha.
-
-    Substituting ``beta = alpha/m`` into the critical quadratic collapses
-    it to ``(alpha - 1)(1/m^2 + 1/m) = 1``, i.e. ``alpha = 1 + m^2/(1+m)``.
-    """
-    m = float(m)
-    if not m > 0:
-        raise errors.OutOfDomain("slice parameter m must be positive")
-    return 1 + m * m / (1 + m)
-
-
 def herman_offset(lam, d, backend=None) -> FamilySpec:
     """Shifted family with the break displaced to ``c = 1/(1+lam) + d``.
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import errors
-from .backend import FLOAT, Backend, Num, backend_from_tag, infer_backend, scalar_json
+from .backend import FLOAT, Backend, Num, infer_backend, scalar_json
 
 #: Most marked points a composition may carry; more raises Overflow.
 PIECE_CAP = 10**6
@@ -183,12 +183,6 @@ def _checked_lift(b: Sequence, v: Sequence, backend: Backend) -> PwlLift:
             )
         slopes.append(rise / run)
     return PwlLift(breaks=b, values=v, slopes=tuple(slopes), backend=backend)
-
-
-def lift_from_json(obj: dict) -> PwlLift:
-    backend = backend_from_tag(obj["backend"])
-    dec = backend.scalar_from_json
-    return make_lift([dec(x) for x in obj["breaks"]], [dec(x) for x in obj["values"]], backend)
 
 
 def rigid(shift, backend: Optional[Backend] = None) -> PwlLift:

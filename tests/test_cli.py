@@ -273,6 +273,17 @@ class TestSweep:
         assert 0 < sum(blank) < points - LOCKSTEP_LANES
         assert p.stderr.count("OutOfDomain: refraction needs beta + mu > 1") == sum(blank)
 
+    def test_float_start_in_an_exact_family_exits_2(self, tmp_path):
+        # refused once, before the grid is chunked, as rho refuses it
+        cfg = {"family": {"family": "herman_shifted", "params": {"lam": "3/2"}},
+               "mu_min": "-1/20", "mu_max": "1/20", "points": 5, "m": 100, "x0": 0.25}
+        for workers in ("1", "2"):
+            proc = run_cli(tmp_path, "sweep", cfg, "--workers", workers)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr.count("BackendMismatch") == 1
+            assert "sweep point" not in proc.stderr
+
     def test_midpoints_non_decreasing(self, tmp_path):
         proc = run_cli(tmp_path, "sweep", self.CFG)
         mids = []

