@@ -50,7 +50,6 @@ from .conjugacy import (
 )
 from .families import (
     FamilySpec,
-    MarginReport,
     TwoParamFamilySpec,
     coelho,
     coelho_rho,
@@ -61,7 +60,6 @@ from .families import (
     herman_offset,
     herman_offset_family,
     herman_shifted,
-    monotonicity_margin,
     refraction,
 )
 from .kernel import IMPLEMENTATION as KERNEL_IMPLEMENTATION
@@ -94,8 +92,6 @@ from .scaling import (
     ResidualReport,
     ScalingReport,
     kappa,
-    laminar_coeffs,
-    orbit_landmarks,
     pinch_boundaries,
     r1,
     scaling_residual,
@@ -149,7 +145,6 @@ __all__ = [
     "derivative_growth",
     "FamilySpec",
     "TwoParamFamilySpec",
-    "MarginReport",
     "herman",
     "herman_shifted",
     "coelho",
@@ -160,12 +155,9 @@ __all__ = [
     "herman_offset_family",
     "custom_family",
     "family_from_json",
-    "monotonicity_margin",
     "ScalingReport",
     "ResidualReport",
     "PinchReport",
-    "orbit_landmarks",
-    "laminar_coeffs",
     "kappa",
     "r1",
     "scaling_residual",

@@ -111,14 +111,6 @@ class RationalBackend:
         """The settings in force, for output headers."""
         return {"backend": self.tag}
 
-    def scalar_from_json(self, v) -> Fraction:
-        if isinstance(v, float):
-            raise BackendMismatch(
-                "rational payloads must encode scalars as 'p/q' strings or "
-                "integers, not JSON floats (got %r)" % (v,)
-            )
-        return self.coerce(v)
-
 
 @dataclass(frozen=True)
 class FloatBackend:
@@ -195,9 +187,6 @@ class FloatBackend:
             "eps_s": repr(self.eps_s),
             "decision_band": repr(self.decision_band),
         }
-
-    def scalar_from_json(self, v) -> float:
-        return self.coerce(v)
 
 
 Backend = Union[RationalBackend, FloatBackend]

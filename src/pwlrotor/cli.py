@@ -86,10 +86,25 @@ def _build_family(cfg: dict, backend: Optional[str]) -> FamilySpec:
         raise ConfigError(str(exc))
 
 
+def _number(key, v):
+    """``v``, a JSON number or an exact ``"p/q"`` string, as a scalar."""
+    if isinstance(v, (int, float, str)) and not isinstance(v, bool):
+        try:
+            return _decode_param(v)
+        except ValueError:
+            pass
+    raise ConfigError("%s must be a number or a 'p/q' string, got %s" % (key, json.dumps(v)))
+
+
 def _scalar(cfg, key, default=None):
-    if key not in cfg:
-        return default
-    return _decode_param(cfg[key])
+    return _number(key, cfg[key]) if key in cfg else default
+
+
+def _positive(cfg, key, default=None):
+    v = _scalar(cfg, key, default)
+    if v is not None and not v > 0:
+        raise ConfigError("%s must be positive, got %s" % (key, json.dumps(cfg[key])))
+    return v
 
 
 def _int_option(cfg, key, default, minimum=1):
@@ -103,7 +118,7 @@ def _pair(cfg, key):
     v = cfg.get(key)
     if not isinstance(v, list) or len(v) != 2:
         raise ConfigError("%s must be a two-element array" % key)
-    return _decode_param(v[0]), _decode_param(v[1])
+    return _number(key, v[0]), _number(key, v[1])
 
 
 def _fnum(x) -> str:
@@ -242,15 +257,15 @@ def cmd_conjugacy(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
 
 def cmd_scaling(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     mu_c = _scalar(cfg, "mu_c")
-    h_fit = cfg.get("h_fit")
+    h_fit = _positive(cfg, "h_fit")
     m_fit = _int_option(cfg, "m_fit", M_FIT)
     q_cap = _int_option(cfg, "q_cap", Q_CAP)
+    window = float(_positive(cfg, "window", WINDOW))
+    samples = _int_option(cfg, "samples", SAMPLES)
     rep = r1(family, mu_c, h_fit=None if h_fit is None else float(h_fit),
              m_fit=m_fit, q_cap=q_cap)
     payload = {"scaling": rep.to_json()}
     if cfg.get("residual", True):
-        window = float(cfg.get("window", WINDOW))
-        samples = _int_option(cfg, "samples", SAMPLES)
         res = scaling_residual(
             family, mu_c, window=window, samples=samples, m=m_fit, report=rep
         )
@@ -264,7 +279,7 @@ def cmd_modelock(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     p = _int_option(cfg, "p", None, minimum=-(10**9))
     q = _int_option(cfg, "q", None)
     bracket = _pair(cfg, "bracket")
-    tol = _scalar(cfg, "tol")
+    tol = _positive(cfg, "tol")
     mli = mode_lock_interval(family, p, q, bracket, tol=tol)
     return _dump_json(mli.to_json())
 
@@ -282,9 +297,9 @@ def cmd_pinch(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     d_grid = cfg.get("d_grid")
     if not isinstance(d_grid, list) or not d_grid:
         raise ConfigError("d_grid must be a non-empty array")
-    d_grid = [_decode_param(d) for d in d_grid]
+    d_grid = [_number("d_grid", d) for d in d_grid]
     mu_bracket = _pair(cfg, "mu_bracket")
-    tol = _scalar(cfg, "tol")
+    tol = _positive(cfg, "tol")
     two = herman_offset_family(family.params["lam"], backend=family.backend)
     rep = pinch_boundaries(two, (p, q), d_grid, mu_bracket, tol=tol)
     if fmt == "json":

@@ -340,6 +340,32 @@ def is_conjugate_to_rigid(f: PwlLift, q_cap: int = Q_CAP) -> Verdict:
     return Conjugate(p=p, q=q, partition=part)
 
 
+def _certified_partition(f: PwlLift, q: Optional[int] = None) -> OrbitPartition:
+    """The break-orbit partition of ``f`` at its rotation number: the one
+    certified within :data:`Q_CAP` or, given ``q``, ``(F^q(b) - b)/q`` in
+    lowest terms for the first genuine break ``b`` (the first marked point
+    when there is none).
+
+    Raises :class:`errors.NotConjugateError` when a break orbit does not
+    close.
+    """
+    if q is None:
+        part = break_orbit_partition(f)
+    else:
+        genuine = f.genuine_break_indices()
+        b = x = f.breaks[genuine[0] if genuine else 0]
+        for _ in range(q):
+            x = f(x)
+        r = Fraction(round(x - b), q)
+        part = break_orbit_partition(f, q_hint=(r.numerator, r.denominator))
+    if isinstance(part, NotPeriodic):
+        raise errors.NotConjugateError(
+            "break %d is not periodic (drift %s after %d steps)"
+            % (part.break_index, part.drift, part.q)
+        )
+    return part
+
+
 @dataclass(frozen=True)
 class CancellationCheck:
     """Jump-ratio products: per orbit class and over all breaks."""
@@ -382,11 +408,7 @@ def build_conjugacy(f: PwlLift, partition: Optional[OrbitPartition] = None) -> P
     Raises :class:`errors.NotConjugateError` when the map is not conjugate.
     """
     if partition is None:
-        partition = break_orbit_partition(f)
-    if isinstance(partition, NotPeriodic):
-        raise errors.NotConjugateError(
-            "break %d is not periodic (drift %s)" % (partition.break_index, partition.drift)
-        )
+        partition = _certified_partition(f)
 
     backend = f.backend
     zero = backend.coerce(0)
@@ -497,22 +519,8 @@ def invariant_density(
     backend = f.backend
     zero = backend.coerce(0)
     uniform = PiecewiseConstantDensity(cuts=(zero,), values=(backend.coerce(1),), backend=backend)
-    if partition is None and q is None:
-        partition = break_orbit_partition(f)
-    elif partition is None:
-        genuine = f.genuine_break_indices()
-        if not genuine:
-            return uniform
-        b = x = f.breaks[genuine[0]]
-        for _ in range(q):
-            x = f(x)
-        r = Fraction(round(x - b), q)
-        partition = break_orbit_partition(f, q_hint=(r.numerator, r.denominator))
-    if isinstance(partition, NotPeriodic):
-        raise errors.NotConjugateError(
-            "break %d is not periodic (drift %s after %d steps), so no invariant density"
-            % (partition.break_index, partition.drift, partition.q)
-        )
+    if partition is None:
+        partition = _certified_partition(f, q)
     if partition.K == 0:
         return uniform
 

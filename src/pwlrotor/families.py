@@ -58,14 +58,7 @@ from math import log, sqrt
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import errors
-from .backend import (
-    FLOAT,
-    RATIONAL,
-    Backend,
-    Num,
-    backend_from_tag,
-    scalar_json,
-)
+from .backend import FLOAT, RATIONAL, Backend, backend_from_tag
 from .lift import PwlLift, make_lift
 
 
@@ -249,7 +242,7 @@ def refraction(alpha, beta, backend=None) -> FamilySpec:
     of 1/2).  Slopes are ``1/alpha, beta/alpha, beta, alpha/beta``; the
     values ``F(b2) = 1`` and ``F(b4) = 3/2`` are parameter-independent,
     which is why the rotation number moves against ``beta`` and why the
-    ``k = 4`` monotonicity margin is exactly zero.
+    transversality at ``b2`` and ``b4`` is exactly zero.
     """
     backend = _pick_backend(backend, alpha, beta)
     alpha_b = backend.coerce(alpha)
@@ -417,45 +410,18 @@ def custom_family(
     )
 
 
-@dataclass(frozen=True)
-class MarginReport:
-    """Monotonicity margins over a parameter interval.
-
-    ``per_k`` holds, for each marked point, the worst-case value of
-    ``min d(value)/dmu - (max adjacent slope) * (max d(break)/dmu)`` over
-    the sampled interval (derivatives taken in the increasing
-    orientation).  All-positive margins certify a strictly monotone
-    family; non-positive entries are data, not errors.  When ``mu_c`` is
-    supplied the report also carries the local transversality values
-    ``d(value)/dmu - max(0, adjacent slopes * d(break)/dmu)`` at ``mu_c``.
-    """
-
-    margin: Num
-    per_k: tuple
-    transversality: Optional[Num]
-    transversality_per_k: Optional[tuple]
-    analytic: bool
-    interval: tuple
-    grid: int
-
-    def to_json(self) -> dict:
-        return {
-            "margin": scalar_json(self.margin),
-            "per_k": [scalar_json(v) for v in self.per_k],
-            "transversality": scalar_json(self.transversality),
-            "transversality_per_k": None
-            if self.transversality_per_k is None
-            else [scalar_json(v) for v in self.transversality_per_k],
-            "analytic": self.analytic,
-            "interval": [scalar_json(self.interval[0]), scalar_json(self.interval[1])],
-            "grid": self.grid,
-        }
-
-
 def _transversality(family: FamilySpec, mu_c) -> tuple:
-    """Local transversality at ``mu_c``, one value per marked point:
-    ``d(value)/dmu - max(0, adjacent slopes * d(break)/dmu)``, taken in the
-    increasing orientation (see :class:`MarginReport`)."""
+    """Local transversality at ``mu_c``, one value per marked point ``b_k``:
+
+        d(value_k)/dmu - max(0, s_{k-1} * d(b_k)/dmu, s_k * d(b_k)/dmu),
+
+    ``s_{k-1}`` and ``s_k`` the slopes on either side of ``b_k``, with the
+    derivatives taken in the increasing orientation (``mu`` times the
+    family's direction sign).  That is the slower of the rates at which
+    ``F`` rises at a fixed point just left and just right of ``b_k``, capped
+    at ``d(value_k)/dmu``; all-positive values make the family transverse
+    at ``mu_c``.  Non-positive values are data, not errors:
+    :func:`scaling.r1` reports the minimum."""
     backend = family.backend
     mu_c = backend.coerce(mu_c)
     sigma = family.direction_sign
@@ -467,68 +433,6 @@ def _transversality(family: FamilySpec, mu_c) -> tuple:
         bd = sigma * db[k]
         vals.append(sigma * dphi[k] - max(zero, f.slopes[k - 1] * bd, f.slopes[k] * bd))
     return tuple(vals)
-
-
-def monotonicity_margin(family: FamilySpec, interval, grid: int = 9, mu_c=None) -> MarginReport:
-    """Evaluate strict-monotonicity margins of a family over an interval.
-
-    Samples derivatives and slopes on a ``grid``-point mesh and forms the
-    per-break margins described on :class:`MarginReport`; decreasing
-    families are measured in the reversed parameter so that positive
-    margins always mean "rotation number strictly increasing".
-    """
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
-    backend = family.backend
-    a = backend.coerce(interval[0])
-    b = backend.coerce(interval[1])
-    sigma = family.direction_sign
-    mus = [a + (b - a) * Fraction(i, grid - 1) for i in range(grid)]
-
-    min_dphi = None
-    max_db = None
-    max_pair_slope = None
-    n = None
-    for mu in mus:
-        f = family.lift(mu)
-        db, dphi = family.derivatives(mu)
-        db = [sigma * x for x in db]
-        dphi = [sigma * x for x in dphi]
-        if n is None:
-            n = f.n
-            min_dphi = list(dphi)
-            max_db = list(db)
-            max_pair_slope = [max(f.slopes[k - 1], f.slopes[k]) for k in range(n)]
-            continue
-        if f.n != n or len(db) != n:
-            raise errors.InternalMismatch(
-                "marked-point count changed across the interval (%d vs %d)" % (f.n, n)
-            )
-        for k in range(n):
-            if dphi[k] < min_dphi[k]:
-                min_dphi[k] = dphi[k]
-            if db[k] > max_db[k]:
-                max_db[k] = db[k]
-            pair = max(f.slopes[k - 1], f.slopes[k])
-            if pair > max_pair_slope[k]:
-                max_pair_slope[k] = pair
-    per_k = tuple(min_dphi[k] - max_pair_slope[k] * max_db[k] for k in range(n))
-    margin = min(per_k)
-
-    trans = trans_per_k = None
-    if mu_c is not None:
-        trans_per_k = _transversality(family, mu_c)
-        trans = min(trans_per_k)
-
-    return MarginReport(
-        margin=margin,
-        per_k=per_k,
-        transversality=trans,
-        transversality_per_k=trans_per_k,
-        analytic=family.analytic,
-        interval=(a, b),
-        grid=grid,
-    )
 
 
 #: name -> (constructor, required params in positional order, optional params)
@@ -543,9 +447,14 @@ _FAMILIES = {
 
 
 def _decode_param(v):
-    """A JSON scalar, with ``"p/q"`` strings read as Fractions, lists entrywise."""
+    """A JSON scalar, with ``"p/q"`` strings read as Fractions, lists entrywise.
+
+    A string that is no fraction (``"1/0"`` included) raises ValueError."""
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError("%r has a zero denominator" % (v,)) from None
     if isinstance(v, list):
         return [_decode_param(x) for x in v]
     return v

@@ -478,20 +478,13 @@ class ModeLockInterval:
         }
 
 
-def _as_lift_fn(family) -> Callable:
-    if hasattr(family, "lift"):
-        return family.lift
-    if callable(family):
-        return family
-    raise TypeError("need a family (object with .lift) or a callable mu -> PwlLift")
-
-
 def _bisect_root(g: Callable, a, b, ga, gb, tol):
     """Locate the sign change of ``g`` on [a, b] to within ``tol``.
 
     ``ga`` and ``gb`` are ``g(a)`` and ``g(b)``, computed by the caller.
     Returns ``(left, right, g_left0, g_right0)`` where [left, right] is the
-    final bracket.  Raises NotBracketed when the endpoint signs agree.
+    final bracket, which stays wider than ``tol`` only when its ends are
+    adjacent floats.  Raises NotBracketed when the endpoint signs agree.
     """
     if not ((ga > 0 > gb) or (ga < 0 < gb)):
         raise errors.NotBracketed(
@@ -501,6 +494,8 @@ def _bisect_root(g: Callable, a, b, ga, gb, tol):
     left, right = a, b
     while right - left > tol:
         mid = (left + right) / 2
+        if not left < mid < right:
+            break  # adjacent floats: the bracket cannot shrink below tol
         gm = g(mid)
         if gm == 0:
             # Landing exactly on the transition: shrink symmetrically.
@@ -529,20 +524,23 @@ def mode_lock_interval(
     ``max_x E_mu`` and ``min_x E_mu`` with ``E_mu = F_mu^q - x - p``; each
     is bisected independently, so a width-zero interval (a conjugacy
     pinch) comes out as ``lo == hi`` up to ``tol`` instead of being missed.
-    ``tol`` (default :data:`backend.LOCK_TOL`) is taken in the family's
-    backend.
+    ``family`` is anything with a ``lift(mu)`` method.  ``tol`` (default
+    :data:`backend.LOCK_TOL`) is taken in the family's backend.
 
     Raises:
+        ValueError: ``tol``, taken in the family's backend, is not positive.
         NotBracketed: an edge's sign function does not change over the
             bracket (the locked set touches or lies outside the bracket).
     """
-    lift_fn = _as_lift_fn(family)
+    lift_fn = family.lift
     a, b = bracket
     f_a = lift_fn(a)
     backend = f_a.backend
     a = backend.coerce(a)
     b = backend.coerce(b)
     tol = backend.coerce(Fraction(LOCK_TOL if tol is None else tol))
+    if not tol > 0:
+        raise ValueError("tol must be positive, got %s" % (tol,))
 
     def stats(F):
         vals = _edge_values(power(F, q), p)

@@ -29,21 +29,13 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import errors
 from .backend import COLLISION_TOL, FLOAT, LOCK_TOL, Num, scalar_json
-from .conjugacy import (
-    Q_CAP,
-    Conjugate,
-    NotPeriodic,
-    _circle_dist,
-    _orbit_points,
-    break_orbit_partition,
-    is_conjugate_to_rigid,
-)
+from .conjugacy import Q_CAP, Conjugate, _circle_dist, _orbit_points, is_conjugate_to_rigid
 from .families import FamilySpec, TwoParamFamilySpec, _transversality, family_from_json
 from .lift import PwlLift, frac, invert, make_lift, piece, power
 from .rotation import birkhoff_enclosure, mode_lock_interval
@@ -66,27 +58,6 @@ SAMPLES = 16
 def _float_spec(family: FamilySpec) -> FamilySpec:
     """A float-backend clone of ``family`` for long iteration runs."""
     return family_from_json(family.to_json(), backend=FLOAT)
-
-
-def orbit_landmarks(f: PwlLift) -> list:
-    """Sorted union of the break-point orbits at a conjugacy parameter.
-
-    Exactly ``q*K`` points for a map with ``K`` break orbits; for a rigid
-    map (no breaks) the ``q``-point orbit of 0 serves instead.  Raises
-    :class:`errors.NotConjugateError` when some break orbit fails to close.
-    """
-    return _landmarks(f)[1]
-
-
-def _landmarks(f):
-    """Certified break-orbit partition of ``f`` and its landmarks."""
-    part = break_orbit_partition(f)
-    if isinstance(part, NotPeriodic):
-        raise errors.NotConjugateError(
-            "break %d is not periodic (drift %s after %d steps)"
-            % (part.break_index, part.drift, part.q)
-        )
-    return part, _partition_landmarks(f, part)
 
 
 def _partition_landmarks(f: PwlLift, part) -> list:
@@ -120,22 +91,14 @@ def _dF_dmu(f: PwlLift, ds, db, dphi, x, k):
     return dphi[k] + ds[k] * delta - f.slopes[k] * db[k]
 
 
-def laminar_coeffs(family: FamilySpec, mu_c) -> List[Tuple[Num, Num]]:
-    """Per-segment ``(A_i, B_i)`` at the conjugacy parameter ``mu_c``.
-
-    ``A_i`` is the parameter-derivative of ``F^q`` at the midpoint of gap
-    ``i`` (chain rule over the composition); ``B_i`` is the parameter-
-    derivative of the gap's ``F^q`` slope.  Both are corrected by the
-    family direction so that ``A_i > 0`` on every segment.
-    """
-    mu_c = family.backend.coerce(mu_c)
-    f = family.lift(mu_c)
-    part, landmarks = _landmarks(f)
-    data = _segment_data(family, mu_c, f, landmarks, part.q)
-    return list(zip(data["A"], data["B"]))
-
-
 def _segment_data(family: FamilySpec, mu_c, f: PwlLift, landmarks, q: int) -> dict:
+    """Midpoints and ``(A_i, B_i)`` of the segments between ``landmarks``.
+
+    ``A_i`` is the parameter-derivative of ``F^q`` at the midpoint of
+    segment ``i`` (chain rule over the composition); ``B_i`` is the
+    parameter-derivative of the segment's ``F^q`` slope.  Both are corrected
+    by the family direction so that ``A_i > 0`` on every segment.
+    """
     backend = family.backend
     sigma = backend.coerce(family.direction_sign)
     db, dphi = family.derivatives(mu_c)
@@ -148,7 +111,7 @@ def _segment_data(family: FamilySpec, mu_c, f: PwlLift, landmarks, q: int) -> di
     band = COLLISION_TOL["analytic" if family.analytic else "numerical"]
     two = backend.coerce(2)
 
-    gaps, mids = [], []
+    mids = []
     m = len(landmarks)
     for i in range(m):
         hi = landmarks[i + 1] if i + 1 < m else landmarks[0] + 1
@@ -157,7 +120,6 @@ def _segment_data(family: FamilySpec, mu_c, f: PwlLift, landmarks, q: int) -> di
             raise errors.SegmentCollision(
                 "landmarks %d and %d are only %s apart" % (i, (i + 1) % m, gap)
             )
-        gaps.append(gap)
         mids.append(frac((landmarks[i] + hi) / two))
 
     A_list, B_list = [], []
@@ -176,8 +138,6 @@ def _segment_data(family: FamilySpec, mu_c, f: PwlLift, landmarks, q: int) -> di
         A_list.append(sigma * A)
         B_list.append(sigma * B)
     return {
-        "landmarks": list(landmarks),
-        "gaps": gaps,
         "mids": mids,
         "A": A_list,
         "B": B_list,

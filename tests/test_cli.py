@@ -16,17 +16,19 @@ from pwlrotor.backend import LOCKSTEP_LANES
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 HERMAN = {"family": "herman_shifted", "params": {"lam": 1.4142135623730951}}
+OFFSET = {"family": "herman_offset", "params": {"lam": "1/2", "d": "1/50"}}
+OFFSET_PLANE = {"family": "herman_offset", "params": {"lam": "1/2", "d": "0"}}
 REFR_LOCKED = {"family": "refraction", "params": {"alpha": 2.0, "beta": 1.14}}
 
 
-def run_cli(tmp_path, command, config, *extra):
+def run_cli(tmp_path, command, config, *extra, timeout=300):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps(config))
     proc = subprocess.run(
         [sys.executable, "-m", "pwlrotor.cli", command, "--config", str(cfg), *extra],
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
     )
     return proc
 
@@ -82,6 +84,41 @@ class TestConfigValidation:
                "mu": -0.5}
         proc = run_cli(tmp_path, "rho", cfg)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("rho", {"family": HERMAN, "mu": "abc"}),
+        ("rho", {"family": HERMAN, "mu": None}),
+        ("rho", {"family": HERMAN, "mu": [0, 1]}),
+        ("rho", {"family": HERMAN, "mu": "1/0"}),
+        ("rho", {"family": HERMAN, "mu": True}),
+        ("rho", {"family": {"family": "herman_shifted", "params": {"lam": "1/0"}}, "mu": 0}),
+        ("modelock", {"family": OFFSET, "p": 1, "q": 2, "bracket": ["x", 0.1]}),
+        ("pinch", {"family": OFFSET_PLANE, "p": 1, "q": 2, "d_grid": [None],
+                   "mu_bracket": ["-1/20", "1/20"]}),
+    ], ids=["text", "null", "array", "zero-denominator", "bool", "family-param",
+            "bracket", "d_grid"])
+    def test_malformed_scalar_exits_2(self, tmp_path, command, cfg):
+        proc = run_cli(tmp_path, command, cfg, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("modelock", {"family": OFFSET, "p": 1, "q": 2, "bracket": ["-1/20", "1/20"],
+                      "tol": 0}),
+        ("modelock", {"family": {"family": "herman_offset", "params": {"lam": 0.5, "d": 0.02}},
+                      "p": 1, "q": 2, "bracket": [-0.05, 0.05], "tol": -1}),
+        ("pinch", {"family": OFFSET_PLANE, "p": 1, "q": 2, "d_grid": ["0"],
+                   "mu_bracket": ["-1/20", "1/20"], "tol": 0}),
+        ("scaling", {"family": HERMAN, "mu_c": 0.0, "m_fit": 10**4, "window": 0}),
+        ("scaling", {"family": HERMAN, "mu_c": 0.0, "m_fit": 10**4, "window": -0.01}),
+        ("scaling", {"family": HERMAN, "mu_c": 0.0, "m_fit": 10**4, "h_fit": "-1/1000"}),
+    ], ids=["modelock-exact-tol-0", "modelock-float-tol-neg", "pinch-tol-0",
+            "window-0", "window-neg", "h_fit-neg"])
+    def test_non_positive_width_exits_2(self, tmp_path, command, cfg):
+        # a bisection to a width <= 0 never ends, hence the timeout
+        proc = run_cli(tmp_path, command, cfg, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "must be positive" in proc.stderr
 
     def test_csv_refused_for_non_tabular_commands(self, tmp_path):
         proc = run_cli(tmp_path, "rho", {"family": HERMAN, "mu": 0.0}, "--format", "csv")
@@ -172,6 +209,12 @@ class TestScaling:
         proc = run_cli(tmp_path, "scaling",
                        {"family": HERMAN, "mu_c": 0.05, "m_fit": 10**4})
         assert proc.returncode == 4
+
+    def test_h_fit_accepts_an_exact_string(self, tmp_path):
+        cfg = {"family": HERMAN, "mu_c": 0.0, "m_fit": 10**4, "residual": False}
+        exact = run_cli(tmp_path, "scaling", {**cfg, "h_fit": "1/1000"})
+        assert exact.returncode == 0, exact.stderr
+        assert exact.stdout == run_cli(tmp_path, "scaling", {**cfg, "h_fit": 0.001}).stdout
 
     def test_residual_block_on_by_default(self, tmp_path):
         cfg = {"family": HERMAN, "mu_c": 0.0, "m_fit": 10**5,

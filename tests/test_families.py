@@ -295,30 +295,6 @@ class TestCustomFamily:
         assert abs(dv[0] - 1.0) < 1e-9
 
 
-class TestMonotonicityMargin:
-    def test_shift_family_margin_is_one(self, herman_32):
-        rep = pr.monotonicity_margin(herman_32, (Fr(-1, 10), Fr(1, 10)), mu_c=Fr(0))
-        assert rep.margin == 1
-        assert rep.transversality == 1
-        assert rep.analytic
-
-    def test_refraction_has_one_flat_margin(self):
-        fam = pr.refraction(2.0, pr.gmm_critical_beta(2.0))
-        rep = pr.monotonicity_margin(fam, (-0.01, 0.01), mu_c=0.0)
-        # phi_4 and b_4 are parameter-independent: that margin is exactly 0
-        assert rep.per_k[3] == 0
-        assert min(rep.per_k[k] for k in (0, 1, 2)) > 0
-        assert rep.transversality_per_k[3] == 0
-
-    def test_grid_validation(self, herman_32):
-        with pytest.raises(ValueError):
-            pr.monotonicity_margin(herman_32, (0, 1), grid=1)
-
-    def test_report_json(self, herman_32):
-        j = pr.monotonicity_margin(herman_32, (Fr(0), Fr(1, 10))).to_json()
-        assert j["margin"] == "1" and j["analytic"] is True
-
-
 class TestJsonRoundTrips:
     FAMILIES = [
         pr.herman(SQRT2, beta=1.3),

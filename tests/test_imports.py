@@ -79,3 +79,35 @@ def test_only_the_backend_names_backend_classes(path):
         if name in BACKEND_CLASSES
     )
     assert not named, "%s names backend classes: %s" % (path.name, ", ".join(named))
+
+
+ROOT = SRC.parent.parent
+#: Code that reads the public surface for a purpose other than testing it:
+#: the package's own modules, the acceptance criteria and the benchmark.
+CONSUMERS = (
+    [p for p in MODULES if p.name != "__init__.py"]
+    + [ROOT / "tests" / "test_acceptance.py"]
+    + [p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+)
+
+
+def read_names(tree):
+    """Names and attributes a module reads; bindings do not count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_public_name_has_a_consumer():
+    """A name in ``__all__`` that only its own unit test reads is surface
+    to delete, not to keep."""
+    import pwlrotor
+
+    read = set()
+    for path in CONSUMERS:
+        read.update(read_names(ast.parse(path.read_text(encoding="utf-8"))))
+    unread = sorted(set(pwlrotor.__all__) - {"errors", "__version__"} - read)
+    assert not unread, "public names no module, criterion or benchmark reads: %s" % (
+        ", ".join(unread))

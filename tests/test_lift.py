@@ -117,7 +117,7 @@ class TestConstruction:
     @staticmethod
     def _from_json(obj):
         backend = pr.backend_from_tag(obj["backend"])
-        dec = backend.scalar_from_json
+        dec = backend.coerce
         return pr.make_lift([dec(x) for x in obj["breaks"]], [dec(x) for x in obj["values"]],
                             backend)
 

@@ -1,7 +1,10 @@
 """Rotation numbers: enclosures, exact certification, locked intervals."""
 import logging
 import math
+import subprocess
+import sys
 from fractions import Fraction as Fr
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,8 +12,8 @@ import pwlrotor as pr
 from pwlrotor import errors, rotation
 
 
-def rigid_family(mu):
-    return pr.rigid(mu)
+#: The rigid rotations ``x + mu`` as a family: anything with ``.lift``.
+rigid_family = SimpleNamespace(lift=pr.rigid)
 
 
 class TestBirkhoffEnclosure:
@@ -250,11 +253,41 @@ class TestModeLockInterval:
             return pr.power(f, k, *rest)
 
         monkeypatch.setattr(rotation, "power", counting_power)
-        mli = pr.mode_lock_interval(counting_family, 1, 3, (Fr(1, 4), Fr(1, 2)),
-                                    tol=Fr(1, 1000))
+        mli = pr.mode_lock_interval(SimpleNamespace(lift=counting_family), 1, 3,
+                                    (Fr(1, 4), Fr(1, 2)), tol=Fr(1, 1000))
         assert abs(mli.lo - Fr(1, 3)) <= Fr(1, 1000)
         assert len(powers) > 2
         assert len(lifts) == len(powers)
+
+    @pytest.mark.parametrize("family, bracket, tol", [
+        ("herman_offset(Fr(1, 2), Fr(1, 50))", "(Fr(-1, 20), Fr(1, 20))", "0"),
+        ("herman_offset(0.5, 0.02)", "(-0.05, 0.05)", "-1.0"),
+        ("herman_offset(0.5, 0.02)", "(-0.05, 0.05)", "Fr(1, 10**400)"),
+    ], ids=["exact zero", "float negative", "float underflow"])
+    def test_non_positive_tol_is_refused(self, family, bracket, tol):
+        # in a child process: a bisection to a width <= 0 would never end
+        code = ("from fractions import Fraction as Fr; import pwlrotor as pr\n"
+                "try:\n    pr.mode_lock_interval(pr.%s, 1, 2, %s, tol=%s)\n"
+                "except ValueError as exc:\n    print(exc)" % (family, bracket, tol))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("tol must be positive")
+
+    def test_tol_below_float_resolution_still_returns(self):
+        # Near mu = 0.05 adjacent floats are 7e-18 apart: the bracket stops
+        # shrinking there instead of halving forever.
+        code = ("import pwlrotor as pr\n"
+                "fam = pr.herman_offset(1.4142135623730951, 0.013)\n"
+                "mli = pr.mode_lock_interval(fam, 1, 2, (-0.0437, 0.0513), tol=1e-30)\n"
+                "print(mli.lo, mli.hi)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lo, hi = map(float, proc.stdout.split())
+        coarse = pr.mode_lock_interval(pr.herman_offset(1.4142135623730951, 0.013), 1, 2,
+                                       (-0.0437, 0.0513), tol=1e-12)
+        assert abs(lo - coarse.lo) <= 1e-12 and abs(hi - coarse.hi) <= 1e-12
 
     def test_decreasing_family_measured_identically(self):
         # refraction moves rho downward in mu; edges must still come out ordered

@@ -47,19 +47,18 @@ class TestKappa:
 
 class TestLandmarks:
     def test_break_orbit_landmarks(self, herman_sqrt2):
-        f = herman_sqrt2.lift(0.0)
-        marks = pr.orbit_landmarks(f)
+        marks = pr.r1(herman_sqrt2, 0.0, m_fit=10**4).landmarks
         assert len(marks) == 2
         assert marks[0] == 0.0
         assert abs(marks[1] - 1 / (1 + SQRT2)) < 1e-12
 
     def test_rigid_map_falls_back_to_the_orbit_of_zero(self):
-        marks = pr.orbit_landmarks(rigid_offset_family().lift(Fr(0)))
-        assert marks == [Fr(0), Fr(1, 2)]
+        marks = pr.r1(rigid_offset_family(), Fr(0), m_fit=10**4).landmarks
+        assert marks == (Fr(0), Fr(1, 2))
 
     def test_nearby_breaks_stay_near_the_landmarks(self, herman_sqrt2):
         # genuine breaks of F_mu^q sit within gamma*|mu| of the landmarks
-        marks = pr.orbit_landmarks(herman_sqrt2.lift(0.0))
+        marks = pr.r1(herman_sqrt2, 0.0, m_fit=10**4).landmarks
 
         def worst(mu):
             P = pr.canonicalize(pr.power(herman_sqrt2.lift(mu), 2))
@@ -77,23 +76,22 @@ class TestLandmarks:
 
 class TestLaminarCoefficients:
     def test_herman_closed_form(self, herman_sqrt2):
-        coeffs = pr.laminar_coeffs(herman_sqrt2, 0.0)
-        assert len(coeffs) == 2
-        (a1, b1), (a2, b2) = coeffs
+        rep = pr.r1(herman_sqrt2, 0.0, m_fit=10**4)
+        (a1, a2), (b1, b2) = rep.A, rep.B
         assert abs(a1 - (1 + 1 / SQRT2)) < 1e-12
         assert abs(a2 - (1 + SQRT2)) < 1e-12
         assert b1 == b2 == 0.0  # slopes of this family do not move with mu
 
     def test_rigid_family_coefficients(self):
-        coeffs = pr.laminar_coeffs(rigid_offset_family(), Fr(0))
-        assert [a for a, _ in coeffs] == [Fr(2), Fr(2)]
-        assert [b for _, b in coeffs] == [Fr(0), Fr(0)]
+        rep = pr.r1(rigid_offset_family(), Fr(0), m_fit=10**4)
+        assert rep.A == (Fr(2), Fr(2))
+        assert rep.B == (Fr(0), Fr(0))
 
     def test_refraction_coefficients_are_direction_corrected(self, refr_critical):
-        coeffs = pr.laminar_coeffs(refr_critical, 0.0)
-        assert len(coeffs) == 5
-        assert all(a > 0 for a, _ in coeffs)  # sigma-corrected, despite sigma = -1
-        assert all(abs(b) < 1e-12 for _, b in coeffs)
+        rep = pr.r1(refr_critical, 0.0, m_fit=10**4)
+        assert len(rep.A) == len(rep.B) == 5
+        assert all(a > 0 for a in rep.A)  # sigma-corrected, despite sigma = -1
+        assert all(abs(b) < 1e-12 for b in rep.B)
 
 
 class TestR1:
@@ -147,6 +145,16 @@ class TestR1:
         rep = pr.r1(fam, Fr(0), h_fit=1e-5, m_fit=10**3)
         assert rep.R1 == 1
         assert rep.transversality == 1
+
+    def test_exact_shift_family_is_transverse_with_margin_one(self, herman_32):
+        # every value moves at rate 1 and no break moves
+        margin = pr.r1(herman_32, Fr(0), m_fit=10**4).transversality
+        assert margin == 1 and isinstance(margin, Fr)
+
+    def test_refraction_transversality_is_zero(self, refr_critical):
+        # F(b2) = 1 and F(b4) = 3/2 do not move with mu, and b2 moves against
+        # the increasing orientation: those two values are exactly zero
+        assert pr.r1(refr_critical, 0.0, m_fit=10**4).transversality == 0
 
     def test_report_fields_and_json(self, herman_sqrt2):
         rep = pr.r1(herman_sqrt2, 0.0, m_fit=10**5)
