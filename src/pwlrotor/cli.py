@@ -25,9 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import multiprocessing
 import os
 import sys
+from fractions import Fraction
 from typing import Optional
 
 from . import errors
@@ -87,8 +89,9 @@ def _build_family(cfg: dict, backend: Optional[str]) -> FamilySpec:
 
 
 def _number(key, v):
-    """``v``, a JSON number or an exact ``"p/q"`` string, as a scalar."""
-    if isinstance(v, (int, float, str)) and not isinstance(v, bool):
+    """``v``, a finite JSON number or an exact ``"p/q"`` string, as a scalar."""
+    finite = not isinstance(v, float) or math.isfinite(v)
+    if isinstance(v, (int, float, str)) and not isinstance(v, bool) and finite:
         try:
             return _decode_param(v)
         except ValueError:
@@ -100,8 +103,11 @@ def _scalar(cfg, key, default=None):
     return _number(key, cfg[key]) if key in cfg else default
 
 
-def _positive(cfg, key, default=None):
+def _positive(cfg, key, coerce, default=None):
+    """``cfg[key]`` (or ``default``) as ``coerce`` makes it for the computation
+    that reads it, where it must be positive: one that rounds to 0.0 is not."""
     v = _scalar(cfg, key, default)
+    v = None if v is None else coerce(v)
     if v is not None and not v > 0:
         raise ConfigError("%s must be positive, got %s" % (key, json.dumps(cfg[key])))
     return v
@@ -257,15 +263,17 @@ def cmd_conjugacy(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
 
 def cmd_scaling(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     mu_c = _scalar(cfg, "mu_c")
-    h_fit = _positive(cfg, "h_fit")
+    h_fit = _positive(cfg, "h_fit", float)
     m_fit = _int_option(cfg, "m_fit", M_FIT)
     q_cap = _int_option(cfg, "q_cap", Q_CAP)
-    window = float(_positive(cfg, "window", WINDOW))
+    window = _positive(cfg, "window", float, WINDOW)
     samples = _int_option(cfg, "samples", SAMPLES)
-    rep = r1(family, mu_c, h_fit=None if h_fit is None else float(h_fit),
-             m_fit=m_fit, q_cap=q_cap)
+    residual = cfg.get("residual", True)
+    if not isinstance(residual, bool):
+        raise ConfigError("residual must be true or false, got %s" % json.dumps(residual))
+    rep = r1(family, mu_c, h_fit=h_fit, m_fit=m_fit, q_cap=q_cap)
     payload = {"scaling": rep.to_json()}
-    if cfg.get("residual", True):
+    if residual:
         res = scaling_residual(
             family, mu_c, window=window, samples=samples, m=m_fit, report=rep
         )
@@ -279,7 +287,7 @@ def cmd_modelock(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     p = _int_option(cfg, "p", None, minimum=-(10**9))
     q = _int_option(cfg, "q", None)
     bracket = _pair(cfg, "bracket")
-    tol = _positive(cfg, "tol")
+    tol = _positive(cfg, "tol", lambda v: family.backend.coerce(Fraction(v)))
     mli = mode_lock_interval(family, p, q, bracket, tol=tol)
     return _dump_json(mli.to_json())
 
@@ -299,7 +307,7 @@ def cmd_pinch(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
         raise ConfigError("d_grid must be a non-empty array")
     d_grid = [_number("d_grid", d) for d in d_grid]
     mu_bracket = _pair(cfg, "mu_bracket")
-    tol = _positive(cfg, "tol")
+    tol = _positive(cfg, "tol", lambda v: family.backend.coerce(Fraction(v)))
     two = herman_offset_family(family.params["lam"], backend=family.backend)
     rep = pinch_boundaries(two, (p, q), d_grid, mu_bracket, tol=tol)
     if fmt == "json":

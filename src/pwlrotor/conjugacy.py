@@ -14,14 +14,15 @@ search in :func:`exact_rotation` built and certified ``p/q`` with
 When the test passes, the break orbits partition the break set into
 ``K <= n/2`` classes, each carrying at least two breaks and a jump-ratio
 product of 1 (the trivial cancellations).  Their ``N = q*K`` sorted
-points carry all that either construction needs, since ``f`` carries
-point ``j`` onto point ``j + p*K (mod N)``.  :func:`build_conjugacy`
-reads the conjugacy ``h`` off them, affine from the base arc onto
-``[0, 1/q]`` and advancing by ``1/q`` every ``K`` points, and
-:func:`invariant_density` reads the density of the absolutely continuous
-invariant measure off the same points: ``f`` carries each cell between
-adjacent orbit points affinely onto the next cell of its cycle, so cell
-``C`` gets ``L / (q |C|)``, ``L`` the total length of its cycle.
+points carry all that the conjugacy and the density need, since ``f``
+carries point ``j`` onto point ``j + p*K (mod N)``, and each cell
+between adjacent orbit points affinely onto the next cell of its cycle,
+so the invariant probability measure gives each cell the mass ``L / q``,
+``L`` the total length of its cycle.  The conjugacy ``h`` of
+:func:`build_conjugacy` is the distribution function of that measure,
+normalised by ``h(b_1) = 0`` for ``b_1`` the first break of the first
+orbit, and the density of :func:`invariant_density` is the slopes of
+``h``: both come from the one private ``_distribution``.
 :func:`verify_invariance` checks a density against the map over all arcs
 at once, from the one composition ``Phi o F`` with its cumulative ``Phi``.
 
@@ -373,12 +374,6 @@ class CancellationCheck:
     global_product: Num
     per_orbit: tuple
 
-    def to_json(self) -> dict:
-        return {
-            "global_product": scalar_json(self.global_product),
-            "per_orbit": [scalar_json(x) for x in self.per_orbit],
-        }
-
 
 def check_trivial_cancellations(f: PwlLift, partition: OrbitPartition) -> CancellationCheck:
     """Each orbit class must cancel its jumps: product of ratios = 1.
@@ -390,54 +385,61 @@ def check_trivial_cancellations(f: PwlLift, partition: OrbitPartition) -> Cancel
     return CancellationCheck(global_product=jump_product(f), per_orbit=per)
 
 
-def build_conjugacy(f: PwlLift, partition: Optional[OrbitPartition] = None) -> PwlLift:
-    """Construct the PWL conjugacy ``h`` with ``h o f = r_{p/q} o h``.
+def _distribution(f: PwlLift, partition: OrbitPartition) -> PwlLift:
+    """The distribution function ``Phi`` of the invariant probability
+    measure of ``f``, with ``Phi(b_1) = 0`` for ``b_1`` the first break of
+    the first orbit; the identity when there is no orbit.
 
-    ``h`` is read off the break-orbit partition (certified within
-    :data:`Q_CAP` when not given).  Its ``N = q*K`` sorted points, from
-    ``b_1`` (the first break of the first orbit) on, are the images of the
-    sorted orbit points of the rigid rotation: the base arc from ``b_1`` to
-    its successor ``v`` on its own orbit holds points ``j1 .. j1+K-1``
-    (``j1`` the index of ``b_1``), one per orbit, and ``h`` maps it
-    affinely onto ``[0, 1/q]``; ``F`` carries point ``j`` onto
-    ``j + p*K (mod N)``, so stepping ``K`` places advances ``h`` by
-    ``1/q``.  Between adjacent orbit points ``h`` is affine, so
-    interpolating these values reproduces it exactly.  Normalisation:
-    ``h(b_1) = 0``.
+    ``Phi`` is affine between the ``N = q*K`` sorted orbit points.  Each run
+    of ``K`` of them holds one point of each orbit, so the cells from point
+    ``j`` to ``j + 1`` with ``j = r (mod K)`` form one cycle of ``F``, and
+    each carries the mass ``L(r) / q``, ``L(r)`` their total length.
 
-    Raises :class:`errors.NotConjugateError` when the map is not conjugate.
+    Raises :class:`errors.InternalMismatch` when a run of ``K`` points
+    misses an orbit, or when the masses do not add up to 1.
     """
-    if partition is None:
-        partition = _certified_partition(f)
-
     backend = f.backend
     zero = backend.coerce(0)
     if partition.K == 0:
-        # No genuine breaks: f is already the rigid rotation.
         return make_lift([zero], [zero], backend)
 
     q, K = partition.q, partition.K
     xs = partition.landmarks()
     N = len(xs)
-    b1 = f.breaks[partition.orbits[0][0]]
-    j1 = xs.index(b1)
-    if len({partition.points[(j1 + i) % N].orbit for i in range(K)}) != K:
-        raise errors.InternalMismatch(
-            "expected exactly one point of each orbit in the base arc from break %d"
-            % partition.orbits[0][0]
-        )
+    orbit = [pt.orbit for pt in partition.points]
+    cyclic = orbit + orbit[:K]
+    if any(len(set(cyclic[j:j + K])) != K for j in range(N)):
+        raise errors.InternalMismatch("a run of %d sorted orbit points misses an orbit" % K)
 
-    def lifted(j):  # sorted point j, for j1 <= j <= j1 + N, lifted into [b1, b1 + 1]
-        return xs[j % N] + j // N
-
-    scale = (lifted(j1 + K) - b1) * q
-    ts = [(lifted(j1 + i) - b1) / scale for i in range(K)]
-    values = []
-    for j in range(N):
-        m, i = divmod((j - j1) % N, K)
-        value = ts[i] + backend.coerce(Fraction(m, q))
-        values.append(value - 1 if j < j1 else value)
+    lengths = [xs[j + 1] - xs[j] for j in range(N - 1)] + [xs[0] + 1 - xs[-1]]
+    cell_mass = [sum(lengths[r::K], zero) / q for r in range(K)]
+    j1 = xs.index(f.breaks[partition.orbits[0][0]])
+    values = [zero] * N
+    total = zero
+    for j in list(range(j1, N)) + list(range(j1)):
+        values[j] = total - 1 if j < j1 else total
+        total += cell_mass[j % K]
+    if backend.sign(abs(total - 1), MASS_TOL) == 1:
+        raise errors.InternalMismatch("invariant density mass came out as %s" % (total,))
     return make_lift(xs, values, backend)
+
+
+def build_conjugacy(f: PwlLift, partition: Optional[OrbitPartition] = None) -> PwlLift:
+    """Construct the PWL conjugacy ``h`` with ``h o f = r_{p/q} o h``.
+
+    ``h`` is the distribution function of the invariant probability
+    measure, whose slopes :func:`invariant_density` gives, normalised by
+    ``h(b_1) = 0`` for ``b_1`` the first break of the first orbit.  ``F``
+    carries each cell between sorted orbit points onto the cell of equal
+    mass ``p*K`` cells on, and those ``p*K`` cells hold mass ``p/q``.  It
+    is read off the break-orbit partition, certified within :data:`Q_CAP`
+    when not given; a map with no genuine break gets the identity.
+
+    Raises :class:`errors.NotConjugateError` when the map is not conjugate.
+    """
+    if partition is None:
+        partition = _certified_partition(f)
+    return _distribution(f, partition)
 
 
 @dataclass(frozen=True)
@@ -486,27 +488,22 @@ class PiecewiseConstantDensity:
             "backend": self.backend.tag,
         }
 
-    def to_csv_rows(self) -> list:
-        return [(float(c), float(v)) for c, v in zip(self.cuts, self.values)]
-
 
 def invariant_density(
     f: PwlLift, q: Optional[int] = None, partition: Optional[OrbitPartition] = None
 ) -> PiecewiseConstantDensity:
     """Density of the absolutely continuous invariant probability measure.
 
-    The measure is ``(1/q) sum_{k<q} f_*^k (Lebesgue)``, read off the
-    break-orbit partition.  Its ``N = q*K`` sorted orbit points cut the
-    circle into cells on which ``F`` is affine; ``F`` carries cell ``j``
-    onto cell ``j + p*K (mod N)``, so with ``gcd(p, q) = 1`` the cycle of
-    cell ``j`` is its residue class mod ``K``.  ``F^{-k}`` maps a cell
-    ``C`` affinely onto another cell of its cycle, hence
+    ``cuts`` and ``values`` are the genuine breaks and the slopes of the
+    conjugacy ``h`` of :func:`build_conjugacy`, the distribution function
+    of the measure ``(1/q) sum_{k<q} f_*^k (Lebesgue)``.  The cell ``C_j``
+    between sorted orbit points ``j`` and ``j + 1`` gets
 
         rho(C_j) = L(j mod K) / (q * |C_j|),
 
     ``L(r)`` the total length of the cells in class ``r``.  The mass is 1
-    by construction (exactly, in the exact backend); equal neighbours are
-    merged.
+    (exactly, in the exact backend); :func:`canonicalize` merges
+    neighbours of equal density.
 
     ``partition`` is the one a verdict certified.  Without it the partition
     is built at the rotation number certified within :data:`Q_CAP` or, given
@@ -516,37 +513,15 @@ def invariant_density(
     Raises :class:`errors.NotConjugateError` when a break orbit does not
     close.
     """
-    backend = f.backend
-    zero = backend.coerce(0)
-    uniform = PiecewiseConstantDensity(cuts=(zero,), values=(backend.coerce(1),), backend=backend)
     if partition is None:
         partition = _certified_partition(f, q)
-    if partition.K == 0:
-        return uniform
-
-    cuts = partition.landmarks()
-    N, K = len(cuts), partition.K
-    lengths = [cuts[j + 1] - cuts[j] for j in range(N - 1)] + [cuts[0] + 1 - cuts[-1]]
-    # every cell of class r carries invariant mass L(r)/q
-    cell_mass = [sum(lengths[r::K], zero) / partition.q for r in range(K)]
-    values = [cell_mass[j % K] / lengths[j] for j in range(N)]
-
-    # Merge runs of adjacent cells whose densities agree.  A run gets its
-    # mass over its length, so float noise inside a run loses no mass.
-    keep = [j for j in range(N) if not backend.eq_slope(values[j], values[j - 1])]
-    if not keep:
-        return uniform
-    runs = list(zip(keep, keep[1:] + [keep[0] + N]))
-    values = [
-        sum(cell_mass[i % K] for i in range(a, b)) / sum(lengths[i % N] for i in range(a, b))
-        for a, b in runs
-    ]
-    cuts = tuple(cuts[j] for j in keep)
-    dens = PiecewiseConstantDensity(cuts=cuts, values=tuple(values), backend=backend)
-    total = dens.mass()
-    if backend.sign(abs(total - 1), MASS_TOL) == 1:
-        raise errors.InternalMismatch("invariant density mass came out as %s" % (total,))
-    return dens
+    phi = canonicalize(_distribution(f, partition))
+    backend = f.backend
+    if phi.is_rigid:
+        return PiecewiseConstantDensity(
+            cuts=(backend.coerce(0),), values=(backend.coerce(1),), backend=backend
+        )
+    return PiecewiseConstantDensity(cuts=phi.breaks, values=phi.slopes, backend=backend)
 
 
 def verify_invariance(f: PwlLift, density: PiecewiseConstantDensity) -> Num:

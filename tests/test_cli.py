@@ -17,6 +17,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 HERMAN = {"family": "herman_shifted", "params": {"lam": 1.4142135623730951}}
 OFFSET = {"family": "herman_offset", "params": {"lam": "1/2", "d": "1/50"}}
+OFFSET_FLOAT = {"family": "herman_offset", "params": {"lam": 0.5, "d": 0.02}}
 OFFSET_PLANE = {"family": "herman_offset", "params": {"lam": "1/2", "d": "0"}}
 REFR_LOCKED = {"family": "refraction", "params": {"alpha": 2.0, "beta": 1.14}}
 
@@ -95,8 +96,12 @@ class TestConfigValidation:
         ("modelock", {"family": OFFSET, "p": 1, "q": 2, "bracket": ["x", 0.1]}),
         ("pinch", {"family": OFFSET_PLANE, "p": 1, "q": 2, "d_grid": [None],
                    "mu_bracket": ["-1/20", "1/20"]}),
+        ("modelock", {"family": OFFSET_FLOAT, "p": 1, "q": 2, "bracket": [-0.05, 0.05],
+                      "tol": float("nan")}),
+        ("modelock", {"family": OFFSET_FLOAT, "p": 1, "q": 2, "bracket": [-0.05, 0.05],
+                      "tol": float("inf")}),
     ], ids=["text", "null", "array", "zero-denominator", "bool", "family-param",
-            "bracket", "d_grid"])
+            "bracket", "d_grid", "nan", "infinity"])
     def test_malformed_scalar_exits_2(self, tmp_path, command, cfg):
         proc = run_cli(tmp_path, command, cfg, timeout=60)
         assert proc.returncode == 2, proc.stderr
@@ -105,14 +110,20 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command, cfg", [
         ("modelock", {"family": OFFSET, "p": 1, "q": 2, "bracket": ["-1/20", "1/20"],
                       "tol": 0}),
-        ("modelock", {"family": {"family": "herman_offset", "params": {"lam": 0.5, "d": 0.02}},
-                      "p": 1, "q": 2, "bracket": [-0.05, 0.05], "tol": -1}),
+        ("modelock", {"family": OFFSET_FLOAT, "p": 1, "q": 2, "bracket": [-0.05, 0.05],
+                      "tol": -1}),
+        ("modelock", {"family": OFFSET_FLOAT, "p": 1, "q": 2, "bracket": [-0.05, 0.05],
+                      "tol": "1/1" + "0" * 400}),
+        ("pinch", {"family": {"family": "herman_offset", "params": {"lam": 0.5, "d": 0}},
+                   "p": 1, "q": 2, "d_grid": [0], "mu_bracket": [-0.05, 0.05],
+                   "tol": "1/1" + "0" * 400}),
         ("pinch", {"family": OFFSET_PLANE, "p": 1, "q": 2, "d_grid": ["0"],
                    "mu_bracket": ["-1/20", "1/20"], "tol": 0}),
         ("scaling", {"family": HERMAN, "mu_c": 0.0, "m_fit": 10**4, "window": 0}),
         ("scaling", {"family": HERMAN, "mu_c": 0.0, "m_fit": 10**4, "window": -0.01}),
         ("scaling", {"family": HERMAN, "mu_c": 0.0, "m_fit": 10**4, "h_fit": "-1/1000"}),
-    ], ids=["modelock-exact-tol-0", "modelock-float-tol-neg", "pinch-tol-0",
+    ], ids=["modelock-exact-tol-0", "modelock-float-tol-neg", "modelock-float-tol-rounds-to-0",
+            "pinch-float-tol-rounds-to-0", "pinch-tol-0",
             "window-0", "window-neg", "h_fit-neg"])
     def test_non_positive_width_exits_2(self, tmp_path, command, cfg):
         # a bisection to a width <= 0 never ends, hence the timeout
@@ -188,6 +199,24 @@ class TestConjugacy:
         for c, d, ec, ed in zip(dens["cuts"], dens["densities"], exact.cuts, exact.values):
             assert abs(c - ec) <= 1e-12 and abs(d - ed) <= 1e-9 * ed
 
+    def test_h_slopes_are_the_density(self, tmp_path):
+        # an exact map with two break orbits: h is the distribution function
+        # of the invariant measure, so its slopes are the density beside it
+        h = pr.make_lift([Fr(13, 97), Fr(18, 97)], [Fr(43, 97), Fr(139, 97)])
+        f = pr.compose(pr.invert(h), pr.compose(pr.rigid(Fr(10, 17)), h))
+        breaks, values = [str(b) for b in f.breaks], [str(v) for v in f.values]
+        family = {"family": "custom", "params": {"mu": [0, 1], "breaks": [breaks, breaks],
+                                                 "values": [values, values]}}
+        proc = run_cli(tmp_path, "conjugacy", {"family": family, "mu": 0})
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert len(out["verdict"]["partition"]["orbits"]) == 2
+        phi = pr.canonicalize(pr.make_lift([Fr(b) for b in out["h"]["breaks"]],
+                                           [Fr(v) for v in out["h"]["values"]]))
+        dens = out["invariant_density"]
+        assert phi.breaks == tuple(Fr(c) for c in dens["cuts"])
+        assert phi.slopes == tuple(Fr(d) for d in dens["densities"])
+
     def test_non_conjugate_point_is_still_a_valid_answer(self, tmp_path):
         proc = run_cli(tmp_path, "conjugacy", {"family": REFR_LOCKED, "mu": 0.0})
         assert proc.returncode == 0, proc.stderr
@@ -215,6 +244,13 @@ class TestScaling:
         exact = run_cli(tmp_path, "scaling", {**cfg, "h_fit": "1/1000"})
         assert exact.returncode == 0, exact.stderr
         assert exact.stdout == run_cli(tmp_path, "scaling", {**cfg, "h_fit": 0.001}).stdout
+
+    @pytest.mark.parametrize("residual", ["false", 0, None])
+    def test_residual_must_be_a_boolean(self, tmp_path, residual):
+        cfg = {"family": HERMAN, "mu_c": 0.0, "m_fit": 10**4, "residual": residual}
+        proc = run_cli(tmp_path, "scaling", cfg, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "residual must be true or false" in proc.stderr
 
     def test_residual_block_on_by_default(self, tmp_path):
         cfg = {"family": HERMAN, "mu_c": 0.0, "m_fit": 10**5,

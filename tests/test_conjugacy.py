@@ -2,10 +2,11 @@
 import math
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pwlrotor as pr
 from pwlrotor import errors
@@ -329,6 +330,27 @@ class TestBuildConjugacy:
         with pytest.raises(errors.NotConjugateError):
             pr.build_conjugacy(LOCKED)
 
+    @settings(max_examples=60, deadline=None)
+    @given(conjugate_maps())
+    @example((CONJ_10_17, 10, 17))  # two break orbits
+    def test_slopes_are_the_invariant_density(self, case):
+        # h is the distribution function of the invariant measure
+        f = case[0]
+        h = pr.canonicalize(pr.build_conjugacy(f))
+        rho = pr.invariant_density(f)
+        assert h.breaks == rho.cuts and h.slopes == rho.values
+
+    def test_run_of_k_points_missing_an_orbit_raises(self):
+        part = pr.is_conjugate_to_rigid(CONJ_10_17).partition
+        assert part.K == 2
+        first, second = part.points[:2]
+        swapped = (replace(first, orbit=second.orbit), replace(second, orbit=first.orbit))
+        bad = replace(part, points=swapped + part.points[2:])
+        with pytest.raises(errors.InternalMismatch):
+            pr.build_conjugacy(CONJ_10_17, partition=bad)
+        with pytest.raises(errors.InternalMismatch):
+            pr.invariant_density(CONJ_10_17, partition=bad)
+
 
 def sampled_defect(f, density):
     """The largest discrepancy over 64 arcs with ends ``k/10^6`` drawn from
@@ -428,12 +450,10 @@ class TestInvariantDensity:
         f = herman_sqrt2.lift(0.0)
         assert pr.verify_invariance(f, pr.invariant_density(f)) <= 1e-12
 
-    def test_density_json_and_csv(self, herman_32):
+    def test_density_json(self, herman_32):
         rho = pr.invariant_density(herman_32.lift(0))
         j = rho.to_json()
         assert j["cuts"] == ["0", "2/5"] and j["densities"] == ["5/4", "5/6"]
-        rows = rho.to_csv_rows()
-        assert len(rows) == 2 and len(rows[0]) == 2
 
     def test_raises_on_locked_map(self):
         with pytest.raises(errors.NotConjugateError):
