@@ -127,15 +127,13 @@ def _pair(cfg, key):
     return _number(key, v[0]), _number(key, v[1])
 
 
-def _fnum(x) -> str:
-    return repr(float(x))
-
-
 def _csv_text(tool: str, meta: dict, header, rows) -> str:
+    """CSV with a comment line of ``meta``: a ``None`` cell is empty, any
+    other is ``repr(float(cell))``."""
     items = " ".join("%s=%s" % (k, v) for k, v in meta.items())
     lines = ["# pwl-rotor %s %s" % (tool, items), ",".join(header)]
     for row in rows:
-        lines.append(",".join("" if cell == "" else str(cell) for cell in row))
+        lines.append(",".join("" if cell is None else repr(float(cell)) for cell in row))
     return "\n".join(lines) + "\n"
 
 
@@ -210,6 +208,7 @@ def cmd_sweep(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
         grid = [mu_min + i * step for i in range(points)]
 
     fam_json = family.to_json()
+    workers = min(workers, points)
     chunks = [(fam_json, family.backend.tag, grid[i * points // workers:(i + 1) * points // workers],
                m, x0) for i in range(workers)]
     if workers > 1:
@@ -223,9 +222,7 @@ def cmd_sweep(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     for mu, (lo, hi, err) in zip(grid, results):
         if err is not None:
             log.warning("sweep point mu=%s failed: %s", mu, err)
-            rows.append((_fnum(mu), "", ""))
-        else:
-            rows.append((_fnum(mu), repr(lo), repr(hi)))
+        rows.append((mu, lo, hi))
 
     meta = family.backend.describe()
     meta.update(m=m, points=points, seed="none")
@@ -233,11 +230,7 @@ def cmd_sweep(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
         return _dump_json(
             {
                 "meta": {k: str(v) for k, v in meta.items()},
-                "rows": [
-                    [float(r[0]), None if r[1] == "" else float(r[1]),
-                     None if r[2] == "" else float(r[2])]
-                    for r in rows
-                ],
+                "rows": [[float(mu), lo, hi] for mu, lo, hi in rows],
             }
         )
     return _csv_text("sweep", meta, ("mu", "rho_lo", "rho_hi"), rows)
@@ -314,10 +307,7 @@ def cmd_pinch(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
         return _dump_json(rep.to_json())
     meta = family.backend.describe()
     meta.update(p=p, q=q, tol=repr(float(rep.tol)), seed="none")
-    rows = [
-        (_fnum(d), "" if lo == "" else repr(lo), "" if hi == "" else repr(hi))
-        for d, lo, hi in rep.to_csv_rows()
-    ]
+    rows = [(r.d, r.lo, r.hi) for r in rep.rows]
     return _csv_text("pinch", meta, ("d", "mu_lo", "mu_hi"), rows)
 
 

@@ -54,6 +54,7 @@ from .lift import (
     jump_product,
     make_lift,
     piece,
+    rigid,
 )
 from .rotation import RotationResult, exact_rotation
 
@@ -348,11 +349,13 @@ def _certified_partition(f: PwlLift, q: Optional[int] = None) -> OrbitPartition:
     when there is none).
 
     Raises :class:`errors.NotConjugateError` when a break orbit does not
-    close.
+    close, and ValueError when ``q < 1``.
     """
     if q is None:
         part = break_orbit_partition(f)
     else:
+        if q < 1:
+            raise ValueError("the period q must be >= 1, got %d" % q)
         genuine = f.genuine_break_indices()
         b = x = f.breaks[genuine[0] if genuine else 0]
         for _ in range(q):
@@ -401,7 +404,7 @@ def _distribution(f: PwlLift, partition: OrbitPartition) -> PwlLift:
     backend = f.backend
     zero = backend.coerce(0)
     if partition.K == 0:
-        return make_lift([zero], [zero], backend)
+        return rigid(zero, backend)
 
     q, K = partition.q, partition.K
     xs = partition.landmarks()
@@ -511,7 +514,7 @@ def invariant_density(
     A map with no genuine break gets the uniform density.
 
     Raises :class:`errors.NotConjugateError` when a break orbit does not
-    close.
+    close, and ValueError when ``q < 1``.
     """
     if partition is None:
         partition = _certified_partition(f, q)

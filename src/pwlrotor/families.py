@@ -410,24 +410,21 @@ def custom_family(
     )
 
 
-def _transversality(family: FamilySpec, mu_c) -> tuple:
-    """Local transversality at ``mu_c``, one value per marked point ``b_k``:
+def _transversality(f: PwlLift, db, dphi, sigma: int) -> tuple:
+    """Local transversality of a family at the lift ``f`` it takes at
+    ``mu_c``, one value per marked point ``b_k``:
 
         d(value_k)/dmu - max(0, s_{k-1} * d(b_k)/dmu, s_k * d(b_k)/dmu),
 
     ``s_{k-1}`` and ``s_k`` the slopes on either side of ``b_k``, with the
-    derivatives taken in the increasing orientation (``mu`` times the
-    family's direction sign).  That is the slower of the rates at which
-    ``F`` rises at a fixed point just left and just right of ``b_k``, capped
-    at ``d(value_k)/dmu``; all-positive values make the family transverse
-    at ``mu_c``.  Non-positive values are data, not errors:
-    :func:`scaling.r1` reports the minimum."""
-    backend = family.backend
-    mu_c = backend.coerce(mu_c)
-    sigma = family.direction_sign
-    f = family.lift(mu_c)
-    db, dphi = family.derivatives(mu_c)
-    zero = backend.coerce(0)
+    family's derivative tables ``db``, ``dphi`` at ``mu_c`` taken in the
+    increasing orientation (times its direction sign ``sigma``).  That is
+    the slower of the rates at which ``F`` rises at a fixed point just
+    left and just right of ``b_k``, capped at ``d(value_k)/dmu``;
+    all-positive values make the family transverse at ``mu_c``.
+    Non-positive values are data, not errors: :func:`scaling.r1` reports
+    the minimum."""
+    zero = f.backend.coerce(0)
     vals = []
     for k in range(f.n):
         bd = sigma * db[k]

@@ -58,23 +58,6 @@ class PwlLift:
             return (self.values[-1] - 1) + self.slopes[-1] * (r - (self.breaks[-1] - 1)) + w
         return self.values[k] + self.slopes[k] * (r - self.breaks[k]) + w
 
-    def inverse(self, y) -> Num:
-        """Evaluate the inverse lift at ``y``.
-
-        The inverse of a degree-one increasing PWL lift is again one; this
-        solves the affine piece containing ``y`` directly.
-        """
-        y = self.backend.coerce(y)
-        w = math.floor(y - self.values[0])
-        r = y - w  # in [values[0], values[0] + 1) up to rounding
-        if r < self.values[0]:
-            r += 1
-            w -= 1
-        k = piece(self.values, r)
-        if k >= self.n:  # r == values[0] + 1 after a rounding nudge
-            k = self.n - 1
-        return self.breaks[k] + (r - self.values[k]) / self.slopes[k] + w
-
     def circle(self, x) -> Num:
         """The underlying circle map: fractional part of ``F(x)``."""
         return frac(self(x))
@@ -362,13 +345,13 @@ def jump_product(f: PwlLift, indices: Optional[Sequence[int]] = None) -> Num:
 
     Over all genuine breaks the product telescopes to exactly 1 in the
     exact backend; subsets with product 1 are the trivial cancellations.
+    Every index must be a genuine break, as :func:`jump` requires.
     """
     if indices is None:
         indices = f.genuine_break_indices()
-    one = f.backend.coerce(1)
-    prod = one
+    prod = f.backend.coerce(1)
     for i in indices:
-        prod = prod * (f.slopes[i] / f.slopes[i - 1])
+        prod = prod * jump(f, i)
     return prod
 
 

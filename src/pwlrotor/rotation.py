@@ -188,9 +188,7 @@ def birkhoff_enclosures(lifts: Sequence[PwlLift], m: int, x0=0) -> list:
     groups = {}  # (backend, Q) -> [(index, F, P, start)]
     for i, f in enumerate(lifts):
         backend = f.backend
-        start = backend.coerce(x0)
-        if not (0 <= start < 1):
-            start = frac(start)
+        start = frac(backend.coerce(x0))
         P, q = _power_for_orbit(f, q_target)
         log.debug("birkhoff_enclosure: m=%d, Q=%d, %d marked points", m, q, P.n)
         groups.setdefault((backend, q), []).append((i, f, P, start))
@@ -362,24 +360,6 @@ class PeriodicScan:
     points: tuple
     identity_intervals: tuple
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "points": [
-                {
-                    "x": scalar_json(pt.x),
-                    "left_slope": scalar_json(pt.left_slope),
-                    "right_slope": scalar_json(pt.right_slope),
-                    "stability": pt.stability,
-                }
-                for pt in self.points
-            ],
-            "identity_intervals": [
-                [scalar_json(a), scalar_json(b)] for (a, b) in self.identity_intervals
-            ],
-        }
-
 
 def periodic_points(f: PwlLift, p: int, q: int) -> PeriodicScan:
     """Solve ``F^q(x) = x + p`` piece by piece on the explicit lift of F^q.
@@ -427,15 +407,13 @@ def periodic_points(f: PwlLift, p: int, q: int) -> PeriodicScan:
         intervals = [tuple(iv) for iv in merged]
 
     pts = []
-    seen = []
-    for x, k, at_edge in sorted(roots):
-        if seen and backend.eq_point(x, seen[-1]):
-            continue
-        if seen and backend.eq_point(x, seen[0] + 1):
-            continue
-        seen.append(x)
-        left = P.slopes[k - 1] if at_edge else P.slopes[k]
-        pts.append(PeriodicPoint(x=x, left_slope=left, right_slope=P.slopes[k]))
+    if roots:
+        roots.sort()
+        # exact roots lie on disjoint half-open pieces, so only float ones merge
+        xs, tags = backend.merge_close([x for x, _, _ in roots], [(k, e) for _, k, e in roots])
+        for x, (k, at_edge) in zip(xs, tags):
+            left = P.slopes[k - 1] if at_edge else P.slopes[k]
+            pts.append(PeriodicPoint(x=x, left_slope=left, right_slope=P.slopes[k]))
     return PeriodicScan(p=p, q=q, points=tuple(pts), identity_intervals=tuple(intervals))
 
 

@@ -91,17 +91,17 @@ def _dF_dmu(f: PwlLift, ds, db, dphi, x, k):
     return dphi[k] + ds[k] * delta - f.slopes[k] * db[k]
 
 
-def _segment_data(family: FamilySpec, mu_c, f: PwlLift, landmarks, q: int) -> dict:
+def _segment_data(family: FamilySpec, f: PwlLift, db, dphi, sigma: int, landmarks,
+                  q: int) -> dict:
     """Midpoints and ``(A_i, B_i)`` of the segments between ``landmarks``.
 
     ``A_i`` is the parameter-derivative of ``F^q`` at the midpoint of
-    segment ``i`` (chain rule over the composition); ``B_i`` is the
+    segment ``i`` (chain rule over the composition, from the family's
+    derivative tables ``db``, ``dphi`` at ``f``'s parameter); ``B_i`` is the
     parameter-derivative of the segment's ``F^q`` slope.  Both are corrected
-    by the family direction so that ``A_i > 0`` on every segment.
+    by the family direction ``sigma`` so that ``A_i > 0`` on every segment.
     """
     backend = family.backend
-    sigma = backend.coerce(family.direction_sign)
-    db, dphi = family.derivatives(mu_c)
     if len(db) != f.n:
         raise errors.InternalMismatch(
             "derivative table has %d entries for an %d-piece lift" % (len(db), f.n)
@@ -137,12 +137,7 @@ def _segment_data(family: FamilySpec, mu_c, f: PwlLift, landmarks, q: int) -> di
             B = B + ds[ks[j]] / f.slopes[ks[j]]
         A_list.append(sigma * A)
         B_list.append(sigma * B)
-    return {
-        "mids": mids,
-        "A": A_list,
-        "B": B_list,
-        "sigma": family.direction_sign,
-    }
+    return {"mids": mids, "A": A_list, "B": B_list}
 
 
 def kappa(A, B, lo, hi) -> Num:
@@ -191,7 +186,7 @@ class ScalingReport:
     fit_window: float
     fit_residual: float
     derivative_provenance: str
-    transversality: Optional[Num]
+    transversality: Num
 
     def kappa_total(self) -> Num:
         return sum(self.kappas[1:], self.kappas[0])
@@ -244,8 +239,9 @@ def r1(
     p, q = verdict.p, verdict.q
     part = verdict.partition
     landmarks = _partition_landmarks(f_c, part)
-    data = _segment_data(family, mu_c, f_c, landmarks, q)
-    sigma = data["sigma"]
+    db, dphi = family.derivatives(mu_c)
+    sigma = family.direction_sign
+    data = _segment_data(family, f_c, db, dphi, sigma, landmarks, q)
 
     kappas = []
     m = len(landmarks)
@@ -260,17 +256,13 @@ def r1(
 
     # Transversality at mu_c (informational: a zero margin means some break
     # moves exactly with its image; the closed form may still be fine).
-    transversality = None
-    try:
-        transversality = min(_transversality(family, mu_c))
-        if transversality <= 0:
-            log.warning(
-                "transversality margin %s at mu_c = %s is not positive",
-                transversality,
-                mu_c,
-            )
-    except errors.PwlError as exc:
-        log.warning("transversality check skipped: %s", exc)
+    transversality = min(_transversality(f_c, db, dphi, sigma))
+    if transversality <= 0:
+        log.warning(
+            "transversality margin %s at mu_c = %s is not positive",
+            transversality,
+            mu_c,
+        )
 
     fam_f = _float_spec(family)
     sample_mu = mu_f + sigma * h
@@ -493,18 +485,6 @@ class PinchReport:
             if self.reference_slopes is None
             else [scalar_json(x) for x in self.reference_slopes],
         }
-
-    def to_csv_rows(self) -> list:
-        out = []
-        for r in self.rows:
-            out.append(
-                (
-                    float(r.d),
-                    "" if r.lo is None else float(r.lo),
-                    "" if r.hi is None else float(r.hi),
-                )
-            )
-        return out
 
 
 def _origin_slope(pairs):

@@ -324,6 +324,35 @@ class TestSweep:
             outs.append(p.stdout)
         assert outs[0] == outs[1] == outs[2]
 
+    def test_no_more_workers_than_points(self, tmp_path, monkeypatch):
+        # a stand-in pool records its size and maps inline: no process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=None):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", InlinePool)
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(dict(self.CFG, points=3)))
+        outs = []
+        for workers in ("64", "1"):
+            out = tmp_path / ("workers-%s.csv" % workers)
+            assert cli.main(["sweep", "--config", str(cfg), "--workers", workers,
+                             "-o", str(out)]) == 0
+            outs.append(out.read_text())
+        assert sizes == [3]
+        assert outs[0] == outs[1]
+
     def test_json_format(self, tmp_path):
         proc = run_cli(tmp_path, "sweep", self.CFG, "--format", "json")
         assert proc.returncode == 0, proc.stderr

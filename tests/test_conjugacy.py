@@ -355,10 +355,10 @@ class TestBuildConjugacy:
 def sampled_defect(f, density):
     """The largest discrepancy over 64 arcs with ends ``k/10^6`` drawn from
     ``random.Random(0)``: a sample, where the defect is a supremum."""
-    phi, rng, worst = density.cdf_lift(), random.Random(0), 0
+    phi, back, rng, worst = density.cdf_lift(), pr.invert(f), random.Random(0), 0
     for _ in range(64):
         u, v = sorted(Fr(rng.randrange(10**6), 10**6) for _ in range(2))
-        worst = max(worst, abs(phi(v) - phi(u) - phi(f.inverse(v)) + phi(f.inverse(u))))
+        worst = max(worst, abs(phi(v) - phi(u) - phi(back(v)) + phi(back(u))))
     return worst
 
 
@@ -384,7 +384,8 @@ class TestInvarianceDefect:
         # points of Phi o F (breaks of f, preimages of cuts) and of Phi, the
         # discrepancies |D(v) - D(u)| of the PWL D = Phi o F - Phi peak there
         phi = density.cdf_lift()
-        marks = set(f.breaks) | {pr.frac(f.inverse(c)) for c in density.cuts} | set(density.cuts)
+        back = pr.invert(f)
+        marks = set(f.breaks) | {pr.frac(back(c)) for c in density.cuts} | set(density.cuts)
         worst = max(abs(phi(f(v)) - phi(f(u)) - (phi(v) - phi(u))) for u in marks for v in marks)
         assert pr.verify_invariance(f, density) == worst
         approx = pr.PiecewiseConstantDensity(
@@ -470,6 +471,13 @@ class TestInvariantDensity:
         with pytest.raises(errors.NotConjugateError):
             pr.invariant_density(herman_32.lift(0), q=3)
 
+    @pytest.mark.parametrize("q", [0, -3])
+    def test_period_below_one_is_refused(self, q):
+        # a conjugate map: q = 0 used to divide by zero, q = -3 to report drift
+        f = pr.make_lift([Fr(0), Fr(3, 7)], [Fr(1, 7), Fr(1)])
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            pr.invariant_density(f, q=q)
+
     def test_non_genuine_marked_point_is_uniform(self):
         f = pr.make_lift([Fr(0), Fr(1, 3)], [Fr(2, 5), Fr(11, 15)])  # x + 2/5
         for q in (None, 5):
@@ -506,7 +514,7 @@ class TestInvariantDensity:
     def test_matches_the_push_forward_average(self, case):
         # (1/q) sum_{k<q} (F^{-k})'(x), walked back one inverse step at a time
         f, _, q = case
-        rho = pr.invariant_density(f)
+        rho, back = pr.invariant_density(f), pr.invert(f)
         cuts = rho.cuts
         for j, c in enumerate(cuts):
             nxt = cuts[j + 1] if j + 1 < len(cuts) else cuts[0] + 1
@@ -514,7 +522,7 @@ class TestInvariantDensity:
             total, factor, y = Fr(0), Fr(1), x
             for _ in range(q):
                 total += factor
-                y = f.inverse(y)
+                y = back(y)
                 factor /= f.slopes[piece(f.breaks, pr.frac(y))]
             assert rho(x) == total / q
 

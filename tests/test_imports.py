@@ -111,3 +111,46 @@ def test_every_public_name_has_a_consumer():
     unread = sorted(set(pwlrotor.__all__) - {"errors", "__version__"} - read)
     assert not unread, "public names no module, criterion or benchmark reads: %s" % (
         ", ".join(unread))
+
+
+def top_level_names(tree):
+    """Names a module defines at top level: functions, classes, assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+def package_reads(tree, own):
+    """Names a module reads from the package: imported from it, read as
+    ``pr.X`` or ``pwlrotor.X``, or read where they are defined (``own``).
+    A local variable or an attribute of another object that shares a
+    public name does not count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "pwlrotor"
+        ):
+            yield from (alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name) and node.value.id in ("pr", "pwlrotor")):
+            yield node.attr
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in own:
+            yield node.id
+
+
+def test_every_public_name_is_read_through_the_package():
+    """The consumer guard above, counting only reads that reach the
+    package's own object."""
+    import pwlrotor
+
+    read = set()
+    for path in CONSUMERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = set(top_level_names(tree)) if path.parent == SRC else set()
+        read.update(package_reads(tree, own))
+    unread = sorted(set(pwlrotor.__all__) - {"errors", "__version__"} - read)
+    assert not unread, "public names no module, criterion or benchmark reads: %s" % (
+        ", ".join(unread))

@@ -26,12 +26,13 @@ def reference_compose(outer, inner):
     """Marked points and values of ``outer o inner`` by sorting and searching.
 
     The algorithm the merge sweep in ``compose`` replaced, kept as its
-    reference: sort ``inner.breaks`` with ``frac(inner.inverse(c))`` for
+    reference: sort ``inner.breaks`` with ``frac(invert(inner)(c))`` for
     every outer break ``c``, collapse duplicates (float: cluster within
     ``eps_x`` to the first member, then drop a last point within ``eps_x``
     of the first plus one), and evaluate ``outer(inner(x))`` at each point.
     """
-    pts = sorted(list(inner.breaks) + [pr.frac(inner.inverse(c)) for c in outer.breaks])
+    back = pr.invert(inner)
+    pts = sorted(list(inner.breaks) + [pr.frac(back(c)) for c in outer.breaks])
     backend = inner.backend
     marked = [pts[0]]
     if isinstance(backend, FloatBackend):
@@ -135,15 +136,16 @@ class TestConstruction:
 
 class TestEvaluation:
     def test_inverse_round_trip_at_1000_points(self, coelho_q3):
-        f = coelho_q3
+        f, g = coelho_q3, pr.invert(coelho_q3)
         for x in rational_grid(1000):
-            assert f.inverse(f(x)) == x
+            assert g(f(x)) == x
 
     def test_inverse_round_trip_float(self):
         f = pr.herman_shifted(math.sqrt(2.0)).lift(0.013)
+        g = pr.invert(f)
         for i in range(1000):
             x = (i * 0.7391) % 1.0
-            assert abs(f.inverse(f(x)) - x) <= 1e-12
+            assert abs(g(f(x)) - x) <= 1e-12
 
     def test_degree_one_at_1000_points(self, coelho_q2):
         for x in rational_grid(1000):
@@ -154,7 +156,7 @@ class TestEvaluation:
         f = pr.make_lift([Fr(1, 4), Fr(1, 2)], [Fr(1, 2), Fr(7, 8)])
         # wrap piece has slope 5/6: f(0) = (7/8 - 1) + (5/6)(1/2) = 7/24
         assert f(Fr(0)) == Fr(7, 24)
-        assert f.inverse(f(Fr(1, 8))) == Fr(1, 8)
+        assert pr.invert(f)(f(Fr(1, 8))) == Fr(1, 8)
 
     @settings(max_examples=120, deadline=None)
     @given(rational_lifts(), circle_points)
@@ -179,8 +181,9 @@ class TestAlgebraProperties:
     @settings(max_examples=120, deadline=None)
     @given(rational_lifts(), points)
     def test_round_trip(self, f, x):
-        assert f.inverse(f(x)) == x
-        assert f(f.inverse(x)) == x
+        g = pr.invert(f)
+        assert g(f(x)) == x
+        assert f(g(x)) == x
 
     @settings(max_examples=120, deadline=None)
     @given(rational_lifts(), points)
@@ -309,6 +312,15 @@ class TestCanonicalForm:
         assert pr.jump(f, 0) == Fr(2) / Fr(1, 4)
         assert pr.jump(f, 1) == Fr(1, 4) / Fr(2)
         assert pr.jump_product(f) == 1
+
+    def test_jump_product_takes_genuine_breaks_only(self):
+        # slopes (2, 2, 1/4): marked point 1 is no break
+        f = pr.make_lift([Fr(0), Fr(1, 7), Fr(3, 7)], [Fr(1, 7), Fr(3, 7), Fr(1)])
+        assert pr.jump_product(f) == pr.jump_product(f, [0, 2]) == 1
+        with pytest.raises(errors.NotABreak):
+            pr.jump_product(f, [0, 1])
+        with pytest.raises(IndexError):
+            pr.jump_product(f, [-1])
 
 
 class TestPieceCap:

@@ -193,12 +193,6 @@ class TestPeriodicPoints:
         scan = pr.periodic_points(pr.rigid(Fr(1, 3)), 1, 2)
         assert scan.points == () and scan.identity_intervals == ()
 
-    def test_scan_json(self):
-        f = pr.herman_offset(Fr(1, 2), Fr(1, 50)).lift(Fr(1, 200))
-        j = pr.periodic_points(f, 1, 2).to_json()
-        assert j["p"] == 1 and j["q"] == 2
-        assert all("stability" in pt for pt in j["points"])
-
 
 class TestModeLockInterval:
     def test_point_lock_of_rigid_family(self):

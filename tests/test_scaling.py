@@ -246,5 +246,3 @@ class TestPinchBoundaries:
         rep = pr.pinch_boundaries(plane, (1, 2), [Fr(0), Fr(1, 100)], (Fr(-1, 20), Fr(1, 20)))
         j = rep.to_json()
         assert j["p"] == 1 and j["q"] == 2 and len(j["rows"]) == 2
-        rows = rep.to_csv_rows()
-        assert len(rows) == 2 and len(rows[0]) == 3  # d, mu_lo, mu_hi
