@@ -40,9 +40,8 @@ ORBIT_TOL = 1e-9
 WITNESS_TOL = 1e-11
 #: An invariant density's total mass must be 1 to within this band.
 MASS_TOL = 1e-12
-#: Adjacent laminar landmarks collide when closer than this, keyed by the
-#: family's derivative provenance.
-COLLISION_TOL = {"analytic": 1e-11, "numerical": 1e-9}
+#: Adjacent laminar landmarks collide when closer than this.
+COLLISION_TOL = 1e-11
 #: Default bisection width of locked-interval edges (both backends).
 LOCK_TOL = Fraction(1, 10**10)
 #: A batch of float orbits runs in lock-step (:func:`kernel.iterate_lanes`)

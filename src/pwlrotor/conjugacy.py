@@ -49,6 +49,7 @@ from .backend import MASS_TOL, ORBIT_TOL, Num, scalar_json
 from .lift import (
     PwlLift,
     canonicalize,
+    cell_ends,
     compose,
     frac,
     jump_product,
@@ -414,7 +415,7 @@ def _distribution(f: PwlLift, partition: OrbitPartition) -> PwlLift:
     if any(len(set(cyclic[j:j + K])) != K for j in range(N)):
         raise errors.InternalMismatch("a run of %d sorted orbit points misses an orbit" % K)
 
-    lengths = [xs[j + 1] - xs[j] for j in range(N - 1)] + [xs[0] + 1 - xs[-1]]
+    lengths = [end - x for x, end in zip(xs, cell_ends(xs))]
     cell_mass = [sum(lengths[r::K], zero) / q for r in range(K)]
     j1 = xs.index(f.breaks[partition.orbits[0][0]])
     values = [zero] * N
@@ -466,9 +467,8 @@ class PiecewiseConstantDensity:
 
     def mass(self) -> Num:
         total = self.backend.coerce(0)
-        for j in range(self.n):
-            nxt = self.cuts[j + 1] if j + 1 < self.n else self.cuts[0] + 1
-            total += self.values[j] * (nxt - self.cuts[j])
+        for rho, x, end in zip(self.values, self.cuts, cell_ends(self.cuts)):
+            total += rho * (end - x)
         return total
 
     def cdf_lift(self) -> PwlLift:

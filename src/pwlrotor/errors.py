@@ -52,7 +52,7 @@ class InternalMismatch(PwlError):
 
 
 class SegmentCollision(PwlError):
-    """Adjacent landmarks sit closer than the finite-difference step."""
+    """Adjacent landmarks sit within ``COLLISION_TOL``, or a segment is empty."""
 
 
 class LogDomain(PwlError):

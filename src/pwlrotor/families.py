@@ -1,10 +1,8 @@
 """One- and two-parameter families of PWL circle lifts.
 
 A :class:`FamilySpec` wraps a parametrised marked-point table
-``mu -> (breaks, values)`` together with its mu-derivatives, a
-monotonicity direction flag, and a domain guard.  A family with a
-derivative callback is ``analytic``; one without (``custom_family``)
-falls back to Richardson-extrapolated central differences.
+``mu -> (breaks, values)`` together with its closed-form mu-derivatives,
+a monotonicity direction flag, and a domain guard.
 
 Four built-ins are shift families: no break moves with ``mu`` and every
 value moves at rate 1, so one builder gives them their constant
@@ -44,7 +42,8 @@ The other two move their breaks:
 
 ``custom_family(mu, breaks, values)``
     Rows of marked points tabulated at ``mu`` nodes, interpolated
-    linearly between them.
+    linearly between them; the derivatives are the slopes of the node
+    segment that carries ``mu``.
 
 :func:`family_from_json` reads every one of them from one registry,
 ``name -> (constructor, required params, optional params)``.
@@ -58,15 +57,14 @@ from math import log, sqrt
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import errors
-from .backend import FLOAT, RATIONAL, Backend, backend_from_tag
+from .backend import Backend, backend_from_tag, infer_backend
 from .lift import PwlLift, make_lift
 
 
 def _pick_backend(backend, *values) -> Backend:
-    """The given backend (or tag), else exact when every value is exact."""
+    """The given backend (or tag), else float when any value is a float."""
     if backend is None:
-        exact = all(isinstance(v, (int, Fraction, str)) for v in values)
-        return RATIONAL if exact else FLOAT
+        return infer_backend(values)
     return backend_from_tag(backend) if isinstance(backend, str) else backend
 
 
@@ -79,13 +77,8 @@ class FamilySpec:
     backend: Backend = field(compare=False)
     increasing: bool = True
     _table: Callable = field(repr=False, compare=False, default=None)
-    _derivs: Optional[Callable] = field(repr=False, compare=False, default=None)
+    _derivs: Callable = field(repr=False, compare=False, default=None)
     _domain: Optional[Callable] = field(repr=False, compare=False, default=None)
-
-    @property
-    def analytic(self) -> bool:
-        """True when the derivatives come from a closed-form callback."""
-        return self._derivs is not None
 
     @property
     def direction_sign(self) -> int:
@@ -105,29 +98,10 @@ class FamilySpec:
         return make_lift(breaks, values, self.backend)
 
     def derivatives(self, mu) -> Tuple[tuple, tuple]:
-        """d(breaks)/dmu and d(values)/dmu at ``mu``.
-
-        Analytic families answer from their callbacks.  Otherwise central
-        differences with step ``1e-6 * max(1, |mu|)`` plus one Richardson
-        extrapolation level; treat the result as numerical data.
-        """
+        """d(breaks)/dmu and d(values)/dmu at ``mu``, in closed form."""
         mu = self.backend.coerce(mu)
-        if self._derivs is not None:
-            return self._derivs(mu)
-        h0 = self.backend.coerce(Fraction(1, 10**6)) * max(1, abs(mu))
-
-        def central(h):
-            b_hi, v_hi = self.table(mu + h)
-            b_lo, v_lo = self.table(mu - h)
-            db = tuple((x - y) / (2 * h) for x, y in zip(b_hi, b_lo))
-            dv = tuple((x - y) / (2 * h) for x, y in zip(v_hi, v_lo))
-            return db, dv
-
-        db1, dv1 = central(h0)
-        db2, dv2 = central(h0 / 2)
-        db = tuple((4 * f2 - f1) / 3 for f1, f2 in zip(db1, db2))
-        dv = tuple((4 * f2 - f1) / 3 for f1, f2 in zip(dv1, dv2))
-        return db, dv
+        self.check_domain(mu)
+        return self._derivs(mu)
 
     def to_json(self) -> dict:
         def enc(v):
@@ -358,9 +332,9 @@ def custom_family(
 ) -> FamilySpec:
     """Tabulated family: componentwise linear interpolation between mu nodes.
 
-    Derivatives fall back to finite differences (flagged numerical); near
-    the nodes they see the interpolation kinks, so prefer analytic
-    families when derivative quality matters.
+    The derivatives are the slopes of the node segment that carries
+    ``mu``: the segment above an interior node, the last one at the top
+    node.  They are exact in the rational backend.
     """
     if len(mu_nodes) < 2:
         raise errors.OutOfDomain("need at least two mu nodes")
@@ -386,14 +360,23 @@ def custom_family(
                 "mu=%s outside the tabulated range [%s, %s]" % (mu, nodes[0], nodes[-1])
             )
 
+    def segment(mu):
+        """``j`` of the node segment ``[nodes[j], nodes[j + 1]]`` carrying ``mu``."""
+        return min(bisect_right(nodes, mu), len(nodes) - 1) - 1
+
     def table(mu):
-        j = bisect_right(nodes, mu) - 1
-        if j >= len(nodes) - 1:
-            j = len(nodes) - 2
+        j = segment(mu)
         t = (mu - nodes[j]) / (nodes[j + 1] - nodes[j])
         b = tuple(x + t * (y - x) for x, y in zip(btab[j], btab[j + 1]))
         v = tuple(x + t * (y - x) for x, y in zip(vtab[j], vtab[j + 1]))
         return b, v
+
+    def derivs(mu):
+        j = segment(mu)
+        h = nodes[j + 1] - nodes[j]
+        db = tuple((y - x) / h for x, y in zip(btab[j], btab[j + 1]))
+        dv = tuple((y - x) / h for x, y in zip(vtab[j], vtab[j + 1]))
+        return db, dv
 
     return FamilySpec(
         name="custom",
@@ -406,6 +389,7 @@ def custom_family(
         backend=backend,
         increasing=increasing,
         _table=table,
+        _derivs=derivs,
         _domain=domain,
     )
 

@@ -47,12 +47,7 @@ class PwlLift:
 
     def __call__(self, x) -> Num:
         """Evaluate the lift at any real ``x`` (degree-one extension)."""
-        x = self.backend.coerce(x)
-        w = math.floor(x)
-        r = x - w
-        if r >= 1:  # float rounding can push x - floor(x) up to 1.0
-            r -= 1
-            w += 1
+        w, r = split(self.backend.coerce(x))
         k = piece(self.breaks, r)
         if k < 0:
             return (self.values[-1] - 1) + self.slopes[-1] * (r - (self.breaks[-1] - 1)) + w
@@ -105,12 +100,26 @@ def piece(points: Sequence, r) -> int:
     return bisect_right(points, r) - 1
 
 
+def cell_ends(points: Sequence) -> tuple:
+    """The right end of each cell ``[points[k], points[k + 1])`` around
+    the circle: the next point, and the first one a turn up for the last."""
+    return (*points[1:], points[0] + 1)
+
+
+def split(x) -> tuple:
+    """``(w, r)`` with ``x = w + r``, ``w`` an integer and ``r`` in [0, 1),
+    exact for Fractions."""
+    w = math.floor(x)
+    r = x - w
+    if r >= 1:  # float rounding can push x - floor(x) up to 1.0
+        r -= 1
+        w += 1
+    return w, r
+
+
 def frac(x) -> Num:
     """Fractional part in [0, 1), exact for Fractions."""
-    r = x - math.floor(x)
-    if r >= 1:  # float rounding at the top end
-        r -= 1
-    return r
+    return split(x)[1]
 
 
 def make_lift(breaks: Sequence, values: Sequence, backend: Optional[Backend] = None) -> PwlLift:
@@ -153,18 +162,14 @@ def _checked_lift(b: Sequence, v: Sequence, backend: Backend) -> PwlLift:
     for i in range(1, len(b)):
         if not (b[i - 1] < b[i]):
             raise errors.NonMonotone("breaks not strictly increasing at index %d" % i)
-    n = len(b)
     slopes = []
-    for k in range(n):
-        b_next = b[k + 1] if k + 1 < n else b[0] + 1
-        v_next = v[k + 1] if k + 1 < n else v[0] + 1
-        rise = v_next - v[k]
-        run = b_next - b[k]
+    for b0, b1, v0, v1 in zip(b, cell_ends(b), v, cell_ends(v)):
+        rise = v1 - v0
         if not (rise > 0):
             raise errors.NonMonotone(
-                "values must increase strictly around the cycle (piece %d)" % k
+                "values must increase strictly around the cycle (piece %d)" % len(slopes)
             )
-        slopes.append(rise / run)
+        slopes.append(rise / (b1 - b0))
     return PwlLift(breaks=b, values=v, slopes=tuple(slopes), backend=backend)
 
 
@@ -292,11 +297,7 @@ def invert(f: PwlLift) -> PwlLift:
     """
     pairs = []
     for b, v in zip(f.breaks, f.values):
-        w = math.floor(v)
-        r = v - w
-        if r >= 1:
-            r -= 1
-            w += 1
+        w, r = split(v)
         pairs.append((r, b - w))
     pairs.sort()
     return _checked_lift([p[0] for p in pairs], [p[1] for p in pairs], f.backend)

@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from . import errors
 from .backend import LOCK_TOL, WITNESS_TOL, Num, scalar_json
-from .lift import PwlLift, compose, frac, power
+from .lift import PwlLift, cell_ends, compose, frac, power
 
 log = logging.getLogger(__name__)
 
@@ -293,17 +293,15 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
     zero = backend.coerce(0)
     k0 = math.floor(f(zero))
 
-    status, vals = _classify(f, k0)
-    if status == _HIT:
-        return _checked_exact(f, k0, 1, vals, 0)
-    if status == _UNDECIDED or status == _BELOW:
-        return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1), iterations=0)
-
-    status, vals = _classify(f, k0 + 1)
-    if status == _HIT:
-        return _checked_exact(f, k0 + 1, 1, vals, 0)
-    if status != _BELOW:
-        return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1), iterations=0)
+    # F(0) - k0 lies in [0, 1) and F(x) - x - p takes its extremes at marked
+    # points, so rho is never below k0 nor above k0 + 1: each integer end is
+    # a hit, undecided, or on its own side of rho.
+    for p in (k0, k0 + 1):
+        status, vals = _classify(f, p)
+        if status == _HIT:
+            return _checked_exact(f, p, 1, vals, 0)
+        if status == _UNDECIDED:
+            return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1), iterations=0)
 
     pl, ql, Pl = k0, 1, f
     pr, qr, Pr = k0 + 1, 1, f
@@ -374,13 +372,8 @@ def periodic_points(f: PwlLift, p: int, q: int) -> PeriodicScan:
 
     roots = []  # (x, piece_index, at_left_edge)
     intervals = []
-    n = P.n
-    edges = _edge_values(P, p)
-    for k in range(n):
-        b_left = P.breaks[k]
-        b_right = P.breaks[k + 1] if k + 1 < n else P.breaks[0] + 1
-        s = P.slopes[k]
-        e_left = edges[k]
+    cells = zip(P.breaks, cell_ends(P.breaks), P.slopes, _edge_values(P, p))
+    for k, (b_left, b_right, s, e_left) in enumerate(cells):
         if backend.eq_slope(s, one):
             if backend.eq_point(e_left, 0):
                 intervals.append((b_left, b_right))
@@ -392,7 +385,7 @@ def periodic_points(f: PwlLift, p: int, q: int) -> PeriodicScan:
             roots.append((frac(x) if x >= 1 else x, k, at_edge))
 
     # Merge identity intervals that share an endpoint, including the wrap.
-    if len(intervals) == n:
+    if len(intervals) == P.n:
         intervals = [(backend.coerce(0), backend.coerce(1))]
     elif intervals:
         merged = [list(intervals[0])]

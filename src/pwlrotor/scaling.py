@@ -19,7 +19,7 @@ inverse symmetry ``G_{-mu} = G_mu^{-1} + O(mu^2)``; and
 parameter collapses onto such a conjugacy point.
 
 The branch switch of the passage-time formula, :data:`B_THRESHOLD`, is a
-module constant, the landmark collision bands are ``COLLISION_TOL`` in
+module constant, the landmark collision band is ``COLLISION_TOL`` in
 :mod:`pwlrotor.backend`, and the conjugacy point is certified with the default
 search depth of :mod:`pwlrotor.conjugacy` unless ``r1`` is given ``q_cap``.
 """
@@ -37,7 +37,7 @@ from . import errors
 from .backend import COLLISION_TOL, FLOAT, LOCK_TOL, Num, scalar_json
 from .conjugacy import Q_CAP, Conjugate, _circle_dist, _orbit_points, is_conjugate_to_rigid
 from .families import FamilySpec, TwoParamFamilySpec, _transversality, family_from_json
-from .lift import PwlLift, frac, invert, make_lift, piece, power
+from .lift import PwlLift, cell_ends, frac, invert, make_lift, piece, power
 from .rotation import birkhoff_enclosure, mode_lock_interval
 
 log = logging.getLogger(__name__)
@@ -68,18 +68,17 @@ def _partition_landmarks(f: PwlLift, part) -> list:
 
 
 def _slope_derivatives(f: PwlLift, db, dphi):
-    """Per-piece ``d(slope)/dmu`` from the marked-point derivative tables."""
-    n = f.n
-    ds = []
-    for k in range(n):
-        if k + 1 < n:
-            width = f.breaks[k + 1] - f.breaks[k]
-            dnum = (dphi[k + 1] - dphi[k]) - f.slopes[k] * (db[k + 1] - db[k])
-        else:
-            width = f.breaks[0] + 1 - f.breaks[k]
-            dnum = (dphi[0] - dphi[k]) - f.slopes[k] * (db[0] - db[k])
-        ds.append(dnum / width)
-    return tuple(ds)
+    """Per-piece ``d(slope)/dmu`` from the marked-point derivative tables.
+
+    The derivative tables close up without the turn: ``b_0 + 1`` moves as
+    ``b_0`` does."""
+    return tuple(
+        ((dv1 - dv0) - s * (db1 - db0)) / (b1 - b0)
+        for b0, b1, s, db0, db1, dv0, dv1 in zip(
+            f.breaks, cell_ends(f.breaks), f.slopes,
+            db, (*db[1:], db[0]), dphi, (*dphi[1:], dphi[0]),
+        )
+    )
 
 
 def _dF_dmu(f: PwlLift, ds, db, dphi, x, k):
@@ -91,8 +90,7 @@ def _dF_dmu(f: PwlLift, ds, db, dphi, x, k):
     return dphi[k] + ds[k] * delta - f.slopes[k] * db[k]
 
 
-def _segment_data(family: FamilySpec, f: PwlLift, db, dphi, sigma: int, landmarks,
-                  q: int) -> dict:
+def _segment_data(f: PwlLift, db, dphi, sigma: int, landmarks, q: int) -> dict:
     """Midpoints and ``(A_i, B_i)`` of the segments between ``landmarks``.
 
     ``A_i`` is the parameter-derivative of ``F^q`` at the midpoint of
@@ -101,26 +99,23 @@ def _segment_data(family: FamilySpec, f: PwlLift, db, dphi, sigma: int, landmark
     parameter-derivative of the segment's ``F^q`` slope.  Both are corrected
     by the family direction ``sigma`` so that ``A_i > 0`` on every segment.
     """
-    backend = family.backend
+    backend = f.backend
     if len(db) != f.n:
         raise errors.InternalMismatch(
             "derivative table has %d entries for an %d-piece lift" % (len(db), f.n)
         )
     ds = _slope_derivatives(f, db, dphi)
-
-    band = COLLISION_TOL["analytic" if family.analytic else "numerical"]
     two = backend.coerce(2)
 
     mids = []
     m = len(landmarks)
-    for i in range(m):
-        hi = landmarks[i + 1] if i + 1 < m else landmarks[0] + 1
-        gap = hi - landmarks[i]
-        if backend.sign(gap, band) != 1:
+    for i, (lo, hi) in enumerate(zip(landmarks, cell_ends(landmarks))):
+        gap = hi - lo
+        if backend.sign(gap, COLLISION_TOL) != 1:
             raise errors.SegmentCollision(
                 "landmarks %d and %d are only %s apart" % (i, (i + 1) % m, gap)
             )
-        mids.append(frac((landmarks[i] + hi) / two))
+        mids.append(frac((lo + hi) / two))
 
     A_list, B_list = [], []
     for y in mids:
@@ -185,7 +180,6 @@ class ScalingReport:
     R1_emp: float
     fit_window: float
     fit_residual: float
-    derivative_provenance: str
     transversality: Num
 
     def kappa_total(self) -> Num:
@@ -208,7 +202,6 @@ class ScalingReport:
             "R1_emp": self.R1_emp,
             "fit_window": self.fit_window,
             "fit_residual": self.fit_residual,
-            "derivative_provenance": self.derivative_provenance,
             "transversality": scalar_json(self.transversality),
         }
 
@@ -241,13 +234,12 @@ def r1(
     landmarks = _partition_landmarks(f_c, part)
     db, dphi = family.derivatives(mu_c)
     sigma = family.direction_sign
-    data = _segment_data(family, f_c, db, dphi, sigma, landmarks, q)
+    data = _segment_data(f_c, db, dphi, sigma, landmarks, q)
 
-    kappas = []
-    m = len(landmarks)
-    for i in range(m):
-        hi = landmarks[i + 1] if i + 1 < m else landmarks[0] + 1
-        kappas.append(kappa(data["A"][i], data["B"][i], landmarks[i], hi))
+    kappas = [
+        kappa(A, B, lo, hi)
+        for A, B, lo, hi in zip(data["A"], data["B"], landmarks, cell_ends(landmarks))
+    ]
     total = sum(kappas[1:], kappas[0])
     R1 = sigma / (q * total)
 
@@ -297,7 +289,6 @@ def r1(
         R1_emp=float(slope),
         fit_window=h,
         fit_residual=fit_residual,
-        derivative_provenance="analytic" if family.analytic else "numerical",
         transversality=transversality,
     )
 

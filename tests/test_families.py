@@ -1,5 +1,4 @@
 """Built-in families: tables, derivatives, domains, JSON round trips."""
-import dataclasses
 import math
 from fractions import Fraction as Fr
 
@@ -284,15 +283,35 @@ class TestCustomFamily:
         with pytest.raises(errors.OutOfDomain):
             pr.custom_family([Fr(1), Fr(0)], self.BREAKS, self.VALUES)
 
-    def test_numeric_derivatives_flagged(self):
-        fam = pr.custom_family([-1.0, 1.0], [[0.0], [0.0]], [[-0.5], [1.5]])
-        assert not fam.analytic
-        assert pr.herman_shifted(1.5).analytic and pr.refraction(2.0, 1.2).analytic
-        # analytic is read off the derivative callback, not stored beside it
-        assert "analytic" not in {f.name for f in dataclasses.fields(pr.FamilySpec)}
-        db, dv = fam.derivatives(0.25)
-        assert abs(db[0]) < 1e-9
-        assert abs(dv[0] - 1.0) < 1e-9
+    def test_derivatives_are_segment_slopes(self):
+        fam = pr.custom_family(
+            [Fr(0), Fr(1, 2), Fr(1)],
+            [[Fr(0), Fr(1, 4)], [Fr(0), Fr(1, 3)], [Fr(0), Fr(1, 2)]],
+            [[Fr(1, 8), Fr(1, 2)], [Fr(1, 4), Fr(3, 4)], [Fr(1, 2), Fr(1)]],
+        )
+        lower = ((Fr(0), Fr(1, 6)), (Fr(1, 4), Fr(1, 2)))  # slopes on [0, 1/2]
+        upper = ((Fr(0), Fr(1, 3)), (Fr(1, 2), Fr(1, 2)))  # slopes on [1/2, 1]
+        got = fam.derivatives(Fr(1, 4))
+        assert got == lower and all(type(x) is Fr for row in got for x in row)
+        # the table is affine on a segment, so its difference quotient is exact
+        (b0, v0), (b1, v1) = fam.table(Fr(1, 4)), fam.table(Fr(3, 8))
+        assert lower == (
+            tuple((y - x) * 8 for x, y in zip(b0, b1)),
+            tuple((y - x) * 8 for x, y in zip(v0, v1)),
+        )
+        assert fam.derivatives(Fr(3, 4)) == upper
+        with pytest.raises(errors.OutOfDomain):
+            fam.derivatives(Fr(5, 4))
+
+    def test_derivatives_at_nodes(self):
+        fam = pr.custom_family(
+            [Fr(0), Fr(1, 2), Fr(1)],
+            [[Fr(0)], [Fr(0)], [Fr(0)]],
+            [[Fr(0)], [Fr(1, 4)], [Fr(3, 4)]],
+        )
+        rates = {mu: fam.derivatives(mu)[1][0] for mu in (Fr(0), Fr(1, 2), Fr(1))}
+        # a node takes the segment above it, and the top node the last one
+        assert rates == {Fr(0): Fr(1, 2), Fr(1, 2): Fr(1), Fr(1): Fr(1)}
 
 
 class TestJsonRoundTrips:
@@ -313,7 +332,6 @@ class TestJsonRoundTrips:
             clone = pr.family_from_json(fam.to_json())
             assert clone.name == fam.name
             assert clone.backend.tag == fam.backend.tag
-            assert clone.analytic == fam.analytic
             for mu in (Fr(0), Fr(1, 8), Fr(-1, 10)):
                 mu = fam.backend.coerce(mu)
                 assert clone.table(mu) == fam.table(mu)

@@ -151,6 +151,15 @@ class TestEvaluation:
         for x in rational_grid(1000):
             assert coelho_q2(x + 1) - coelho_q2(x) == 1
 
+    def test_float_just_below_an_integer(self):
+        # -1e-17 - floor(-1e-17) rounds up to 1.0; the winding split carries
+        # it to 0.0 one turn up, so nothing reads a point at the top of [0, 1)
+        assert pr.frac(-1e-17) == 0.0
+        f = pr.make_lift([0.0, 0.3], [0.1, 0.7])
+        assert f(-1e-17) == 0.1  # the last piece one turn down gives 0.1 + 9e-17
+        g = pr.invert(pr.make_lift([0.0, 0.5], [-1e-17, 0.75]))
+        assert g.breaks == (0.0, 0.75) and g.values == (0.0, 0.5)
+
     def test_evaluation_below_first_break(self):
         # b_1 need not be 0; the wrap piece covers [0, b_1)
         f = pr.make_lift([Fr(1, 4), Fr(1, 2)], [Fr(1, 2), Fr(7, 8)])

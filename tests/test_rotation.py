@@ -142,6 +142,19 @@ class TestExactRotation:
         assert pr.exact_rotation(pr.rigid(Fr(1, 3) + 2)).iterations == 2
         assert pr.exact_rotation(pr.rigid(Fr(0))).iterations == 0
 
+    def test_integer_hit_at_the_upper_end(self):
+        # F(0) = 3/4 puts rho in [0, 1], and F(1/2) = 1/2 + 1 certifies rho = 1
+        r = pr.exact_rotation(pr.make_lift([Fr(0), Fr(1, 2)], [Fr(3, 4), Fr(3, 2)]))
+        assert (r.kind, r.p, r.q, r.iterations) == ("exact", 1, 1, 0)
+        assert r.witness == Fr(1, 2) and r.rigid is False
+
+    @pytest.mark.parametrize("shift", [1e-11, 1 - 1e-11])
+    def test_float_undecided_at_an_integer_end(self, shift):
+        # F - x sits within the decision band of 0 (or of 1) everywhere, but
+        # not within eps_x: neither integer can be certified or ruled out
+        r = pr.exact_rotation(pr.make_lift([0.0], [shift]))
+        assert (r.kind, r.lo, r.hi, r.iterations) == ("enclosure", 0, 1, 0)
+
     def test_enclosure_at_q_max_carries_iterations(self):
         # 1/2 and 1/3 are tested; the next mediant 2/5 is past q_max = 4
         r = pr.exact_rotation(pr.rigid(Fr(2, 5)), q_max=4)
@@ -188,6 +201,37 @@ class TestPeriodicPoints:
             assert P(pt.x) - pt.x - 1 == 0  # exact root, not a bisection residual
             kinds.append(pt.stability)
         assert set(kinds) == {"attracting", "repelling"}
+
+    def test_identity_intervals_merge_across_zero(self):
+        # F = x on [3/4, 1 + 1/4) over three marked pieces, with a bump on
+        # (1/4, 3/4) that leaves the diagonal at 1/4 with slope 3/2
+        f = pr.make_lift([Fr(0), Fr(1, 8), Fr(1, 4), Fr(1, 2), Fr(3, 4)],
+                         [Fr(0), Fr(1, 8), Fr(1, 4), Fr(5, 8), Fr(3, 4)])
+        scan = pr.periodic_points(f, 0, 1)
+        assert scan.identity_intervals == ((Fr(-1, 4), Fr(1, 4)),)
+        assert [(pt.x, pt.left_slope, pt.right_slope) for pt in scan.points] == [
+            (Fr(1, 4), 1, Fr(3, 2))
+        ]
+
+    def test_separate_identity_intervals_stay_apart(self):
+        # F = x on [0, 1/4) and [1/2, 3/4), with a bump after each
+        f = pr.make_lift([Fr(0), Fr(1, 4), Fr(3, 8), Fr(1, 2), Fr(3, 4), Fr(7, 8)],
+                         [Fr(0), Fr(1, 4), Fr(7, 16), Fr(1, 2), Fr(3, 4), Fr(15, 16)])
+        scan = pr.periodic_points(f, 0, 1)
+        assert scan.identity_intervals == ((Fr(0), Fr(1, 4)), (Fr(1, 2), Fr(3, 4)))
+        assert [pt.x for pt in scan.points] == [Fr(1, 4), Fr(3, 4)]
+        assert {pt.stability for pt in scan.points} == {"mixed"}
+
+    def test_stability_reads_both_one_sided_slopes(self):
+        kinds = {
+            (Fr(1, 2), Fr(2, 3)): "attracting",
+            (Fr(3, 2), 2): "repelling",
+            (1, 1): "neutral",
+            (1, Fr(3, 2)): "mixed",
+            (Fr(1, 2), 2): "mixed",
+        }
+        for (left, right), kind in kinds.items():
+            assert pr.PeriodicPoint(x=Fr(0), left_slope=left, right_slope=right).stability == kind
 
     def test_no_periodic_points_off_the_lock(self):
         scan = pr.periodic_points(pr.rigid(Fr(1, 3)), 1, 2)

@@ -138,13 +138,23 @@ class TestR1:
 
     def test_transversality_is_read_at_mu_c(self):
         # x + 1/2 + mu tabulated only down to mu = -1/20000: transversality
-        # at mu_c = 0 reads the family at mu_c and within its 1e-6
-        # finite-difference step, never 1e-4 away.
+        # at mu_c = 0 reads the family's derivatives at mu_c, never the
+        # table 1e-4 away, which lies outside it.
         fam = pr.custom_family([Fr(-1, 20000), Fr(1)], [[Fr(0)], [Fr(0)]],
                                [[Fr(1, 2) - Fr(1, 20000)], [Fr(3, 2)]])
         rep = pr.r1(fam, Fr(0), h_fit=1e-5, m_fit=10**3)
         assert rep.R1 == 1
         assert rep.transversality == 1
+
+    def test_float_tabulation_matches_closed_form(self):
+        # herman_shifted(sqrt 2) tabulated at mu = -0.1 and 0.1: the segment
+        # slopes are the family's own derivatives, so R1 is Herman's closed form
+        fam = pr.herman_shifted(SQRT2)
+        (b_lo, v_lo), (b_hi, v_hi) = fam.table(-0.1), fam.table(0.1)
+        tab = pr.custom_family([-0.1, 0.1], [b_lo, b_hi], [v_lo, v_hi])
+        rep = pr.r1(tab, 0.0, m_fit=10**4)
+        assert abs(rep.R1 / ((1 + SQRT2) ** 2 / (4 * SQRT2)) - 1) < 1e-13
+        assert max(abs(b) for b in rep.B) < 1e-14
 
     def test_exact_shift_family_is_transverse_with_margin_one(self, herman_32):
         # every value moves at rate 1 and no break moves
@@ -158,7 +168,6 @@ class TestR1:
 
     def test_report_fields_and_json(self, herman_sqrt2):
         rep = pr.r1(herman_sqrt2, 0.0, m_fit=10**5)
-        assert rep.derivative_provenance == "analytic"
         assert rep.transversality == 1.0
         assert len(rep.S_sample) == len(rep.landmarks) == 2
         j = rep.to_json()
