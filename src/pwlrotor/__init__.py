@@ -19,7 +19,8 @@ circle maps, in either exact rational or float arithmetic:
 
 Long orbits, exact or float, iterate the explicit lift of a power ``F^Q``
 in the kernel :mod:`pwlrotor.kernel`, which runs a large batch of float
-orbits (a sweep) in lock-step on numpy arrays; nothing is compiled.
+orbits (a sweep) in lock-step on numpy arrays; nothing is compiled.  Those
+lock-step sweeps are the only code that loads numpy.
 """
 
 from . import errors

@@ -24,6 +24,7 @@ outside this module never asks which backend it holds.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -77,8 +78,8 @@ class RationalBackend:
             )
         if type(x) is Fraction:  # immutable: no copy needed
             return x
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
+        if isinstance(x, numbers.Rational):  # numpy integers too, as Python ints
+            return Fraction(int(x.numerator), int(x.denominator))
         if isinstance(x, str):
             return Fraction(x)
         raise TypeError("cannot coerce %r to an exact scalar" % (x,))
@@ -128,7 +129,7 @@ class FloatBackend:
     tag = "float"
 
     def coerce(self, x) -> float:
-        if isinstance(x, (int, float, Fraction)):
+        if isinstance(x, (float, numbers.Real)):  # float first: the ABC check is slower
             return float(x)
         if isinstance(x, str):
             return float(Fraction(x))

@@ -26,7 +26,6 @@ import argparse
 import json
 import logging
 import math
-import multiprocessing
 import os
 import sys
 from fractions import Fraction
@@ -212,6 +211,7 @@ def cmd_sweep(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     chunks = [(fam_json, family.backend.tag, grid[i * points // workers:(i + 1) * points // workers],
                m, x0) for i in range(workers)]
     if workers > 1:
+        import multiprocessing
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_sweep_chunk, chunks, chunksize=1)
     else:

@@ -70,9 +70,7 @@ def iterate_lanes(lanes, x0s, m):
     """
     if m == 0:
         return [(0, x) for x in x0s]
-    # Imported here: numpy loaded ahead of the rest of the package (this
-    # module comes first) raised a process's peak RSS by about 1.4 MB
-    # (CPython 3.11, numpy 2.4).
+    # Imported here: only lock-step sweeps load numpy.
     import numpy as np
 
     lanes_n = len(lanes)

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import logging
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import errors
 from .backend import COLLISION_TOL, FLOAT, LOCK_TOL, Num, scalar_json
@@ -268,7 +267,7 @@ def r1(
     for d in deltas:
         enc = birkhoff_enclosure(fam_f.lift(mu_f + d), m_fit)
         rhos.append(float(enc.midpoint))
-    slope, icept = np.polyfit(np.asarray(deltas), np.asarray(rhos), 1)
+    slope, icept = statistics.linear_regression(deltas, rhos)
     fit_residual = float(
         max(abs(r - (slope * d + icept)) for d, r in zip(deltas, rhos))
     )
@@ -361,7 +360,8 @@ def scaling_residual(
         )
         floor = window / 2
     k = max(2, samples // 2)
-    offsets = np.geomspace(floor, window, k)
+    lo, step = math.log10(floor), (math.log10(window) - math.log10(floor)) / (k - 1)
+    offsets = [floor] + [10.0 ** (i * step + lo) for i in range(1, k - 1)] + [window]
     worst = 0.0
     for off in offsets:
         for d in (off, -off):

@@ -341,7 +341,7 @@ class TestSweep:
             def map(self, fn, items, chunksize=None):
                 return [fn(item) for item in items]
 
-        monkeypatch.setattr(cli.multiprocessing, "Pool", InlinePool)
+        monkeypatch.setattr("multiprocessing.Pool", InlinePool)
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps(dict(self.CFG, points=3)))
         outs = []

@@ -1,6 +1,11 @@
-"""Import hygiene of ``src/pwlrotor``: every imported name is used, and
-only the backend module knows the backend classes."""
+"""Import hygiene of ``src/pwlrotor``: every imported name is used, only
+the backend module knows the backend classes, and only lock-step sweeps
+load numpy."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,3 +159,55 @@ def test_every_public_name_is_read_through_the_package():
     unread = sorted(set(pwlrotor.__all__) - {"errors", "__version__"} - read)
     assert not unread, "public names no module, criterion or benchmark reads: %s" % (
         ", ".join(unread))
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=120, env=env)
+
+
+def test_import_loads_neither_numpy_nor_multiprocessing():
+    proc = run_python(
+        "import sys, pwlrotor, pwlrotor.cli\n"
+        "print(sorted(m for m in ('numpy', 'multiprocessing') if m in sys.modules))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+HERMAN_SQRT2 = {"family": "herman_shifted", "params": {"lam": 1.4142135623730951}}
+OFFSET_PLANE = {"family": "herman_offset", "params": {"lam": "1/2", "d": "0"}}
+
+#: One small job per subcommand that should never need numpy.
+NUMPY_FREE_JOBS = {
+    "rho": {"family": HERMAN_SQRT2, "mu": 0.013},
+    "conjugacy": {"family": {"family": "refraction", "params": {"alpha": 2, "beta": 1.05}},
+                  "mu": 0.0, "q_cap": 64},
+    "modelock": {"family": {"family": "herman_offset", "params": {"lam": "1/2", "d": "1/50"}},
+                 "p": 1, "q": 2, "bracket": ["-1/20", "1/20"]},
+    "pinch": {"family": OFFSET_PLANE, "p": 1, "q": 2, "d_grid": ["-1/50", "0", "1/50"],
+              "mu_bracket": ["-1/10", "1/10"]},
+    "scaling": {"family": HERMAN_SQRT2, "mu_c": 0.0, "m_fit": 10**5,
+                "window": 0.08, "samples": 6},
+}
+
+
+@pytest.mark.parametrize("command", sorted(NUMPY_FREE_JOBS))
+def test_subcommand_runs_without_numpy(tmp_path, command):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(NUMPY_FREE_JOBS[command]))
+    out = tmp_path / "out"
+    proc = run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any 'import numpy' now raises ImportError\n"
+        "from pwlrotor import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))",
+        command, "--config", str(cfg), "-o", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text()
+    if command == "scaling":
+        assert "residual" in json.loads(out.read_text())

@@ -142,6 +142,35 @@ class TestFloatBackend:
             assert FLOAT.orbits(lanes, [0.25] * n, 5) == [want] * n
         assert calls == ([lanes_needed] if lanes_needed else [])
 
+
+class TestNumpyIntegers:
+    """numpy integers are ``numbers.Integral`` but not ``int``: both
+    backends read them, as Python ints."""
+
+    @pytest.mark.parametrize("np_int", [np.int64, np.int32], ids=["int64", "int32"])
+    def test_exact_family_and_lift(self, np_int):
+        fam = pr.herman(np_int(2))
+        assert fam.backend is RATIONAL
+        assert fam.lift(np_int(0)) == pr.herman(2).lift(0)
+        f = pr.make_lift([np_int(0)], [np_int(1)])
+        assert f == pr.make_lift([0], [1])
+        assert all(type(v.numerator) is int and type(v.denominator) is int
+                   for v in f.breaks + f.values + f.slopes)
+
+    @pytest.mark.parametrize("np_int", [np.int64, np.int32], ids=["int64", "int32"])
+    def test_float_family_and_lift(self, np_int):
+        fam = pr.herman(np_int(2), backend=FLOAT)
+        assert fam.lift(0.25) == pr.herman(2.0).lift(0.25)
+        f = pr.make_lift([np_int(0)], [np_int(1)], FLOAT)
+        assert f == pr.make_lift([0.0], [1.0])
+        assert all(type(v) is float for v in f.breaks + f.values + f.slopes)
+
+    def test_exact_coerce_does_not_wrap(self):
+        big = RATIONAL.coerce(np.int64(2**62))
+        assert type(big.numerator) is int
+        assert big * 4 == 2**64
+
+
 class TestSelection:
     def test_backend_from_tag(self):
         assert backend_from_tag("rational") is RATIONAL

@@ -2,10 +2,11 @@
 import math
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 import pwlrotor as pr
-from pwlrotor import errors
+from pwlrotor import errors, scaling
 
 SQRT2 = math.sqrt(2.0)
 
@@ -215,6 +216,62 @@ class TestScalingResidual:
             for w in (1e-2, 5e-3)
         ]
         assert max(cs) / min(cs) < 1.5
+
+
+class TestNumpyFreeArithmetic:
+    """The fit and the offsets are plain float arithmetic; numpy is only
+    the oracle here."""
+
+    @pytest.mark.parametrize("m_fit", [10**5, 10**7])
+    @pytest.mark.parametrize("name", ["herman_sqrt2", "refr_critical"])
+    def test_r1_fit_matches_polyfit(self, request, monkeypatch, name, m_fit):
+        family = request.getfixturevalue(name)
+        rhos = []
+        real = scaling.birkhoff_enclosure
+
+        def recording(f, m):
+            enc = real(f, m)
+            rhos.append(float(enc.midpoint))
+            return enc
+
+        monkeypatch.setattr(scaling, "birkhoff_enclosure", recording)
+        rep = pr.r1(family, 0.0, m_fit=m_fit)
+        h = rep.fit_window
+        deltas = sorted(s * k * h for k in (1, 2, 4) for s in (1, -1))
+        assert len(rhos) == len(deltas) == 6
+        slope, icept = np.polyfit(deltas, rhos, 1)
+        assert rep.R1_emp == pytest.approx(slope, rel=1e-12, abs=0)
+        resid = max(abs(r - (slope * d + icept)) for d, r in zip(deltas, rhos))
+        assert abs(rep.fit_residual - resid) <= 1e-15  # a few ulps of rho
+
+    @pytest.mark.parametrize("m, window, samples", [
+        (10**7, 1e-2, 40), (10**7, 5e-3, 40), (10**7, 2.5e-3, 40), (10**7, 1e-2, 16),
+        (10**7, 0.08, 8), (10**7, 0.04, 8), (10**5, 0.08, 6), (10**5, 1e-2, 8),
+    ])
+    def test_residual_offsets_match_geomspace(self, herman_sqrt2, monkeypatch, m, window, samples):
+        mus = []
+
+        class Recording:
+            """The float family, recording every mu it is lifted at."""
+
+            def __init__(self, fam):
+                self.fam = fam
+
+            def lift(self, mu):
+                mus.append(mu)
+                return self.fam.lift(mu)
+
+        rep = pr.r1(herman_sqrt2, 0.0, m_fit=10**4)
+        real = scaling._float_spec
+        monkeypatch.setattr(scaling, "_float_spec", lambda fam: Recording(real(fam)))
+        pr.scaling_residual(herman_sqrt2, 0.0, window=window, samples=samples, m=m, report=rep)
+        k = max(2, samples // 2)
+        offsets = mus[0:2 * k:2]  # mu_c = 0: the residual lifts at +off, then -off
+        assert mus[1:2 * k:2] == [-off for off in offsets]
+        floor = min(math.sqrt(12.5 / m), window / 2)
+        want = [float(x) for x in np.geomspace(floor, window, k)]
+        assert offsets[0] == want[0] == floor and offsets[-1] == want[-1] == window
+        assert all(abs(a - b) <= math.ulp(b) for a, b in zip(offsets, want)), (offsets, want)
 
 
 class TestPinchBoundaries:
