@@ -1,0 +1,41 @@
+#!/usr/bin/env bash
+# Run the installed pwl-rotor console script on three small jobs and check
+# their answers.  Usage: console_jobs.sh [DIR]; the job files and outputs go
+# to DIR (default: a new temporary directory).  CI runs it once with numpy
+# installed and once without it: these subcommands must not need numpy.
+set -euo pipefail
+dir="${1:-$(mktemp -d)}"
+mkdir -p "$dir"
+
+pwl-rotor --help > /dev/null
+
+# h^-1 o R_{1/3} o h for h through (1/4, 1/8) and (1/2, 3/4): two break orbits
+cat > "$dir/conjugacy.json" <<'JOB'
+{"family": {"family": "custom", "params": {"mu": [0, 1],
+  "breaks": [["1/4", "11/30", "1/2", "7/12"], ["1/4", "11/30", "1/2", "7/12"]],
+  "values": [["23/60", "1/2", "7/6", "5/4"], ["23/60", "1/2", "7/6", "5/4"]]}},
+ "mu": 0}
+JOB
+pwl-rotor conjugacy --config "$dir/conjugacy.json"
+
+# exact herman_offset(1/2): the 1/2 tongue pinches to a point at d = 0
+cat > "$dir/pinch.json" <<'JOB'
+{"family": {"family": "herman_offset", "params": {"lam": "1/2", "d": "0"}},
+ "p": 1, "q": 2, "d_grid": ["-1/50", "0", "1/50"], "mu_bracket": ["-1/10", "1/10"]}
+JOB
+pwl-rotor pinch --config "$dir/pinch.json" > "$dir/pinch.csv"
+cat "$dir/pinch.csv"
+grep -qx '0.0,0.0,0.0' "$dir/pinch.csv"
+pwl-rotor pinch --config "$dir/pinch.json" --format json > "$dir/pinch.out"
+grep -q '"width_at_zero": "0"' "$dir/pinch.out"
+
+# exact x + 1/2 + mu as a custom family: its segment slope gives R1 = 1
+cat > "$dir/scaling.json" <<'JOB'
+{"family": {"family": "custom", "params": {"mu": ["-1", "1"],
+  "breaks": [["0"], ["0"]], "values": [["-1/2"], ["3/2"]]}},
+ "mu_c": "0", "m_fit": 10000, "residual": false}
+JOB
+pwl-rotor scaling --config "$dir/scaling.json" > "$dir/scaling.out"
+cat "$dir/scaling.out"
+grep -q '"R1": "1"' "$dir/scaling.out"
+echo "console jobs passed"

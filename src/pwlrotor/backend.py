@@ -228,8 +228,14 @@ def backend_from_tag(tag: str) -> Backend:
 
 
 def infer_backend(entries) -> Backend:
-    """Pick a backend from raw data: floats anywhere means float."""
+    """Pick a backend from raw data: floats anywhere means float.
+
+    A float is any real number that is not rational (``np.float32`` too);
+    ints, numpy integers, Fractions and ``"p/q"`` strings are exact.
+    """
     for x in entries:
-        if isinstance(x, float):
+        if isinstance(x, float) or (  # float first: the ABC checks are slower
+            isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational)
+        ):
             return FLOAT
     return RATIONAL

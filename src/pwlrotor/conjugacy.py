@@ -476,7 +476,13 @@ class PiecewiseConstantDensity:
 
         Mass 1 makes ``Phi(x + 1) = Phi(x) + 1``; arc measures are then
         ``Phi(v) - Phi(u)`` with wraparound handled by the lift itself.
+
+        Raises:
+            ValueError: the mass is not 1 (to within ``MASS_TOL`` in floats).
         """
+        mass = self.mass()
+        if self.backend.sign(abs(mass - 1), MASS_TOL) == 1:
+            raise ValueError("a density of mass %s has no degree-one distribution lift" % (mass,))
         acc = self.backend.coerce(0)
         vals = [acc]
         for j in range(self.n - 1):

@@ -50,6 +50,7 @@ The other two move their breaks:
 """
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,11 +106,15 @@ class FamilySpec:
 
     def to_json(self) -> dict:
         def enc(v):
-            if isinstance(v, Fraction):
-                return str(v)
             if isinstance(v, (list, tuple)):
                 return [enc(x) for x in v]
-            return v
+            if isinstance(v, (bool, str)):
+                return v
+            if isinstance(v, numbers.Integral):  # numpy integers too
+                return int(v)
+            if isinstance(v, Fraction):
+                return str(v)
+            return float(v)  # any other real, numpy floats too
 
         return {
             "family": self.name,

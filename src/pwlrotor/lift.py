@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import errors
-from .backend import FLOAT, Backend, Num, infer_backend, scalar_json
+from .backend import Backend, Num, infer_backend, scalar_json
 
 #: Most marked points a composition may carry; more raises Overflow.
 PIECE_CAP = 10**6
@@ -53,10 +53,6 @@ class PwlLift:
             return (self.values[-1] - 1) + self.slopes[-1] * (r - (self.breaks[-1] - 1)) + w
         return self.values[k] + self.slopes[k] * (r - self.breaks[k]) + w
 
-    def circle(self, x) -> Num:
-        """The underlying circle map: fractional part of ``F(x)``."""
-        return frac(self(x))
-
     @property
     def is_rigid(self) -> bool:
         """True when a single marked point remains: ``F(x) = x + shift``.
@@ -74,11 +70,6 @@ class PwlLift:
         """Indices whose one-sided slopes actually differ."""
         eq = self.backend.eq_slope
         return [k for k in range(self.n) if not eq(self.slopes[k], self.slopes[k - 1])]
-
-    def to_float(self) -> "PwlLift":
-        """Float-backend copy of the same marked points, e.g. to compare
-        a float computation against its exact oracle."""
-        return make_lift(self.breaks, self.values, FLOAT)
 
     def to_json(self) -> dict:
         return {

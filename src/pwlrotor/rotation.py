@@ -94,21 +94,12 @@ class RotationResult:
         return cls(kind="enclosure", p=None, q=None, lo=lo, hi=hi, iterations=iterations)
 
     @property
-    def value(self) -> Fraction:
-        if self.kind != "exact":
-            raise errors.RotationIrrational("no exact rational value; only an enclosure")
-        return Fraction(self.p, self.q)
-
-    @property
     def midpoint(self):
         return (self.lo + self.hi) / 2
 
     @property
     def width(self):
         return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
 
     def to_json(self) -> dict:
         return {
@@ -221,8 +212,16 @@ def _edge_values(P: PwlLift, p) -> list:
 
 
 def _find_witness(P: PwlLift, vals):
-    """A root of ``E`` from its edge values ``vals`` once min/max straddle
-    zero; None if none is found."""
+    """A root of ``E`` from its edge values ``vals``, which :func:`_classify`
+    called a hit.
+
+    A hit has an edge value equal to 0 by ``eq_point``, or a decided
+    negative minimum and positive maximum.  In the second case the walk
+    around the cycle from a positive value meets a zero or a strict sign
+    change ``e_k > 0 > e_{k+1}``, and no NaN hides it (every lift is built
+    through ``lift._checked_lift``, which refuses NaN and infinite data),
+    so the loop always returns.
+    """
     eq = P.backend.eq_point
     n = P.n
     for k in range(n):
@@ -234,7 +233,6 @@ def _find_witness(P: PwlLift, vals):
             # strict sign change inside the piece; slope != 1 there
             root = P.breaks[k] + ek / (1 - P.slopes[k])
             return frac(root)
-    return None
 
 
 def _is_rigid_shift(P: PwlLift, vals) -> bool:
@@ -267,10 +265,6 @@ def _classify(P: PwlLift, p) -> Tuple[str, list]:
 
 def _checked_exact(P: PwlLift, p: int, q: int, vals, iterations) -> RotationResult:
     witness = _find_witness(P, vals)
-    if witness is None:
-        raise errors.InternalMismatch(
-            "sign data certified rho = %d/%d but no periodic witness was found" % (p, q)
-        )
     resid = P(witness) - witness - p
     if P.backend.sign(abs(resid), WITNESS_TOL) == 1:
         raise errors.InternalMismatch(
@@ -453,15 +447,14 @@ def _bisect_root(g: Callable, a, b, ga, gb, tol):
     """Locate the sign change of ``g`` on [a, b] to within ``tol``.
 
     ``ga`` and ``gb`` are ``g(a)`` and ``g(b)``, computed by the caller.
-    Returns ``(left, right, g_left0, g_right0)`` where [left, right] is the
-    final bracket, which stays wider than ``tol`` only when its ends are
-    adjacent floats.  Raises NotBracketed when the endpoint signs agree.
+    Returns the final bracket ``(left, right)``, which stays wider than
+    ``tol`` only when its ends are adjacent floats.  Raises NotBracketed
+    when the endpoint signs agree.
     """
     if not ((ga > 0 > gb) or (ga < 0 < gb)):
         raise errors.NotBracketed(
             "no sign change on [%s, %s]: endpoint values %s and %s" % (a, b, ga, gb)
         )
-    ga0, gb0 = ga, gb
     left, right = a, b
     while right - left > tol:
         mid = (left + right) / 2
@@ -478,7 +471,7 @@ def _bisect_root(g: Callable, a, b, ga, gb, tol):
             ga = gm
         else:
             right = mid
-    return left, right, ga0, gb0
+    return left, right
 
 
 def mode_lock_interval(
@@ -525,15 +518,15 @@ def mode_lock_interval(
 
     min_a, max_a = stats(f_a)
     min_b, max_b = stats(lift_fn(b))
-    lo_l, lo_r, ga, gb = _bisect_root(g_max, a, b, max_a, max_b, tol)
-    hi_l, hi_r, ha, hb = _bisect_root(g_min, a, b, min_a, min_b, tol)
+    lo_l, lo_r = _bisect_root(g_max, a, b, max_a, max_b, tol)
+    hi_l, hi_r = _bisect_root(g_min, a, b, min_a, min_b, tol)
     edge_max = (lo_l + lo_r) / 2
     edge_min = (hi_l + hi_r) / 2
     # A stable sort: on a tie the "max" edge stays the lower one.
     (lo, lo_cert), (hi, hi_cert) = sorted(
         [
-            (edge_max, {"which": "max", "bracket": (lo_l, lo_r), "values": (ga, gb)}),
-            (edge_min, {"which": "min", "bracket": (hi_l, hi_r), "values": (ha, hb)}),
+            (edge_max, {"which": "max", "bracket": (lo_l, lo_r), "values": (max_a, max_b)}),
+            (edge_min, {"which": "min", "bracket": (hi_l, hi_r), "values": (min_a, min_b)}),
         ],
         key=lambda edge: edge[0],
     )

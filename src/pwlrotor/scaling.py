@@ -99,10 +99,6 @@ def _segment_data(f: PwlLift, db, dphi, sigma: int, landmarks, q: int) -> dict:
     by the family direction ``sigma`` so that ``A_i > 0`` on every segment.
     """
     backend = f.backend
-    if len(db) != f.n:
-        raise errors.InternalMismatch(
-            "derivative table has %d entries for an %d-piece lift" % (len(db), f.n)
-        )
     ds = _slope_derivatives(f, db, dphi)
     two = backend.coerce(2)
 
@@ -180,9 +176,6 @@ class ScalingReport:
     fit_window: float
     fit_residual: float
     transversality: Num
-
-    def kappa_total(self) -> Num:
-        return sum(self.kappas[1:], self.kappas[0])
 
     def to_json(self) -> dict:
         return {
@@ -322,9 +315,13 @@ def scaling_residual(
     window: float = WINDOW,
     samples: int = SAMPLES,
     m: int = M_FIT,
-    report: Optional[ScalingReport] = None,
+    *,
+    report: ScalingReport,
 ) -> ResidualReport:
     """Empirical ``R2``: max of ``|rho - p/q - R1*delta| / delta^2``.
+
+    ``report`` is the :func:`r1` report at ``mu_c``, whose ``R1``, ``p/q``
+    and landmarks this reads.
 
     The remainder divided by delta^2 is bounded but oscillates at every
     scale (it inherits the staircase's self-similar wobble), so a stable
@@ -343,8 +340,6 @@ def scaling_residual(
     cover the whole circle at every probe, ``symmetry_c`` is None: nothing
     was measured.
     """
-    if report is None:
-        report = r1(family, mu_c)
     R1f = float(report.R1)
     p, q = report.p, report.q
     rho0 = p / q

@@ -40,6 +40,12 @@ def coelho_q3():
     return pr.coelho(Fr(1, 7), Fr(3, 7)).lift(0)
 
 
+def float_copy(f):
+    """Float-backend copy of the marked points of ``f``, e.g. to compare a
+    float computation against its exact oracle."""
+    return pr.make_lift(f.breaks, f.values, pr.FLOAT)
+
+
 def rational_grid(n, denom=9973):
     """n distinct rationals in [0, 1) with a fixed prime denominator."""
     step = max(1, denom // n)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 import pwlrotor as pr
 from pwlrotor import errors
 
-from conftest import conjugate_maps
+from conftest import conjugate_maps, float_copy
 
 
 def assert_consistent_rotation(rr, p, q):
@@ -31,7 +31,7 @@ def test_float_never_contradicts_exact(case):
     assert isinstance(verdict, pr.Conjugate)
     assert (verdict.p, verdict.q) == (p, q)
 
-    g = f.to_float()
+    g = float_copy(f)
     try:
         assert_consistent_rotation(pr.exact_rotation(g), p, q)
     except errors.PrecisionLoss:
@@ -52,7 +52,7 @@ def test_float_never_contradicts_exact(case):
 def test_float_density_matches_exact(case):
     f, _, q = case
     exact = pr.invariant_density(f, q=q)
-    approx = pr.invariant_density(f.to_float(), q=q)
+    approx = pr.invariant_density(float_copy(f), q=q)
     cuts = exact.cuts
     for j, c in enumerate(cuts):
         nxt = cuts[j + 1] if j + 1 < len(cuts) else cuts[0] + 1

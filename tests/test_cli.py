@@ -451,3 +451,77 @@ class TestGlobalFlags:
         )
         assert proc.returncode == 0
         json.loads(proc.stdout)  # still clean JSON
+
+
+def main_on(tmp_path, capsys, command, config, *extra):
+    """``cli.main`` in this process on ``config`` (an object, or raw job
+    text): ``(exit code, stdout, stderr)``."""
+    cfg = tmp_path / "job.json"
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+    code = cli.main([command, "--config", str(cfg), *extra])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestExitsInProcess:
+    """Refusals and output forms that no subprocess test reaches."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "is not valid JSON"),
+        ("[1]", "config root must be a JSON object"),
+        (json.dumps({"family": HERMAN, "mu": 0.0, "m": 0}), "m must be an integer >= 1"),
+        (json.dumps({"family": HERMAN, "mu": 0.0, "m": 1.5}), "m must be an integer >= 1"),
+    ], ids=["json", "root", "m-zero", "m-float"])
+    def test_bad_job_file_exits_2(self, tmp_path, capsys, text, message):
+        code, out, err = main_on(tmp_path, capsys, "rho", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    def test_missing_job_file_exits_2(self, tmp_path, capsys):
+        assert cli.main(["rho", "--config", str(tmp_path / "absent.json")]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_workers_below_one_exits_2(self, tmp_path, capsys):
+        code, out, err = main_on(tmp_path, capsys, "rho", {"family": HERMAN, "mu": 0.0},
+                                 "--workers", "0")
+        assert (code, out, err) == (2, "", "error: --workers must be >= 1\n")
+
+    def test_bracket_must_be_a_pair(self, tmp_path, capsys):
+        cfg = {"family": OFFSET, "p": 1, "q": 2, "bracket": ["1/20"]}
+        code, _, err = main_on(tmp_path, capsys, "modelock", cfg)
+        assert code == 2 and "bracket must be a two-element array" in err
+
+    def test_reversed_sweep_range_exits_2(self, tmp_path, capsys):
+        cfg = {"family": HERMAN, "mu_min": 0.05, "mu_max": -0.05, "points": 3, "m": 100}
+        code, _, err = main_on(tmp_path, capsys, "sweep", cfg)
+        assert code == 2 and "mu_max must be >= mu_min" in err
+
+    def test_one_point_sweep(self, tmp_path, capsys):
+        cfg = {"family": HERMAN, "mu_min": 0.0, "mu_max": 0.05, "points": 1, "m": 100}
+        code, out, _ = main_on(tmp_path, capsys, "sweep", cfg)
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 3 and lines[2].startswith("0.0,")
+
+    def test_batch_failure_blanks_every_row(self, tmp_path, capsys, caplog, monkeypatch):
+        def failing(lifts, m, x0=0):
+            raise pr.errors.PrecisionLoss("lost")
+
+        monkeypatch.setattr(cli, "birkhoff_enclosures", failing)
+        cfg = {"family": HERMAN, "mu_min": 0.0, "mu_max": 0.05, "points": 3, "m": 100}
+        code, out, _ = main_on(tmp_path, capsys, "sweep", cfg)
+        assert code == 0
+        assert [line[-2:] for line in out.splitlines()[2:]] == [",,"] * 3
+        assert caplog.text.count("failed: PrecisionLoss: lost") == 3
+
+    def test_empty_d_grid_exits_2(self, tmp_path, capsys):
+        cfg = {"family": OFFSET_PLANE, "p": 1, "q": 2, "d_grid": [],
+               "mu_bracket": ["-1/20", "1/20"]}
+        code, _, err = main_on(tmp_path, capsys, "pinch", cfg)
+        assert code == 2 and "d_grid must be a non-empty array" in err
+
+    def test_pinch_json(self, tmp_path, capsys):
+        cfg = {"family": OFFSET_PLANE, "p": 1, "q": 2, "d_grid": ["0"],
+               "mu_bracket": ["-1/10", "1/10"]}
+        code, out, _ = main_on(tmp_path, capsys, "pinch", cfg, "--format", "json")
+        rep = json.loads(out)
+        assert code == 0 and rep["width_at_zero"] == "0" and len(rep["rows"]) == 1

@@ -14,7 +14,7 @@ from pwlrotor.backend import ORBIT_TOL, RationalBackend
 from pwlrotor.conjugacy import OrbitPoint, _check_well_ordered
 from pwlrotor.lift import piece
 
-from conftest import conjugate_maps, rational_grid, rational_lifts
+from conftest import conjugate_maps, float_copy, rational_grid, rational_lifts
 
 LOCKED = pr.herman_offset(Fr(1, 2), Fr(1, 50)).lift(Fr(1, 200))  # rho = 1/2, not conjugate
 
@@ -75,6 +75,19 @@ class TestBreakOrbitPartition:
         assert res.drift != 0
         j = res.to_json()
         assert j["q"] == 2 and j["drift"] == "3/400"
+
+    def test_drift_wraps_into_the_half_turn(self):
+        # rho = 0/1 and the break 17/30 lands on 0: the drift -17/30 is
+        # 13/30 one turn up
+        f = pr.make_lift([Fr(17, 30), Fr(41, 60), Fr(11, 15)], [Fr(0), Fr(7, 30), Fr(49, 60)])
+        res = pr.break_orbit_partition(f)
+        assert res == pr.NotPeriodic(break_index=0, point=Fr(17, 30), drift=Fr(13, 30), q=1)
+
+    def test_orbit_out_of_rotation_order_raises(self, coelho_q3):
+        # the break orbits of rho = 1/3 close after 3 steps, but they step
+        # one place round the circle, not the two a 2/3 orbit steps
+        with pytest.raises(errors.InternalMismatch, match="not well-ordered as a 2/3"):
+            pr.break_orbit_partition(coelho_q3, q_hint=(2, 3))
 
     def test_unresolvable_rotation_raises(self):
         f = pr.coelho(Fr(3, 10), Fr(11, 20)).lift(0)
@@ -150,7 +163,7 @@ class TestLookupMatchesScan:
     @given(conjugate_maps(q_max=9))
     def test_conjugate_maps_exact_and_float(self, case):
         f, p, q = case
-        for g in (f, f.to_float()):
+        for g in (f, float_copy(f)):
             assert isinstance(assert_same_partition(g, p, q), pr.OrbitPartition)
 
     @settings(max_examples=60, deadline=None)
@@ -158,7 +171,7 @@ class TestLookupMatchesScan:
     def test_random_lifts(self, f):
         rr = pr.exact_rotation(f, q_max=12)
         if rr.kind == "exact":
-            for g in (f, f.to_float()):
+            for g in (f, float_copy(f)):
                 assert_same_partition(g, rr.p, rr.q)
 
     @pytest.mark.parametrize(
@@ -168,7 +181,7 @@ class TestLookupMatchesScan:
     )
     def test_locked_maps_report_the_same_drift(self, f):
         rr = pr.exact_rotation(f)
-        for g in (f, f.to_float()):
+        for g in (f, float_copy(f)):
             assert isinstance(assert_same_partition(g, rr.p, rr.q), pr.NotPeriodic)
 
     @pytest.mark.parametrize("gap", [Fr(1, 10**10), Fr(3, 10**10)])
@@ -180,7 +193,7 @@ class TestLookupMatchesScan:
             for p in range(1, q):
                 if math.gcd(p, q) == 1:
                     f = pr.compose(pr.invert(h), pr.compose(pr.rigid(Fr(p, q)), h))
-                    assert_same_partition(f.to_float(), p, q)
+                    assert_same_partition(float_copy(f), p, q)
 
     def test_float_points_near_a_break_across_the_wrap(self):
         # coelho(1/7, 3/7) carries 3/7 onto 0: turned by t and lifted by
@@ -232,7 +245,7 @@ class TestVerdicts:
         ids=["10_17", "31_33", "9_13"],
     )
     def test_float_power_check_decides_on_positions(self, conj, p, q):
-        for f in (conj, conj.to_float()):
+        for f in (conj, float_copy(conj)):
             v = pr.is_conjugate_to_rigid(f)
             assert isinstance(v, pr.Conjugate)
             assert (v.p, v.q) == (p, q)
@@ -261,6 +274,21 @@ class TestVerdicts:
         monkeypatch.undo()
         assert isinstance(v, pr.Conjugate)
         assert len(calls) == pr.exact_rotation(f).iterations
+
+    @pytest.mark.parametrize("f, rigid, match", [
+        (LOCKED, True, "is a rigid shift but break 0 drifts"),
+        (pr.coelho(Fr(1, 7), Fr(3, 7)).lift(0), False, "all break orbits close"),
+    ], ids=["rigid but open", "closed but not rigid"])
+    def test_certificates_that_disagree_raise(self, f, rigid, match, monkeypatch):
+        # flip the F^q certificate the rotation search hands over
+        search = pr.exact_rotation
+
+        def flipped(*args, **kwargs):
+            return replace(search(*args, **kwargs), rigid=rigid)
+
+        monkeypatch.setattr(pr.conjugacy, "exact_rotation", flipped)
+        with pytest.raises(errors.InternalMismatch, match=match):
+            pr.is_conjugate_to_rigid(f)
 
     def test_undecided_when_no_rational_certificate(self):
         f = pr.coelho(Fr(3, 10), Fr(11, 20)).lift(0)
@@ -351,6 +379,12 @@ class TestBuildConjugacy:
         with pytest.raises(errors.InternalMismatch):
             pr.invariant_density(CONJ_10_17, partition=bad)
 
+    def test_masses_that_do_not_add_up_raise(self, coelho_q3):
+        # cell masses L/q with q doubled add up to 1/2
+        part = pr.is_conjugate_to_rigid(coelho_q3).partition
+        with pytest.raises(errors.InternalMismatch, match="mass came out as 1/2"):
+            pr.build_conjugacy(coelho_q3, partition=replace(part, q=2 * part.q))
+
 
 def sampled_defect(f, density):
     """The largest discrepancy over 64 arcs with ends ``k/10^6`` drawn from
@@ -391,7 +425,7 @@ class TestInvarianceDefect:
         approx = pr.PiecewiseConstantDensity(
             cuts=tuple(map(float, density.cuts)), values=tuple(map(float, density.values)),
             backend=pr.FLOAT)
-        assert abs(pr.verify_invariance(f.to_float(), approx) - float(worst)) <= 1e-12
+        assert abs(pr.verify_invariance(float_copy(f), approx) - float(worst)) <= 1e-12
 
     def test_finds_a_mass_swap_the_arc_sample_misses(self, herman_32):
         # move mass delta*eps between two adjacent cells of width eps inside
@@ -411,7 +445,7 @@ class TestInvarianceDefect:
     def test_zero_for_the_invariant_density(self, case):
         f, _, q = case
         assert pr.verify_invariance(f, pr.invariant_density(f)) == 0
-        g = f.to_float()
+        g = float_copy(f)
         assert pr.verify_invariance(g, pr.invariant_density(g, q=q)) <= 1e-12
 
 
@@ -442,6 +476,20 @@ class TestInvariantDensity:
         phi = rho.cdf_lift()
         assert phi(Fr(0)) == 0
         assert phi(Fr(1)) == 1  # total mass again, as the lift's degree
+
+    @pytest.mark.parametrize("backend, half", [(pr.RATIONAL, Fr(1, 2)), (pr.FLOAT, 0.5)],
+                             ids=["exact", "float"])
+    def test_mass_other_than_one_is_refused(self, backend, half):
+        # half of Lebesgue has no degree-one distribution lift: rescaling
+        # it would measure the defect of another density
+        rho = pr.PiecewiseConstantDensity(cuts=(backend.coerce(0), half), values=(half, half),
+                                          backend=backend)
+        assert rho.mass() == half
+        with pytest.raises(ValueError, match="mass %s has" % half):
+            rho.cdf_lift()
+        f = pr.make_lift([0, Fr(3, 7)], [Fr(1, 7), 1], backend)
+        with pytest.raises(ValueError):
+            pr.verify_invariance(f, rho)
 
     def test_verify_invariance_exact_zero(self, herman_32):
         f = herman_32.lift(0)
@@ -503,7 +551,7 @@ class TestInvariantDensity:
         h = pr.make_lift(breaks, values)
         f = pr.compose(pr.invert(h), pr.compose(pr.rigid(rho), h))
         exact = pr.invariant_density(f)
-        approx = pr.invariant_density(f.to_float(), q=rho.denominator)
+        approx = pr.invariant_density(float_copy(f), q=rho.denominator)
         assert abs(approx.mass() - 1) <= 1e-12
         assert len(approx.cuts) == len(exact.cuts)
         for c, v, ec, ev in zip(approx.cuts, approx.values, exact.cuts, exact.values):

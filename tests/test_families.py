@@ -1,7 +1,9 @@
 """Built-in families: tables, derivatives, domains, JSON round trips."""
+import json
 import math
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 import pwlrotor as pr
@@ -150,10 +152,10 @@ class TestRefraction:
         beta_c = pr.gmm_critical_beta(alpha)
         f = pr.refraction(alpha, beta_c).lift(0.0)
         b = f.breaks
-        assert abs(f.circle(b[2]) - b[1]) < 1e-12  # f(b3) = b2
+        assert abs(pr.frac(f(b[2])) - b[1]) < 1e-12  # f(b3) = b2
         orbit = [0.0]
         for _ in range(5):
-            orbit.append(f.circle(orbit[-1]))
+            orbit.append(pr.frac(f(orbit[-1])))
         d_close = abs(orbit[5] - orbit[0])
         assert min(d_close, 1 - d_close) < 1e-10
         for bb in b:
@@ -282,6 +284,8 @@ class TestCustomFamily:
             pr.custom_family(self.NODES, [[Fr(0)], [Fr(0), Fr(1, 2)]], self.VALUES)
         with pytest.raises(errors.OutOfDomain):
             pr.custom_family([Fr(1), Fr(0)], self.BREAKS, self.VALUES)
+        with pytest.raises(errors.OutOfDomain, match="one row per mu node"):
+            pr.custom_family(self.NODES, self.BREAKS[:1], self.VALUES)
 
     def test_derivatives_are_segment_slopes(self):
         fam = pr.custom_family(
@@ -346,6 +350,17 @@ class TestJsonRoundTrips:
         untagged = {k: v for k, v in j.items() if k != "backend"}
         assert pr.family_from_json(untagged).backend is pr.RATIONAL
 
+    def test_numpy_parameters_round_trip(self):
+        # numpy scalars encode as plain JSON numbers of their own kind
+        for lam, backend in ((np.int64(2), pr.RATIONAL), (np.float32(1.5), pr.FLOAT)):
+            fam = pr.herman(lam)
+            assert fam.backend is backend
+            j = json.loads(json.dumps(fam.to_json()))
+            untagged = {k: v for k, v in j.items() if k != "backend"}
+            for clone in (pr.family_from_json(j), pr.family_from_json(untagged)):
+                assert clone.backend is backend
+                assert clone.lift(0) == fam.lift(0)
+
     def test_exact_string_parameters_select_rational(self):
         fam = pr.family_from_json({"family": "coelho", "params": {"a": "1/7", "b": "3/7"}})
         assert fam.backend is pr.RATIONAL
@@ -378,6 +393,15 @@ class TestJsonRoundTrips:
     def test_ill_typed_params(self, name, params):
         with pytest.raises(ValueError):
             pr.family_from_json({"family": name, "params": params})
+
+    @pytest.mark.parametrize("obj, match", [
+        ({"family": "coelho", "params": {"a": "1/0", "b": "3/7"}}, "zero denominator"),
+        ([{"family": "coelho"}], "description must be an object"),
+        ({"family": "coelho", "params": [["a", "1/7"]]}, "params must be an object"),
+    ], ids=["zero denominator", "description", "params"])
+    def test_malformed_description(self, obj, match):
+        with pytest.raises(ValueError, match=match):
+            pr.family_from_json(obj)
 
     def test_unknown_top_level_keys(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 the backend module knows the backend classes, and only lock-step sweeps
 load numpy."""
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -115,6 +116,39 @@ def test_every_public_name_has_a_consumer():
         read.update(read_names(ast.parse(path.read_text(encoding="utf-8"))))
     unread = sorted(set(pwlrotor.__all__) - {"errors", "__version__"} - read)
     assert not unread, "public names no module, criterion or benchmark reads: %s" % (
+        ", ".join(unread))
+
+
+def public_members(cls):
+    """Public methods and properties a class defines itself; dataclass
+    fields and plain class attributes are data, not methods."""
+    for name, attr in vars(cls).items():
+        if not name.startswith("_") and (
+            inspect.isfunction(attr) or isinstance(attr, (property, classmethod, staticmethod))
+        ):
+            yield name
+
+
+def test_every_public_method_has_a_consumer():
+    """The guard above for the public methods and properties of the public
+    classes, matched by attribute name: a method that only its own unit
+    test calls is surface to delete, not to keep.  A method is only ever
+    read as an attribute, so a local variable of the same name does not
+    count."""
+    import pwlrotor
+
+    read = set()
+    for path in CONSUMERS:
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = sorted(
+        "%s.%s" % (name, member)
+        for name in pwlrotor.__all__
+        if inspect.isclass(getattr(pwlrotor, name))
+        for member in public_members(getattr(pwlrotor, name))
+        if member not in read
+    )
+    assert not unread, "public methods no module, criterion or benchmark reads: %s" % (
         ", ".join(unread))
 
 

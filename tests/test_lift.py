@@ -15,7 +15,7 @@ from pwlrotor import errors
 from pwlrotor.backend import FloatBackend
 from pwlrotor.lift import piece
 
-from conftest import rational_grid, rational_lifts
+from conftest import float_copy, rational_grid, rational_lifts
 
 
 points = st.fractions(min_value=-3, max_value=3, max_denominator=997)
@@ -182,8 +182,8 @@ class TestEvaluation:
 
     def test_circle_wraps(self, coelho_q2):
         x = Fr(9, 10)
-        assert 0 <= coelho_q2.circle(x) < 1
-        assert coelho_q2.circle(x) == pr.frac(coelho_q2(x))
+        assert coelho_q2(x) == 1 + Fr(17, 60)
+        assert pr.frac(coelho_q2(x)) == Fr(17, 60)
 
 
 class TestAlgebraProperties:
@@ -267,7 +267,7 @@ class TestComposeSweep:
     @settings(max_examples=300, deadline=None)
     @given(rational_lifts(), rational_lifts())
     def test_float_agrees_with_reference_on_circle(self, f, g):
-        ff, gf = f.to_float(), g.to_float()
+        ff, gf = float_copy(f), float_copy(g)
         assert_agree_on_circle(pr.compose(ff, gf), *reference_compose(ff, gf), pr.FLOAT.eps_x)
 
     # inner: breaks 0 and 1/2, values 1/10 and 7/20 (slopes 1/2, 3/2)
@@ -295,7 +295,7 @@ class TestComposeSweep:
         h = pr.compose(outer, inner)
         assert h.breaks == expected
         assert (h.breaks, h.values) == reference_compose(outer, inner)
-        of, inf = outer.to_float(), inner.to_float()
+        of, inf = float_copy(outer), float_copy(inner)
         assert_agree_on_circle(pr.compose(of, inf), *reference_compose(of, inf), pr.FLOAT.eps_x)
 
 
@@ -330,6 +330,17 @@ class TestCanonicalForm:
             pr.jump_product(f, [0, 1])
         with pytest.raises(IndexError):
             pr.jump_product(f, [-1])
+
+
+class TestArguments:
+    def test_compose_refuses_mixed_backends(self, coelho_q3):
+        with pytest.raises(errors.BackendMismatch, match="rational-backend with float-backend"):
+            pr.compose(coelho_q3, float_copy(coelho_q3))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_power_needs_a_positive_exponent(self, coelho_q3, k):
+        with pytest.raises(ValueError, match="k >= 1"):
+            pr.power(coelho_q3, k)
 
 
 class TestPieceCap:

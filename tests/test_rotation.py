@@ -1,8 +1,6 @@
 """Rotation numbers: enclosures, exact certification, locked intervals."""
 import logging
 import math
-import subprocess
-import sys
 from fractions import Fraction as Fr
 from types import SimpleNamespace
 
@@ -14,6 +12,26 @@ from pwlrotor import errors, rotation
 
 #: The rigid rotations ``x + mu`` as a family: anything with ``.lift``.
 rigid_family = SimpleNamespace(lift=pr.rigid)
+
+#: A float copy of h^-1 o R_{29/31} o h whose Stern-Brocot search meets a
+#: sign inside the decision band.
+UNDECIDED_BREAKS = [0.8004012036108324, 0.8044502738986189, 0.8065550497646786,
+                    0.8936810431293881]
+UNDECIDED_VALUES = [0.8896319728416018, 0.8936810431293881, 1.8004012036108326,
+                    1.887527196975542]
+
+
+def bounded(family, probes=500):
+    """``family`` with a cap on the lifts a bisection may build, so a
+    bisection that does not stop fails instead of hanging."""
+    built = []
+
+    def lift(mu):
+        built.append(mu)
+        assert len(built) <= probes, "the bisection did not stop"
+        return family.lift(mu)
+
+    return SimpleNamespace(lift=lift)
 
 
 class TestBirkhoffEnclosure:
@@ -27,7 +45,8 @@ class TestBirkhoffEnclosure:
     def test_contains_known_rotation_number(self):
         f = pr.rigid(Fr(2, 7))
         for m in (10, 1000, 10_000):
-            assert pr.birkhoff_enclosure(f, m).contains(Fr(2, 7))
+            r = pr.birkhoff_enclosure(f, m)
+            assert r.lo <= Fr(2, 7) <= r.hi
 
     def test_refinement_nesting(self):
         # doubling m keeps the enclosure inside a (1/m)-inflation
@@ -41,7 +60,7 @@ class TestBirkhoffEnclosure:
     def test_float_backend_kernel_path(self):
         f = pr.herman_shifted(math.sqrt(2.0)).lift(0.0)
         r = pr.birkhoff_enclosure(f, 10**5)
-        assert r.contains(0.5)
+        assert r.lo <= 0.5 <= r.hi
         assert abs(r.width - 2e-5) < 1e-15
 
     def test_overflow_falls_back_to_the_last_square(self, monkeypatch, caplog):
@@ -52,7 +71,7 @@ class TestBirkhoffEnclosure:
             r = pr.birkhoff_enclosure(f, 10**5)
         assert "(cap 40)); falling back to Q=16" in caplog.text
         assert r.width == pytest.approx(2e-5)
-        assert r.contains(5 / 6)
+        assert r.lo <= 5 / 6 <= r.hi
 
     @pytest.mark.parametrize("f, m", [
         (pr.herman_shifted(Fr(3, 2)).lift(0), 5000),
@@ -73,7 +92,7 @@ class TestBirkhoffEnclosure:
     def test_x0_argument(self):
         f = pr.rigid(Fr(1, 3))
         r = pr.birkhoff_enclosure(f, 30, x0=Fr(5, 7))
-        assert r.contains(Fr(1, 3))
+        assert r.lo <= Fr(1, 3) <= r.hi
 
     def test_rejects_non_positive_m(self):
         with pytest.raises(ValueError):
@@ -85,7 +104,7 @@ class TestExactRotation:
         r = pr.exact_rotation(pr.rigid(Fr(2, 5)))
         assert r.kind == "exact"
         assert (r.p, r.q) == (2, 5)
-        assert r.value == Fr(2, 5)
+        assert Fr(r.p, r.q) == Fr(2, 5)
 
     def test_witness_reverifies(self):
         f = pr.coelho(Fr(1, 7), Fr(3, 7)).lift(0)
@@ -106,7 +125,7 @@ class TestExactRotation:
         rho = pr.coelho_rho(0.3, 0.55)
         if r.kind == "exact":
             # landed in a lock indistinguishable at float precision
-            assert abs(float(r.value) - rho) < 1e-6
+            assert abs(r.p / r.q - rho) < 1e-6
         else:
             assert r.lo <= rho <= r.hi
 
@@ -123,11 +142,8 @@ class TestExactRotation:
         results = [pr.exact_rotation(fam.lift(mu), q_max=50)
                    for mu in (Fr(-1, 10), Fr(0), Fr(17, 100), Fr(1, 4))]
         for a, b in zip(results, results[1:]):
-            a_lo = a.lo if a.kind == "enclosure" else a.value
-            a_hi = a.hi if a.kind == "enclosure" else a.value
-            b_lo = b.lo if b.kind == "enclosure" else b.value
-            b_hi = b.hi if b.kind == "enclosure" else b.value
-            assert a_lo <= b_lo and a_hi <= b_hi
+            # an exact result carries lo = hi = p/q
+            assert a.lo <= b.lo and a.hi <= b.hi
 
     def test_conjugation_invariance(self):
         f = pr.coelho(Fr(1, 7), Fr(3, 7)).lift(0)
@@ -154,6 +170,32 @@ class TestExactRotation:
         # not within eps_x: neither integer can be certified or ruled out
         r = pr.exact_rotation(pr.make_lift([0.0], [shift]))
         assert (r.kind, r.lo, r.hi, r.iterations) == ("enclosure", 0, 1, 0)
+
+    def test_float_sign_inside_the_band_stops_the_search(self):
+        # h^-1 o R_{29/31} o h in floats: at the 16th mediant, 29/31, an
+        # edge value of F^31 lies inside the decision band, so the search
+        # returns the enclosure it holds although q_max = 64 is not reached
+        f = pr.make_lift(UNDECIDED_BREAKS, UNDECIDED_VALUES)
+        r = pr.exact_rotation(f, 64)
+        assert (r.kind, r.lo, r.hi, r.iterations) == ("enclosure", Fr(14, 15), Fr(15, 16), 16)
+        assert r.lo.denominator + r.hi.denominator <= 64
+        v = pr.is_conjugate_to_rigid(f)
+        assert isinstance(v, pr.Undecided) and v.enclosure == r
+        # the float enclosure holds the one of the map's exact copy
+        exact = pr.exact_rotation(pr.make_lift(
+            [Fr(x) for x in UNDECIDED_BREAKS], [Fr(x) for x in UNDECIDED_VALUES]), 1000)
+        assert (exact.kind, exact.lo, exact.hi) == ("enclosure", Fr(29, 31), Fr(914, 977))
+        assert r.lo <= exact.lo and exact.hi <= r.hi
+
+    def test_witness_residual_past_the_band_is_a_mismatch(self):
+        # E = F - x changes sign on a piece of slope 3e8 next to 0.3: the
+        # root rounded to a float misses by 5e-9, past WITNESS_TOL
+        breaks, values = [0.0, 0.3, 0.3 + 1e-9], [-0.1, 0.2, 0.5]
+        with pytest.raises(errors.InternalMismatch, match="periodic witness failed"):
+            pr.exact_rotation(pr.make_lift(breaks, values))
+        exact = pr.make_lift([Fr(x) for x in breaks], [Fr(x) for x in values])
+        r = pr.exact_rotation(exact)
+        assert (r.p, r.q) == (0, 1) and exact(r.witness) == r.witness
 
     def test_enclosure_at_q_max_carries_iterations(self):
         # 1/2 and 1/3 are tested; the next mediant 2/5 is past q_max = 4
@@ -298,34 +340,24 @@ class TestModeLockInterval:
         assert len(lifts) == len(powers)
 
     @pytest.mark.parametrize("family, bracket, tol", [
-        ("herman_offset(Fr(1, 2), Fr(1, 50))", "(Fr(-1, 20), Fr(1, 20))", "0"),
-        ("herman_offset(0.5, 0.02)", "(-0.05, 0.05)", "-1.0"),
-        ("herman_offset(0.5, 0.02)", "(-0.05, 0.05)", "Fr(1, 10**400)"),
+        (pr.herman_offset(Fr(1, 2), Fr(1, 50)), (Fr(-1, 20), Fr(1, 20)), 0),
+        (pr.herman_offset(0.5, 0.02), (-0.05, 0.05), -1.0),
+        (pr.herman_offset(0.5, 0.02), (-0.05, 0.05), Fr(1, 10**400)),
     ], ids=["exact zero", "float negative", "float underflow"])
     def test_non_positive_tol_is_refused(self, family, bracket, tol):
-        # in a child process: a bisection to a width <= 0 would never end
-        code = ("from fractions import Fraction as Fr; import pwlrotor as pr\n"
-                "try:\n    pr.mode_lock_interval(pr.%s, 1, 2, %s, tol=%s)\n"
-                "except ValueError as exc:\n    print(exc)" % (family, bracket, tol))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("tol must be positive")
+        # an exact bisection to a width <= 0 would never end
+        with pytest.raises(ValueError, match="tol must be positive"):
+            pr.mode_lock_interval(bounded(family), 1, 2, bracket, tol=tol)
 
     def test_tol_below_float_resolution_still_returns(self):
         # Near mu = 0.05 adjacent floats are 7e-18 apart: the bracket stops
         # shrinking there instead of halving forever.
-        code = ("import pwlrotor as pr\n"
-                "fam = pr.herman_offset(1.4142135623730951, 0.013)\n"
-                "mli = pr.mode_lock_interval(fam, 1, 2, (-0.0437, 0.0513), tol=1e-30)\n"
-                "print(mli.lo, mli.hi)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        lo, hi = map(float, proc.stdout.split())
-        coarse = pr.mode_lock_interval(pr.herman_offset(1.4142135623730951, 0.013), 1, 2,
-                                       (-0.0437, 0.0513), tol=1e-12)
-        assert abs(lo - coarse.lo) <= 1e-12 and abs(hi - coarse.hi) <= 1e-12
+        fam = pr.herman_offset(1.4142135623730951, 0.013)
+        mli = pr.mode_lock_interval(bounded(fam), 1, 2, (-0.0437, 0.0513), tol=1e-30)
+        left, right = mli.certificates["lo"]["bracket"]
+        assert math.nextafter(left, math.inf) == right  # adjacent floats, far wider than tol
+        coarse = pr.mode_lock_interval(fam, 1, 2, (-0.0437, 0.0513), tol=1e-12)
+        assert abs(mli.lo - coarse.lo) <= 1e-12 and abs(mli.hi - coarse.hi) <= 1e-12
 
     def test_decreasing_family_measured_identically(self):
         # refraction moves rho downward in mu; edges must still come out ordered
@@ -349,11 +381,13 @@ class TestCoelhoRho:
     def test_agrees_with_orbit_average(self):
         rho = pr.coelho_rho(0.3, 0.55)
         f = pr.coelho(0.3, 0.55).lift(0.0)
-        assert pr.birkhoff_enclosure(f, 10**6).contains(rho)
+        r = pr.birkhoff_enclosure(f, 10**6)
+        assert r.lo <= rho <= r.hi
 
     def test_rigid_line_a_plus_b_equals_one(self):
         # both slopes are 1 there, so the lift is x + a and the log-ratio
         # closed form degenerates; the value must come out as a exactly
         assert pr.coelho_rho(0.8, 0.2) == 0.8
         assert pr.canonicalize(pr.coelho(Fr(4, 5), Fr(1, 5)).lift(0)).is_rigid
-        assert pr.birkhoff_enclosure(pr.coelho(0.8, 0.2).lift(0.0), 1000).contains(0.8)
+        r = pr.birkhoff_enclosure(pr.coelho(0.8, 0.2).lift(0.0), 1000)
+        assert r.lo <= 0.8 <= r.hi

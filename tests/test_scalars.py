@@ -188,7 +188,6 @@ class TestSelection:
             if callable(obj):
                 taken = parameters(obj) & (FIXED | FIXED_IN.get(name, set()))
                 assert not taken, "%s still takes %s" % (name, sorted(taken))
-        assert parameters(pr.PwlLift.to_float) == {"self"}
         for name, kept in KEPT.items():
             assert kept <= parameters(getattr(pr, name)), name
         assert "band" in parameters(FLOAT.sign)
@@ -201,6 +200,18 @@ class TestSelection:
         assert infer_backend([1, Fr(1, 2), "3/4"]) is RATIONAL
         assert infer_backend([1, 0.5]) is FLOAT
         assert infer_backend([]) is RATIONAL
+
+    def test_numpy_floats_are_float_data(self):
+        assert infer_backend([np.int64(1), np.float32(0.5)]) is FLOAT
+        f = pr.make_lift([np.float32(0)], [np.float32(0.5)])
+        assert f.backend is FLOAT and f == pr.make_lift([0.0], [0.5])
+        fam = pr.herman(np.float32(1.5))
+        assert fam.backend is FLOAT and fam.lift(0.25) == pr.herman(1.5).lift(0.25)
+
+    def test_float_backend_refuses_non_numbers(self):
+        for x in (None, [0.5], 1j):
+            with pytest.raises(TypeError, match="cannot coerce"):
+                FLOAT.coerce(x)
 
 
 class TestScalarJson:

@@ -40,6 +40,10 @@ class TestKappa:
         with pytest.raises(errors.LogDomain):
             pr.kappa(-2.0, 0.0, 0.0, 1.0)
 
+    def test_empty_segment_is_a_collision(self):
+        with pytest.raises(errors.SegmentCollision, match="no interior"):
+            pr.kappa(Fr(1), Fr(0), Fr(1, 2), Fr(1, 2))
+
     def test_log_argument_must_stay_positive(self):
         # 1 + gap*B/A = -2 here
         with pytest.raises(errors.LogDomain):
@@ -75,6 +79,13 @@ class TestLandmarks:
             assert worst(mu) <= 1.5 * gamma * abs(mu) + 1e-12
 
 
+    def test_landmarks_closer_than_the_band_collide(self, herman_sqrt2, monkeypatch):
+        # the two landmarks are 0.41 and 0.59 of a turn apart
+        monkeypatch.setattr(scaling, "COLLISION_TOL", 0.5)
+        with pytest.raises(errors.SegmentCollision, match="landmarks 0 and 1"):
+            pr.r1(herman_sqrt2, 0.0, m_fit=10**3)
+
+
 class TestLaminarCoefficients:
     def test_herman_closed_form(self, herman_sqrt2):
         rep = pr.r1(herman_sqrt2, 0.0, m_fit=10**4)
@@ -100,7 +111,7 @@ class TestR1:
         rep = pr.r1(rigid_offset_family(), Fr(0), m_fit=10**5)
         assert rep.R1 == 1
         assert isinstance(rep.R1, Fr)
-        assert rep.kappa_total() == Fr(1, 2)
+        assert sum(rep.kappas) == Fr(1, 2)
         assert (rep.p, rep.q, rep.K) == (1, 2, 0)
 
     def test_herman_closed_form(self, herman_sqrt2):
@@ -114,7 +125,7 @@ class TestR1:
         rep = pr.r1(refr_critical, 0.0, m_fit=10**5)
         assert abs(rep.R1 - (-0.3065247584)) < 1e-6
         assert rep.direction == -1
-        assert rep.kappa_total() > 0  # kappas stay positive; the sign lives in R1
+        assert sum(rep.kappas) > 0  # kappas stay positive; the sign lives in R1
 
     def test_empirical_fit_tracks_the_closed_form(self, herman_sqrt2):
         rep = pr.r1(herman_sqrt2, 0.0, m_fit=10**6)
@@ -157,6 +168,17 @@ class TestR1:
         assert abs(rep.R1 / ((1 + SQRT2) ** 2 / (4 * SQRT2)) - 1) < 1e-13
         assert max(abs(b) for b in rep.B) < 1e-14
 
+    def test_translated_family_keeps_the_closed_form(self, herman_32):
+        # G = F(x + 1/10) - 1/10 for F in exact herman_shifted(3/2): breaks at
+        # 3/10 and 9/10, so an orbit point below 3/10 lies on the wrap piece
+        fam = pr.custom_family(
+            [Fr(-1, 10), Fr(1, 10)], [[Fr(3, 10), Fr(9, 10)]] * 2,
+            [[Fr(4, 5), Fr(6, 5)], [Fr(1), Fr(7, 5)]],
+        )
+        rep = pr.r1(fam, Fr(0), m_fit=10**3)
+        assert rep.landmarks == (Fr(3, 10), Fr(9, 10))
+        assert rep.R1 == pr.r1(herman_32, Fr(0), m_fit=10**3).R1 == Fr(25, 24)
+
     def test_exact_shift_family_is_transverse_with_margin_one(self, herman_32):
         # every value moves at rate 1 and no break moves
         margin = pr.r1(herman_32, Fr(0), m_fit=10**4).transversality
@@ -177,6 +199,10 @@ class TestR1:
 
 
 class TestScalingResidual:
+    def test_needs_the_r1_report(self, herman_sqrt2):
+        with pytest.raises(TypeError, match="report"):
+            pr.scaling_residual(herman_sqrt2, 0.0, window=1e-2, samples=4, m=10**3)
+
     def test_report_shape(self, herman_sqrt2):
         rep = pr.r1(herman_sqrt2, 0.0, m_fit=10**5)
         res = pr.scaling_residual(herman_sqrt2, 0.0, window=1e-2, samples=8,
@@ -306,6 +332,14 @@ class TestPinchBoundaries:
         assert rep.rows[0].lo is None and rep.rows[0].note
         assert rep.tol == Fr(1, 10**10)
         assert rep.to_json()["tol"] == "1/10000000000"
+
+    def test_underflowing_fit_is_none(self):
+        # d*d is 0.0 for d = 1e-200: no slope through the origin, and no error
+        plane = pr.herman_offset_family(SQRT2)
+        rep = pr.pinch_boundaries(plane, (1, 2), [1e-200], (-0.1, 0.1))
+        assert rep.rows[0].lo is not None
+        assert rep.fitted_slopes == {"pos": (None, None), "neg": None}
+        assert rep.to_json()["fitted_slopes"] == {"pos": [None, None], "neg": None}
 
     def test_report_serialisation(self):
         plane = pr.herman_offset_family(Fr(1, 2))
