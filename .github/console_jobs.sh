@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the installed pwl-rotor console script on three small jobs and check
+# Run the installed pwl-rotor console script on five small jobs and check
 # their answers.  Usage: console_jobs.sh [DIR]; the job files and outputs go
 # to DIR (default: a new temporary directory).  CI runs it once with numpy
 # installed and once without it: these subcommands must not need numpy.
@@ -38,4 +38,23 @@ JOB
 pwl-rotor scaling --config "$dir/scaling.json" > "$dir/scaling.out"
 cat "$dir/scaling.out"
 grep -q '"R1": "1"' "$dir/scaling.out"
+
+# exact coelho(1/3, 1/3) at mu = 0: rho = 1/2, and the integer mu prints as "0"
+cat > "$dir/rho.json" <<'JOB'
+{"family": {"family": "coelho", "params": {"a": "1/3", "b": "1/3"}}, "mu": 0}
+JOB
+pwl-rotor rho --config "$dir/rho.json" > "$dir/rho.out"
+cat "$dir/rho.out"
+grep -q '"mu": "0"' "$dir/rho.out"
+grep -q '"q": 2' "$dir/rho.out"
+
+# exact herman_shifted(3/2): the 1/3 tongue has edges near -6/35 and -3/20
+cat > "$dir/modelock.json" <<'JOB'
+{"family": {"family": "herman_shifted", "params": {"lam": "3/2"}},
+ "p": 1, "q": 3, "bracket": ["-1/4", "0"]}
+JOB
+pwl-rotor modelock --config "$dir/modelock.json" > "$dir/modelock.out"
+cat "$dir/modelock.out"
+grep -q '"q": 3' "$dir/modelock.out"
+grep -q '"lo": "-' "$dir/modelock.out"
 echo "console jobs passed"

@@ -25,7 +25,7 @@ outside this module never asks which backend it holds.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -195,18 +195,24 @@ RATIONAL = RationalBackend()
 FLOAT = FloatBackend()
 
 
-def scalar_json(x):
-    """JSON form of a result scalar: ``"p/q"`` for a Fraction, else a float.
+def to_json(x):
+    """The JSON form of a result value.
 
-    Decides by the value, not by a backend: float-backend results can
-    still hold Fraction bounds (Stern-Brocot enclosures), which stay exact.
+    None, bools, ints and strings stay as they are; a Fraction becomes
+    ``"p/q"`` and any other real a float; lists, tuples and dicts are
+    encoded entry by entry, a backend becomes its tag, and any other
+    object gives its own ``to_json()``.  Scalars are encoded by their
+    type, not by a backend: float-backend results can still hold Fraction
+    bounds (Stern-Brocot enclosures), which stay exact.
 
     Raises:
-        Overflow: the numerator or denominator has more decimal digits
-            than Python converts to a string.
+        Overflow: a Fraction's numerator or denominator has more decimal
+            digits than Python converts to a string.
     """
-    if x is None:
-        return None
+    if x is None or isinstance(x, (int, str)):  # bools too
+        return x
+    if isinstance(x, float):  # the ABC checks below are slower
+        return float(x)
     if isinstance(x, Fraction):
         try:
             return str(x)
@@ -216,7 +222,29 @@ def scalar_json(x):
                 "is too large to print: %s"
                 % (x.numerator.bit_length(), x.denominator.bit_length(), exc)
             ) from exc
-    return float(x)
+    if isinstance(x, (list, tuple)):
+        return [to_json(v) for v in x]
+    if isinstance(x, dict):
+        return {k: to_json(v) for k, v in x.items()}
+    if isinstance(x, (RationalBackend, FloatBackend)):
+        return x.tag
+    if isinstance(x, numbers.Integral):  # numpy integers, as Python ints
+        return int(x)
+    if isinstance(x, numbers.Real):  # numpy floats that are no float
+        return float(x)
+    return x.to_json()
+
+
+class Record:
+    """Mixin for result dataclasses: ``to_json`` encodes every field, in
+    order, except those marked ``metadata={"json": False}``."""
+
+    def to_json(self) -> dict:
+        return {
+            f.name: to_json(getattr(self, f.name))
+            for f in fields(self)
+            if f.metadata.get("json", True)
+        }
 
 
 def backend_from_tag(tag: str) -> Backend:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import errors
-from .backend import scalar_json
+from .backend import to_json
 from .conjugacy import Q_CAP, Conjugate, build_conjugacy, invariant_density, is_conjugate_to_rigid
 from .families import FamilySpec, _decode_param, family_from_json, herman_offset_family
 from .rotation import birkhoff_enclosure, birkhoff_enclosures, exact_rotation, mode_lock_interval
@@ -139,23 +139,18 @@ def _csv_text(tool: str, meta: dict, header, rows) -> str:
 # ----------------------------------------------------------------- rho
 
 def cmd_rho(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
-    mu = _scalar(cfg, "mu")
+    mu = family.backend.coerce(_scalar(cfg, "mu"))
     q_max = _int_option(cfg, "q_max", 10_000)
     m = _int_option(cfg, "m", 100_000)
     x0 = _scalar(cfg, "x0", 0)
     f = family.lift(mu)
     rr = exact_rotation(f, q_max=q_max)
     enc = birkhoff_enclosure(f, m, x0=x0)
-    payload = {
-        "mu": scalar_json(mu),
-        "rotation": rr.to_json(),
-        "birkhoff": enc.to_json(),
-    }
-    return _dump_json(payload)
+    return _dump_json({"mu": mu, "rotation": rr, "birkhoff": enc})
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(to_json(payload), indent=2, sort_keys=True) + "\n"
 
 
 # --------------------------------------------------------------- sweep
@@ -169,8 +164,7 @@ def _sweep_chunk(payload):
 
     The family is rebuilt once per chunk, and the orbits of all its lifts
     run as one :func:`birkhoff_enclosures` batch.  A mu whose lift raises
-    gets an error in place of bounds, and so does every mu when the batch
-    raises.
+    gets an error in place of bounds.
     """
     fam_json, backend, mus, m, x0 = payload
     family = family_from_json(fam_json, backend=backend)
@@ -182,12 +176,8 @@ def _sweep_chunk(payload):
             lanes.append(i)
         except errors.PwlError as exc:
             rows[i] = (None, None, _error_text(exc))
-    try:
-        for i, enc in zip(lanes, birkhoff_enclosures(lifts, m, x0=x0)):
-            rows[i] = (float(enc.lo), float(enc.hi), None)
-    except errors.PwlError as exc:
-        for i in lanes:
-            rows[i] = (None, None, _error_text(exc))
+    for i, enc in zip(lanes, birkhoff_enclosures(lifts, m, x0=x0)):
+        rows[i] = (float(enc.lo), float(enc.hi), None)
     return rows
 
 
@@ -239,16 +229,14 @@ def cmd_sweep(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
 # ----------------------------------------------------------- conjugacy
 
 def cmd_conjugacy(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
-    mu = _scalar(cfg, "mu")
+    mu = family.backend.coerce(_scalar(cfg, "mu"))
     q_cap = _int_option(cfg, "q_cap", Q_CAP)
     f = family.lift(mu)
     verdict = is_conjugate_to_rigid(f, q_cap=q_cap)
-    payload = {"mu": scalar_json(family.backend.coerce(mu)), "verdict": verdict.to_json()}
+    payload = {"mu": mu, "verdict": verdict}
     if isinstance(verdict, Conjugate):
-        h = build_conjugacy(f, partition=verdict.partition)
-        dens = invariant_density(f, partition=verdict.partition)
-        payload["h"] = h.to_json()
-        payload["invariant_density"] = dens.to_json()
+        payload["h"] = build_conjugacy(f, partition=verdict.partition)
+        payload["invariant_density"] = invariant_density(f, partition=verdict.partition)
     return _dump_json(payload)
 
 
@@ -265,12 +253,11 @@ def cmd_scaling(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     if not isinstance(residual, bool):
         raise ConfigError("residual must be true or false, got %s" % json.dumps(residual))
     rep = r1(family, mu_c, h_fit=h_fit, m_fit=m_fit, q_cap=q_cap)
-    payload = {"scaling": rep.to_json()}
+    payload = {"scaling": rep}
     if residual:
-        res = scaling_residual(
+        payload["residual"] = scaling_residual(
             family, mu_c, window=window, samples=samples, m=m_fit, report=rep
         )
-        payload["residual"] = res.to_json()
     return _dump_json(payload)
 
 
@@ -282,7 +269,7 @@ def cmd_modelock(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     bracket = _pair(cfg, "bracket")
     tol = _positive(cfg, "tol", lambda v: family.backend.coerce(Fraction(v)))
     mli = mode_lock_interval(family, p, q, bracket, tol=tol)
-    return _dump_json(mli.to_json())
+    return _dump_json(mli)
 
 
 # --------------------------------------------------------------- pinch
@@ -304,7 +291,7 @@ def cmd_pinch(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     two = herman_offset_family(family.params["lam"], backend=family.backend)
     rep = pinch_boundaries(two, (p, q), d_grid, mu_bracket, tol=tol)
     if fmt == "json":
-        return _dump_json(rep.to_json())
+        return _dump_json(rep)
     meta = family.backend.describe()
     meta.update(p=p, q=q, tol=repr(float(rep.tol)), seed="none")
     rows = [(r.d, r.lo, r.hi) for r in rep.rows]

@@ -40,12 +40,12 @@ points with a slope above 1.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from . import errors
-from .backend import MASS_TOL, ORBIT_TOL, Num, scalar_json
+from .backend import MASS_TOL, ORBIT_TOL, Num, Record, to_json
 from .lift import (
     PwlLift,
     canonicalize,
@@ -70,7 +70,7 @@ def _circle_dist(a, b):
 
 
 @dataclass(frozen=True)
-class OrbitPoint:
+class OrbitPoint(Record):
     x: Num
     is_break: bool
     break_index: Optional[int]
@@ -78,7 +78,7 @@ class OrbitPoint:
 
 
 @dataclass(frozen=True)
-class NotPeriodic:
+class NotPeriodic(Record):
     """Evidence that a break orbit fails to close after ``q`` steps."""
 
     break_index: int
@@ -86,17 +86,9 @@ class NotPeriodic:
     drift: Num
     q: int
 
-    def to_json(self) -> dict:
-        return {
-            "break_index": self.break_index,
-            "point": scalar_json(self.point),
-            "drift": scalar_json(self.drift),
-            "q": self.q,
-        }
-
 
 @dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(Record):
     """Break points grouped by shared periodic orbit.
 
     ``orbits`` lists, per orbit class, the indices of the genuine breaks
@@ -115,22 +107,6 @@ class OrbitPartition:
 
     def landmarks(self) -> list:
         return [pt.x for pt in self.points]
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "orbits": [list(o) for o in self.orbits],
-            "points": [
-                {
-                    "x": scalar_json(pt.x),
-                    "is_break": pt.is_break,
-                    "break_index": pt.break_index,
-                    "orbit": pt.orbit,
-                }
-                for pt in self.points
-            ],
-        }
 
 
 def _orbit_points(f: PwlLift, x0, q: int) -> list:
@@ -252,54 +228,27 @@ def _check_well_ordered(orbit_pts, p, q):
 
 
 @dataclass(frozen=True)
-class Conjugate:
+class Conjugate(Record):
+    verdict: str = field(default="conjugate", init=False)
     p: int
     q: int
     partition: OrbitPartition
 
-    verdict = "conjugate"
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "p": self.p,
-            "q": self.q,
-            "partition": self.partition.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class NotConjugate:
+class NotConjugate(Record):
+    verdict: str = field(default="not_conjugate", init=False)
     reason: str
     p: Optional[int] = None
     q: Optional[int] = None
     evidence: Optional[NotPeriodic] = None
 
-    verdict = "not_conjugate"
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "p": self.p,
-            "q": self.q,
-            "evidence": None if self.evidence is None else self.evidence.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class Undecided:
+class Undecided(Record):
+    verdict: str = field(default="undecided", init=False)
     reason: str
     enclosure: Optional[RotationResult] = None
-
-    verdict = "undecided"
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "enclosure": None if self.enclosure is None else self.enclosure.to_json(),
-        }
 
 
 Verdict = Union[Conjugate, NotConjugate, Undecided]
@@ -313,14 +262,19 @@ def is_conjugate_to_rigid(f: PwlLift, q_cap: int = Q_CAP) -> Verdict:
     search built on its way to ``p/q`` (``RotationResult.rigid``: ``F^q``
     is not built a second time).  The two must agree or
     :class:`errors.InternalMismatch` is raised (a tolerance problem, not a
-    mathematical possibility).
+    mathematical possibility).  A search that ends in an enclosure gives
+    :class:`Undecided`, whose reason says what stopped it: ``q_cap``, or a
+    float sign inside the decision band.
     """
     rr = exact_rotation(f, q_max=q_cap)
     if rr.kind != "exact":
-        return Undecided(
-            reason="rotation number not certified rational within q <= %d" % q_cap,
-            enclosure=rr,
-        )
+        if rr.lo.denominator + rr.hi.denominator <= q_cap:
+            # the next mediant was within reach: a float sign stopped the search
+            reason = ("rotation number not certified rational: a float sign inside the "
+                      "decision band stopped the search before q <= %d was exhausted" % q_cap)
+        else:
+            reason = "rotation number not certified rational within q <= %d" % q_cap
+        return Undecided(reason=reason, enclosure=rr)
     p, q = rr.p, rr.q
     part = break_orbit_partition(f, q_hint=(p, q))
     if isinstance(part, NotPeriodic):
@@ -491,11 +445,7 @@ class PiecewiseConstantDensity:
         return make_lift(list(self.cuts), vals, self.backend)
 
     def to_json(self) -> dict:
-        return {
-            "cuts": [scalar_json(c) for c in self.cuts],
-            "densities": [scalar_json(v) for v in self.values],
-            "backend": self.backend.tag,
-        }
+        return to_json({"cuts": self.cuts, "densities": self.values, "backend": self.backend})
 
 
 def invariant_density(

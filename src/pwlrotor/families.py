@@ -50,7 +50,6 @@ The other two move their breaks:
 """
 from __future__ import annotations
 
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,7 +57,7 @@ from math import log, sqrt
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import errors
-from .backend import Backend, backend_from_tag, infer_backend
+from .backend import Backend, backend_from_tag, infer_backend, to_json
 from .lift import PwlLift, make_lift
 
 
@@ -105,22 +104,7 @@ class FamilySpec:
         return self._derivs(mu)
 
     def to_json(self) -> dict:
-        def enc(v):
-            if isinstance(v, (list, tuple)):
-                return [enc(x) for x in v]
-            if isinstance(v, (bool, str)):
-                return v
-            if isinstance(v, numbers.Integral):  # numpy integers too
-                return int(v)
-            if isinstance(v, Fraction):
-                return str(v)
-            return float(v)  # any other real, numpy floats too
-
-        return {
-            "family": self.name,
-            "params": {k: enc(v) for k, v in self.params.items()},
-            "backend": self.backend.tag,
-        }
+        return to_json({"family": self.name, "params": self.params, "backend": self.backend})
 
 
 @dataclass(frozen=True)

@@ -22,23 +22,23 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import errors
-from .backend import Backend, Num, infer_backend, scalar_json
+from .backend import Backend, Num, Record, infer_backend
 
 #: Most marked points a composition may carry; more raises Overflow.
 PIECE_CAP = 10**6
 
 
 @dataclass(frozen=True)
-class PwlLift:
+class PwlLift(Record):
     """Immutable PWL lift; build instances through :func:`make_lift`."""
 
     breaks: tuple
     values: tuple
-    slopes: tuple
+    slopes: tuple = field(metadata={"json": False})
     backend: Backend
 
     @property
@@ -70,13 +70,6 @@ class PwlLift:
         """Indices whose one-sided slopes actually differ."""
         eq = self.backend.eq_slope
         return [k for k in range(self.n) if not eq(self.slopes[k], self.slopes[k - 1])]
-
-    def to_json(self) -> dict:
-        return {
-            "breaks": [scalar_json(b) for b in self.breaks],
-            "values": [scalar_json(v) for v in self.values],
-            "backend": self.backend.tag,
-        }
 
 
 def piece(points: Sequence, r) -> int:

@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import errors
-from .backend import LOCK_TOL, WITNESS_TOL, Num, scalar_json
+from .backend import LOCK_TOL, WITNESS_TOL, Num, Record, to_json
 from .lift import PwlLift, cell_ends, compose, frac, power
 
 log = logging.getLogger(__name__)
@@ -53,7 +53,7 @@ _UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
-class RotationResult:
+class RotationResult(Record):
     """Outcome of a rotation-number computation.
 
     ``kind`` is ``"exact"`` (with ``p``, ``q``, and a periodic ``witness``)
@@ -73,7 +73,7 @@ class RotationResult:
     hi: Num
     witness: Optional[Num] = None
     iterations: Optional[int] = None
-    rigid: Optional[bool] = None
+    rigid: Optional[bool] = field(default=None, metadata={"json": False})
 
     @classmethod
     def exact(cls, p: int, q: int, witness, iterations=None, rigid=None) -> "RotationResult":
@@ -100,17 +100,6 @@ class RotationResult:
     @property
     def width(self):
         return self.hi - self.lo
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "q": self.q,
-            "lo": scalar_json(self.lo),
-            "hi": scalar_json(self.hi),
-            "witness": scalar_json(self.witness),
-            "iterations": self.iterations,
-        }
 
 
 def _orbit_power(m: int) -> int:
@@ -405,7 +394,7 @@ def periodic_points(f: PwlLift, p: int, q: int) -> PeriodicScan:
 
 
 @dataclass(frozen=True)
-class ModeLockInterval:
+class ModeLockInterval(Record):
     """Parameter interval on which the family locks onto ``rho = p/q``.
 
     ``lo``/``hi`` are located to within ``tol`` by bisection; the
@@ -425,22 +414,7 @@ class ModeLockInterval:
         return self.hi - self.lo
 
     def to_json(self) -> dict:
-        def cert_json(c):
-            return {
-                "which": c["which"],
-                "bracket": [scalar_json(c["bracket"][0]), scalar_json(c["bracket"][1])],
-                "values": [scalar_json(c["values"][0]), scalar_json(c["values"][1])],
-            }
-
-        return {
-            "p": self.p,
-            "q": self.q,
-            "lo": scalar_json(self.lo),
-            "hi": scalar_json(self.hi),
-            "tol": scalar_json(self.tol),
-            "width": scalar_json(self.width),
-            "certificates": {k: cert_json(v) for k, v in self.certificates.items()},
-        }
+        return {**super().to_json(), "width": to_json(self.width)}
 
 
 def _bisect_root(g: Callable, a, b, ga, gb, tol):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from . import errors
-from .backend import COLLISION_TOL, FLOAT, LOCK_TOL, Num, scalar_json
+from .backend import COLLISION_TOL, FLOAT, LOCK_TOL, Num, Record, to_json
 from .conjugacy import Q_CAP, Conjugate, _circle_dist, _orbit_points, is_conjugate_to_rigid
 from .families import FamilySpec, TwoParamFamilySpec, _transversality, family_from_json
 from .lift import PwlLift, cell_ends, frac, invert, make_lift, piece, power
@@ -157,7 +157,7 @@ def kappa(A, B, lo, hi) -> Num:
 
 
 @dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(Record):
     """Everything behind one R1 value, closed-form and empirical."""
 
     mu_c: Num
@@ -176,26 +176,6 @@ class ScalingReport:
     fit_window: float
     fit_residual: float
     transversality: Num
-
-    def to_json(self) -> dict:
-        return {
-            "mu_c": scalar_json(self.mu_c),
-            "p": self.p,
-            "q": self.q,
-            "K": self.K,
-            "direction": self.direction,
-            "landmarks": [scalar_json(x) for x in self.landmarks],
-            "A": [scalar_json(x) for x in self.A],
-            "B": [scalar_json(x) for x in self.B],
-            "S_sample": [scalar_json(x) for x in self.S_sample],
-            "sample_mu": self.sample_mu,
-            "kappas": [scalar_json(x) for x in self.kappas],
-            "R1": scalar_json(self.R1),
-            "R1_emp": self.R1_emp,
-            "fit_window": self.fit_window,
-            "fit_residual": self.fit_residual,
-            "transversality": scalar_json(self.transversality),
-        }
 
 
 def r1(
@@ -286,7 +266,7 @@ def r1(
 
 
 @dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     """Quadratic-remainder and inverse-symmetry estimates near ``mu_c``."""
 
     r2: float
@@ -296,17 +276,6 @@ class ResidualReport:
     p: int
     q: int
     R1: float
-
-    def to_json(self) -> dict:
-        return {
-            "r2": self.r2,
-            "window": self.window,
-            "n_samples": self.n_samples,
-            "symmetry_c": self.symmetry_c,
-            "p": self.p,
-            "q": self.q,
-            "R1": self.R1,
-        }
 
 
 def scaling_residual(
@@ -433,9 +402,12 @@ class PinchRow:
             return None
         return self.hi - self.lo
 
+    def to_json(self) -> dict:
+        return to_json({"d": self.d, "mu_lo": self.lo, "mu_hi": self.hi, "note": self.note})
+
 
 @dataclass(frozen=True)
-class PinchReport:
+class PinchReport(Record):
     """Mode-locked boundary pairs along a pinch-transverse parameter."""
 
     p: int
@@ -446,31 +418,6 @@ class PinchReport:
     width_at_zero: Optional[Num]
     fitted_slopes: dict
     reference_slopes: Optional[tuple]
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "rows": [
-                {
-                    "d": scalar_json(r.d),
-                    "mu_lo": scalar_json(r.lo),
-                    "mu_hi": scalar_json(r.hi),
-                    "note": r.note,
-                }
-                for r in self.rows
-            ],
-            "bracket": [scalar_json(self.bracket[0]), scalar_json(self.bracket[1])],
-            "tol": scalar_json(self.tol),
-            "width_at_zero": scalar_json(self.width_at_zero),
-            "fitted_slopes": {
-                side: None if pair is None else [scalar_json(pair[0]), scalar_json(pair[1])]
-                for side, pair in self.fitted_slopes.items()
-            },
-            "reference_slopes": None
-            if self.reference_slopes is None
-            else [scalar_json(x) for x in self.reference_slopes],
-        }
 
 
 def _origin_slope(pairs):
@@ -501,12 +448,15 @@ def pinch_boundaries(
     failure is recorded on that row and the sweep continues.  Boundary
     slopes in ``d`` are fitted per sign of ``d`` (the wedge is generally
     not symmetric) through the origin, for comparison against the
-    family's first-order reference slopes.  ``tol`` (default
-    :data:`backend.LOCK_TOL`) is taken, and reported, in the family's
-    backend.
+    family's first-order reference slopes.  ``d_grid``, ``mu_bracket``
+    and ``tol`` (default :data:`backend.LOCK_TOL`) are taken, and
+    reported, in the family's backend.
     """
     p, q = pq
-    tol = two_param.backend.coerce(Fraction(LOCK_TOL if tol is None else tol))
+    coerce = two_param.backend.coerce
+    tol = coerce(Fraction(LOCK_TOL if tol is None else tol))
+    d_grid = [coerce(d) for d in d_grid]
+    mu_bracket = (coerce(mu_bracket[0]), coerce(mu_bracket[1]))
     rows = []
     for d in d_grid:
         fam_d = two_param.at(d)
@@ -537,7 +487,7 @@ def pinch_boundaries(
         p=p,
         q=q,
         rows=tuple(rows),
-        bracket=(mu_bracket[0], mu_bracket[1]),
+        bracket=mu_bracket,
         tol=tol,
         width_at_zero=width_at_zero,
         fitted_slopes=fitted,

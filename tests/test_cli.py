@@ -45,6 +45,12 @@ def readme_jobs():
 
 #: SHA-256 of the README sweep job's CSV, as one orbit per call printed it.
 README_SWEEP_SHA256 = "d06353621a4c585c721988f8394ada795fc0518151616078906a6c23ef7cd2cd"
+#: SHA-256 of the README rho and conjugacy jobs' JSON, as each result's own
+#: hand-written encoder printed it.
+README_JSON_SHA256 = {
+    "rho": "146dea3c050cd1e93f280b7ed7057f6fc16d33c9c2e5fe4393f4b8ac9c5c0b7a",
+    "conjugacy": "a77af302a90c84964c865d7fb4c68ac2b9a8139c6745ffc6955fe0371bf50d38",
+}
 
 
 class TestReadmeJobs:
@@ -55,8 +61,8 @@ class TestReadmeJobs:
         out = tmp_path / "out"
         assert cli.main([command, "--config", str(cfg), "-o", str(out)]) == 0
         assert out.read_text()
-        if command == "sweep":
-            assert hashlib.sha256(out.read_bytes()).hexdigest() == README_SWEEP_SHA256
+        want = README_SWEEP_SHA256 if command == "sweep" else README_JSON_SHA256[command]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
 class TestConfigValidation:
@@ -502,17 +508,6 @@ class TestExitsInProcess:
         lines = out.splitlines()
         assert code == 0 and len(lines) == 3 and lines[2].startswith("0.0,")
 
-    def test_batch_failure_blanks_every_row(self, tmp_path, capsys, caplog, monkeypatch):
-        def failing(lifts, m, x0=0):
-            raise pr.errors.PrecisionLoss("lost")
-
-        monkeypatch.setattr(cli, "birkhoff_enclosures", failing)
-        cfg = {"family": HERMAN, "mu_min": 0.0, "mu_max": 0.05, "points": 3, "m": 100}
-        code, out, _ = main_on(tmp_path, capsys, "sweep", cfg)
-        assert code == 0
-        assert [line[-2:] for line in out.splitlines()[2:]] == [",,"] * 3
-        assert caplog.text.count("failed: PrecisionLoss: lost") == 3
-
     def test_empty_d_grid_exits_2(self, tmp_path, capsys):
         cfg = {"family": OFFSET_PLANE, "p": 1, "q": 2, "d_grid": [],
                "mu_bracket": ["-1/20", "1/20"]}
@@ -525,3 +520,18 @@ class TestExitsInProcess:
         code, out, _ = main_on(tmp_path, capsys, "pinch", cfg, "--format", "json")
         rep = json.loads(out)
         assert code == 0 and rep["width_at_zero"] == "0" and len(rep["rows"]) == 1
+
+    @pytest.mark.parametrize("lam, zero, one", [("1/2", "0", "1"), (0.5, 0.0, 1.0)],
+                             ids=["exact", "float"])
+    def test_integer_scalars_print_in_the_backend(self, tmp_path, capsys, lam, zero, one):
+        # a JSON integer is a scalar of the job's backend: "p/q" when exact,
+        # a float otherwise, in rho as in conjugacy
+        family = {"family": "herman_shifted", "params": {"lam": lam}}
+        for command in ("rho", "conjugacy"):
+            code, out, _ = main_on(tmp_path, capsys, command, {"family": family, "mu": 0})
+            assert code == 0 and json.loads(out)["mu"] == zero
+        cfg = {"family": {"family": "herman_offset", "params": {"lam": lam, "d": 0}},
+               "p": 1, "q": 2, "d_grid": [0], "mu_bracket": [-1, 1]}
+        code, out, _ = main_on(tmp_path, capsys, "pinch", cfg, "--format", "json")
+        rep = json.loads(out)
+        assert code == 0 and rep["rows"][0]["d"] == zero and rep["bracket"][1] == one

@@ -187,6 +187,18 @@ class TestExactRotation:
         assert (exact.kind, exact.lo, exact.hi) == ("enclosure", Fr(29, 31), Fr(914, 977))
         assert r.lo <= exact.lo and exact.hi <= r.hi
 
+    def test_undecided_reason_names_what_stopped_the_search(self):
+        # a sign inside the band stopped the search at [14/15, 15/16]: the
+        # next mediant, 29/31, was within q_cap = 64
+        band = pr.is_conjugate_to_rigid(pr.make_lift(UNDECIDED_BREAKS, UNDECIDED_VALUES))
+        assert band.reason == ("rotation number not certified rational: a float sign inside "
+                               "the decision band stopped the search before q <= 64 was "
+                               "exhausted")
+        # the cap stopped it at [5/9, 9/16]: the next mediant has q = 25 > 20
+        cap = pr.is_conjugate_to_rigid(pr.coelho(0.3, 0.2).lift(0), q_cap=20)
+        assert (cap.enclosure.lo, cap.enclosure.hi) == (Fr(5, 9), Fr(9, 16))
+        assert cap.reason == "rotation number not certified rational within q <= 20"
+
     def test_witness_residual_past_the_band_is_a_mismatch(self):
         # E = F - x changes sign on a piece of slope 3e8 next to 0.3: the
         # root rounded to a float misses by 5e-9, past WITNESS_TOL

@@ -1,4 +1,4 @@
-"""Backend behavior: coercion, tolerance policy, JSON scalar encoding."""
+"""Backend behavior: coercion, tolerance policy, JSON encoding."""
 import dataclasses
 import inspect
 import json
@@ -10,7 +10,7 @@ import pytest
 import pwlrotor as pr
 from pwlrotor import FLOAT, RATIONAL, backend_from_tag, errors, infer_backend
 from pwlrotor import kernel
-from pwlrotor.backend import LOCKSTEP_LANES, FloatBackend, scalar_json
+from pwlrotor.backend import LOCKSTEP_LANES, FloatBackend, Record, to_json
 
 #: Settings that are module or class constants, not parameters, anywhere.
 FIXED = {"cap", "eps_x", "eps_s", "decision_band", "b_threshold", "trials", "seed", "tolerances"}
@@ -69,8 +69,8 @@ class TestRationalBackend:
         assert RATIONAL.sign(Fr(0)) == 0
 
     def test_json_round_trip(self):
-        assert scalar_json(Fr(-5, 3)) == "-5/3"
-        assert RATIONAL.coerce(scalar_json(Fr(-5, 3))) == Fr(-5, 3)
+        assert to_json(Fr(-5, 3)) == "-5/3"
+        assert RATIONAL.coerce(to_json(Fr(-5, 3))) == Fr(-5, 3)
         assert RATIONAL.coerce(4) == Fr(4)
 
     def test_json_refuses_float_payload(self):
@@ -114,8 +114,8 @@ class TestFloatBackend:
         assert FLOAT.sign(1e-9, band=1e-8) is None
 
     def test_json_round_trip(self):
-        assert scalar_json(0.25) == 0.25
-        assert FLOAT.coerce(scalar_json(0.25)) == 0.25
+        assert to_json(0.25) == 0.25
+        assert FLOAT.coerce(to_json(0.25)) == 0.25
 
     def test_describes_itself(self):
         # the header of every float sweep and pinch CSV
@@ -215,23 +215,43 @@ class TestSelection:
 
 
 class TestScalarJson:
-    """The one encoder every result type uses, independent of any backend."""
+    """``to_json``, the one encoder every result type uses, independent of
+    any backend."""
 
     def test_none_stays_none(self):
-        assert scalar_json(None) is None
+        assert to_json(None) is None
 
     def test_fraction_becomes_p_over_q(self):
-        assert scalar_json(Fr(-5, 3)) == "-5/3"
-        assert scalar_json(Fr(4)) == "4"
+        assert to_json(Fr(-5, 3)) == "-5/3"
+        assert to_json(Fr(4)) == "4"
 
-    def test_int_becomes_float(self):
-        out = scalar_json(3)
-        assert out == 3.0 and type(out) is float
+    def test_int_stays_int(self):
+        for x in (3, np.int64(3)):
+            out = to_json(x)
+            assert out == 3 and type(out) is int
+        assert to_json(True) is True
+
+    def test_nested_record(self):
+        @dataclasses.dataclass(frozen=True)
+        class Pair(Record):
+            name: str
+            ends: tuple
+            inner: object = None
+            hidden: int = dataclasses.field(default=0, metadata={"json": False})
+
+        inner = Pair("inner", (Fr(1, 2), 0.25), hidden=1)
+        rec = Pair("outer", [Fr(-1, 3), np.float64(2.0)], {"in": inner, "tag": FLOAT})
+        assert rec.to_json() == to_json(rec) == {
+            "name": "outer",
+            "ends": ["-1/3", 2.0],
+            "inner": {"in": {"name": "inner", "ends": ["1/2", 0.25], "inner": None},
+                      "tag": "float"},
+        }
 
     def test_numpy_float_becomes_plain_float(self):
-        out = scalar_json(np.float64(0.25))
+        out = to_json(np.float64(0.25))
         assert out == 0.25 and type(out) is float
 
     def test_fraction_too_long_to_print_is_an_overflow(self):
         with pytest.raises(errors.Overflow, match="14950-bit denominator"):
-            scalar_json(Fr(1, 3**9432))
+            to_json(Fr(1, 3**9432))
