@@ -16,7 +16,17 @@ cat > "$dir/conjugacy.json" <<'JOB'
   "values": [["23/60", "1/2", "7/6", "5/4"], ["23/60", "1/2", "7/6", "5/4"]]}},
  "mu": 0}
 JOB
-pwl-rotor conjugacy --config "$dir/conjugacy.json"
+pwl-rotor conjugacy --config "$dir/conjugacy.json" > "$dir/conjugacy.out"
+cat "$dir/conjugacy.out"
+# the densities are the slopes canonicalize keeps from the exact Phi
+python3 - "$dir/conjugacy.out" <<'CHECK'
+import json, sys
+out = json.load(open(sys.argv[1]))
+assert out["verdict"]["verdict"] == "conjugate" and out["verdict"]["q"] == 3, out["verdict"]
+assert out["h"]["values"] == ["-11/180", "0", "49/180", "1/3", "109/180", "2/3"], out["h"]
+densities = out["invariant_density"]["densities"]
+assert densities == ["11/15", "7/3", "11/3", "7/3", "11/15", "7/15"], densities
+CHECK
 
 # exact herman_offset(1/2): the 1/2 tongue pinches to a point at d = 0
 cat > "$dir/pinch.json" <<'JOB'

@@ -102,6 +102,11 @@ class RationalBackend:
         """Exact marked points never merge: the lists come back as given."""
         return xs, fx
 
+    def trusted_slopes(self, slopes):
+        """``slopes()``, the slopes the lift algebra derived: exact, and exact
+        arithmetic on validated lifts keeps the order, so nothing is checked again."""
+        return slopes()
+
     def orbits(self, lanes, x0s, m):
         """``kernel.iterate`` of ``m`` steps for each ``(breaks, values,
         slopes)`` lane from its start in ``x0s``, one lane at a time."""
@@ -168,6 +173,11 @@ class FloatBackend:
         if len(keep) > 1 and (xs[0] + 1) - last <= eps:
             keep.pop()
         return [xs[i] for i in keep], [fx[i] for i in keep]
+
+    def trusted_slopes(self, slopes):
+        """None, leaving ``slopes`` uncalled: float slopes are rise over run of
+        the marked points, and their order is checked, since rounding can break it."""
+        return None
 
     def orbits(self, lanes, x0s, m):
         """``kernel.iterate`` of ``m`` steps for each ``(breaks, values,

@@ -10,7 +10,9 @@ Degree one closes the data cyclically, ``b_{n+1} = b_1 + 1`` and
 all of which must be positive for ``F`` to be a homeomorphism lift.  A
 marked point is a *genuine* break when the adjacent slopes differ; marked
 points with equal slopes are legal (composition produces them) and are
-removed by :func:`canonicalize`.
+removed by :func:`canonicalize`.  :func:`make_lift` checks the order and
+derives slopes as rise over run; so do float results of the algebra, while
+exact ones carry the slopes it derived (products, reciprocals, kept ones).
 
 Everything here is generic over the two scalar backends: exact rationals
 and tolerance-governed floats.  ``F(x + 1) = F(x) + 1`` holds exactly in
@@ -157,6 +159,14 @@ def _checked_lift(b: Sequence, v: Sequence, backend: Backend) -> PwlLift:
     return PwlLift(breaks=b, values=v, slopes=tuple(slopes), backend=backend)
 
 
+def _lift(b: Sequence, v: Sequence, slopes, backend: Backend) -> PwlLift:
+    """The lift with slopes ``slopes()`` if the backend trusts them, else :func:`_checked_lift`."""
+    trusted = backend.trusted_slopes(slopes)
+    if trusted is None:
+        return _checked_lift(b, v, backend)
+    return PwlLift(breaks=tuple(b), values=tuple(v), slopes=tuple(trusted), backend=backend)
+
+
 def rigid(shift, backend: Optional[Backend] = None) -> PwlLift:
     """The rigid rotation lift ``x + shift`` with one marked point at 0."""
     if backend is None:
@@ -183,7 +193,8 @@ def compose(outer: PwlLift, inner: PwlLift) -> PwlLift:
     ``outer`` on the piece the sweep holds.  Points at or above 1 rotate to
     the front.  A preimage equal to an inner break collapses into it; the
     backend's ``merge_close`` then merges float points closer than
-    ``eps_x`` (exact points never merge).
+    ``eps_x`` (exact points never merge).  An exact piece lies on one inner
+    and one outer piece, and its slope is the product of theirs.
 
     Raises:
         Overflow: more than :data:`PIECE_CAP` marked points.
@@ -214,6 +225,7 @@ def compose(outer: PwlLift, inner: PwlLift) -> PwlLift:
 
     xs = []
     fx = []
+    runs = []  # (s_k, o, t): the pieces from b_k on lie on outer pieces o .. t - 1
     t = 1
     for k in range(n):
         b, v, s = bs[k], vs[k], ss[k]
@@ -223,11 +235,13 @@ def compose(outer: PwlLift, inner: PwlLift) -> PwlLift:
             t += 1
         else:
             fx.append(uy[t - 1] + sy[t - 1] * (v - ys[t - 1]))
+        o = t - 1
         last = k + 1 == n  # every outer break left lies on the last piece
         while t < end and (last or ys[t] < vs[k + 1]):
             xs.append(b + (ys[t] - v) / s)
             fx.append(uy[t])
             t += 1
+        runs.append((s, o, t))
 
     cut = len(xs)
     while xs[cut - 1] >= 1:
@@ -241,8 +255,13 @@ def compose(outer: PwlLift, inner: PwlLift) -> PwlLift:
         raise errors.Overflow(
             "composition would carry %d marked points (cap %d)" % (len(xs), PIECE_CAP)
         )
+
+    def products():
+        slopes = [s * y for s, o, t in runs for y in sy[o:t]]
+        return slopes[cut:] + slopes[:cut]
+
     try:
-        return _checked_lift(xs, fx, backend)
+        return _lift(xs, fx, products, backend)
     except errors.NonMonotone as exc:  # only float rounding gets here
         raise errors.PrecisionLoss(
             "float composition over %d marked points lost monotonicity: %s"
@@ -277,14 +296,14 @@ def invert(f: PwlLift) -> PwlLift:
 
     Marked points are the fractional parts of the values of ``f``; the
     value over such a point is the corresponding break, shifted by the
-    winding lost when reducing mod 1.
+    winding lost when reducing mod 1.  Exact slopes are the reciprocals.
     """
     pairs = []
-    for b, v in zip(f.breaks, f.values):
+    for b, v, s in zip(f.breaks, f.values, f.slopes):
         w, r = split(v)
-        pairs.append((r, b - w))
-    pairs.sort()
-    return _checked_lift([p[0] for p in pairs], [p[1] for p in pairs], f.backend)
+        pairs.append((r, b - w, s))
+    xs, fx, ss = zip(*sorted(pairs))
+    return _lift(xs, fx, lambda: [1 / s for s in ss], f.backend)
 
 
 def canonicalize(f: PwlLift) -> PwlLift:
@@ -294,17 +313,17 @@ def canonicalize(f: PwlLift) -> PwlLift:
     calls even in the float backend (where merging pieces re-averages
     slopes and can expose further coincidences).  A lift with no genuine
     break reduces to the rigid rotation through its first marked point.
+    Exact results keep the slopes of the kept points.
     """
     current = f
     while True:
-        keep = current.genuine_break_indices()
-        if not keep:
-            return _checked_lift(current.breaks[:1], current.values[:1], current.backend)
+        keep = current.genuine_break_indices() or [0]
         if len(keep) == current.n:
             return current
-        current = _checked_lift(
+        current = _lift(
             [current.breaks[i] for i in keep],
             [current.values[i] for i in keep],
+            lambda: [current.slopes[i] for i in keep],
             current.backend,
         )
 

@@ -200,6 +200,13 @@ def _edge_values(P: PwlLift, p) -> list:
     return [v - b - p for b, v in zip(P.breaks, P.values)]
 
 
+def _edge_extremes(P: PwlLift, p) -> tuple:
+    """Least and greatest :func:`_edge_values`, to the bit: ``p`` is taken
+    from the extremes of ``P(b_k) - b_k`` only, and rounding is monotone."""
+    d = [v - b for b, v in zip(P.breaks, P.values)]
+    return min(d) - p, max(d) - p
+
+
 def _find_witness(P: PwlLift, vals):
     """A root of ``E`` from its edge values ``vals``, which :func:`_classify`
     called a hit.
@@ -207,9 +214,9 @@ def _find_witness(P: PwlLift, vals):
     A hit has an edge value equal to 0 by ``eq_point``, or a decided
     negative minimum and positive maximum.  In the second case the walk
     around the cycle from a positive value meets a zero or a strict sign
-    change ``e_k > 0 > e_{k+1}``, and no NaN hides it (every lift is built
-    through ``lift._checked_lift``, which refuses NaN and infinite data),
-    so the loop always returns.
+    change ``e_k > 0 > e_{k+1}``, and no NaN hides it (float lifts pass
+    ``lift._checked_lift``, which refuses NaN and infinite data; exact ones
+    come from exact arithmetic on validated lifts), so the loop returns.
     """
     eq = P.backend.eq_point
     n = P.n
@@ -231,28 +238,27 @@ def _is_rigid_shift(P: PwlLift, vals) -> bool:
     return all(eq(e, 0) for e in vals)
 
 
-def _classify(P: PwlLift, p) -> Tuple[str, list]:
-    """Place ``rho`` against ``p/q`` for ``P = F^q``; returns the status and
-    the edge values it was read from.
+def _classify(P: PwlLift, p) -> str:
+    """Place ``rho`` against ``p/q`` for ``P = F^q``.
 
     ``sign(min E) == 1`` is above, ``sign(max E) == -1`` below, and both
     signs decided is a hit.  Otherwise a sign lies inside the float
     decision band, and only ``E = 0`` at every marked point (``F^q`` the
     rigid shift by ``p``) still certifies a hit.
     """
-    vals = _edge_values(P, p)
     backend = P.backend
-    lo, hi = backend.sign(min(vals)), backend.sign(max(vals))
+    lo, hi = map(backend.sign, _edge_extremes(P, p))
     if lo == 1:
-        return _ABOVE, vals
+        return _ABOVE
     if hi == -1:
-        return _BELOW, vals
-    if (lo is not None and hi is not None) or _is_rigid_shift(P, vals):
-        return _HIT, vals
-    return _UNDECIDED, vals
+        return _BELOW
+    if (lo is not None and hi is not None) or _is_rigid_shift(P, _edge_values(P, p)):
+        return _HIT
+    return _UNDECIDED
 
 
-def _checked_exact(P: PwlLift, p: int, q: int, vals, iterations) -> RotationResult:
+def _checked_exact(P: PwlLift, p: int, q: int, iterations) -> RotationResult:
+    vals = _edge_values(P, p)
     witness = _find_witness(P, vals)
     resid = P(witness) - witness - p
     if P.backend.sign(abs(resid), WITNESS_TOL) == 1:
@@ -280,9 +286,9 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
     # points, so rho is never below k0 nor above k0 + 1: each integer end is
     # a hit, undecided, or on its own side of rho.
     for p in (k0, k0 + 1):
-        status, vals = _classify(f, p)
+        status = _classify(f, p)
         if status == _HIT:
-            return _checked_exact(f, p, 1, vals, 0)
+            return _checked_exact(f, p, 1, 0)
         if status == _UNDECIDED:
             return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1), iterations=0)
 
@@ -295,9 +301,9 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
             return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=tested)
         P = compose(Pl, Pr)  # F^{ql} o F^{qr} = F^q
         tested += 1
-        status, vals = _classify(P, p)
+        status = _classify(P, p)
         if status == _HIT:
-            return _checked_exact(P, p, q, vals, tested)
+            return _checked_exact(P, p, q, tested)
         if status == _ABOVE:
             pl, ql, Pl = p, q, P
         elif status == _BELOW:
@@ -481,8 +487,7 @@ def mode_lock_interval(
         raise ValueError("tol must be positive, got %s" % (tol,))
 
     def stats(F):
-        vals = _edge_values(power(F, q), p)
-        return min(vals), max(vals)
+        return _edge_extremes(power(F, q), p)
 
     def g_min(mu):
         return stats(lift_fn(mu))[0]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pwlrotor as pr
-from pwlrotor import errors
+from pwlrotor import errors, lift
 from pwlrotor.backend import FloatBackend
 from pwlrotor.lift import piece
 
@@ -297,6 +297,36 @@ class TestComposeSweep:
         assert (h.breaks, h.values) == reference_compose(outer, inner)
         of, inf = float_copy(outer), float_copy(inner)
         assert_agree_on_circle(pr.compose(of, inf), *reference_compose(of, inf), pr.FLOAT.eps_x)
+
+
+class TestCarriedSlopes:
+    """Exact ``compose``, ``power``, ``invert`` and ``canonicalize`` carry the
+    slopes their algebra derives and check no order; ``make_lift`` derives
+    the slopes as rise over run and checks the order, so it is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_lifts(), rational_lifts(), st.integers(1, 6))
+    def test_equal_to_make_lift(self, f, g, k):
+        for r in (
+            pr.compose(f, g),
+            pr.power(f, k),
+            pr.invert(f),
+            pr.canonicalize(pr.compose(f, g)),
+            pr.canonicalize(pr.compose(pr.invert(f), f)),  # the identity, rigid
+        ):
+            assert r == pr.make_lift(r.breaks, r.values)
+
+    def test_only_float_results_are_checked(self, monkeypatch, coelho_q2, coelho_q3):
+        floats = float_copy(coelho_q3)
+        calls = []
+        checked = lift._checked_lift
+        monkeypatch.setattr(lift, "_checked_lift", lambda *a: calls.append(a) or checked(*a))
+        square = pr.power(coelho_q2, 2)  # the rigid x + 1 with four marked points
+        assert pr.canonicalize(square).is_rigid
+        pr.invert(pr.compose(coelho_q3, coelho_q2))
+        assert not calls
+        pr.compose(floats, floats)
+        assert calls
 
 
 class TestCanonicalForm:

@@ -5,9 +5,12 @@ from fractions import Fraction as Fr
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pwlrotor as pr
 from pwlrotor import errors, rotation
+
+from conftest import float_copy, rational_lifts
 
 
 #: The rigid rotations ``x + mu`` as a family: anything with ``.lift``.
@@ -97,6 +100,17 @@ class TestBirkhoffEnclosure:
     def test_rejects_non_positive_m(self):
         with pytest.raises(ValueError):
             pr.birkhoff_enclosure(pr.rigid(Fr(1, 3)), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_lifts(), st.integers(1, 3), st.integers(-3, 3))
+def test_edge_extremes_are_those_of_the_edge_values(f, q, p):
+    """``_classify`` and ``mode_lock_interval`` read the extremes of ``E``
+    with ``p`` subtracted from two values only; in floats too they are the
+    extremes of the edge values, bit for bit."""
+    for P in (pr.power(f, q), pr.power(float_copy(f), q)):
+        vals = rotation._edge_values(P, p)
+        assert rotation._edge_extremes(P, p) == (min(vals), max(vals))
 
 
 class TestExactRotation:
