@@ -321,7 +321,7 @@ class TestCarriedSlopes:
         calls = []
         checked = lift._checked_lift
         monkeypatch.setattr(lift, "_checked_lift", lambda *a: calls.append(a) or checked(*a))
-        square = pr.power(coelho_q2, 2)  # the rigid x + 1 with four marked points
+        square = pr.power(coelho_q2, 2)  # the rigid x + 1 with two marked points
         assert pr.canonicalize(square).is_rigid
         pr.invert(pr.compose(coelho_q3, coelho_q2))
         assert not calls
