@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the installed pwl-rotor console script on five small jobs and check
+# Run the installed pwl-rotor console script on seven small jobs and check
 # their answers.  Usage: console_jobs.sh [DIR]; the job files and outputs go
 # to DIR (default: a new temporary directory).  CI runs it once with numpy
 # installed and once without it: these subcommands must not need numpy.
@@ -27,6 +27,39 @@ assert out["h"]["values"] == ["-11/180", "0", "49/180", "1/3", "109/180", "2/3"]
 densities = out["invariant_density"]["densities"]
 assert densities == ["11/15", "7/3", "11/3", "7/3", "11/15", "7/15"], densities
 CHECK
+
+# float refraction(2, beta_c) at mu = 0: one break orbit of period 5
+cat > "$dir/conjugacy_float.json" <<'JOB'
+{"family": {"family": "refraction", "params": {"alpha": 2.0, "beta": 1.2360679774997898}},
+ "mu": 0.0}
+JOB
+pwl-rotor conjugacy --config "$dir/conjugacy_float.json" > "$dir/conjugacy_float.out"
+cat "$dir/conjugacy_float.out"
+python3 - "$dir/conjugacy_float.out" <<'CHECK'
+import json, sys
+v = json.load(open(sys.argv[1]))["verdict"]
+assert v["verdict"] == "conjugate" and v["q"] == 5, v
+assert len(v["partition"]["orbits"]) == 1, v["partition"]["orbits"]
+CHECK
+
+# float h^-1 o R_{2/3} o h with two break orbits 1e-10 apart, inside the
+# orbit band: F^3 is x + 2 to eps_x, but a break orbit misses itself by
+# 2.4e-7, so the verdict is undecided (and the exit code 0)
+cat > "$dir/conjugacy_band.json" <<'JOB'
+{"family": {"family": "custom", "params": {"mu": [0, 1],
+  "breaks": [[0.041666666666666664, 0.2361111111111111, 0.3333333333333333,
+              0.3333333334333333, 0.3796296297185185, 0.75, 0.7986111111111112],
+             [0.041666666666666664, 0.2361111111111111, 0.3333333333333333,
+              0.3333333334333333, 0.3796296297185185, 0.75, 0.7986111111111112]],
+  "values": [[0.5648148148592592, 0.75, 0.8472222222222222, 1.2847222222222223,
+              1.3333333333333333, 1.3333333334222222, 1.3333333334333333],
+             [0.5648148148592592, 0.75, 0.8472222222222222, 1.2847222222222223,
+              1.3333333333333333, 1.3333333334222222, 1.3333333334333333]]}},
+ "mu": 0}
+JOB
+pwl-rotor conjugacy --config "$dir/conjugacy_band.json" > "$dir/conjugacy_band.out"
+cat "$dir/conjugacy_band.out"
+grep -q '"verdict": "undecided"' "$dir/conjugacy_band.out"
 
 # exact herman_offset(1/2): the 1/2 tongue pinches to a point at d = 0
 cat > "$dir/pinch.json" <<'JOB'

@@ -107,6 +107,10 @@ class RationalBackend:
         arithmetic on validated lifts keeps the order, so nothing is checked again."""
         return slopes()
 
+    def rounding_doubt(self, check):
+        """None, leaving ``check`` uncalled: exact algebra has no rounding to doubt."""
+        return None
+
     def orbits(self, lanes, x0s, m):
         """``kernel.iterate`` of ``m`` steps for each ``(breaks, values,
         slopes)`` lane from its start in ``x0s``, one lane at a time."""
@@ -178,6 +182,10 @@ class FloatBackend:
         """None, leaving ``slopes`` uncalled: float slopes are rise over run of
         the marked points, and their order is checked, since rounding can break it."""
         return None
+
+    def rounding_doubt(self, check):
+        """``check()``: why float rounding leaves a result in doubt, or None."""
+        return check()
 
     def orbits(self, lanes, x0s, m):
         """``kernel.iterate`` of ``m`` steps for each ``(breaks, values,

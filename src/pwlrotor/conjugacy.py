@@ -4,27 +4,28 @@ The criterion driving everything here: a PWL circle homeomorphism with
 rotation number ``p/q`` is conjugate to the rigid rotation by ``p/q``
 through a PWL change of coordinates exactly when every genuine break
 point lies on a periodic orbit — equivalently, when ``F^q = x + p``
-identically.  Two independent certificates are therefore available: the
-break orbits close, and ``F^q(x) = x + p`` at every marked point of the
-explicit ``F^q``.  The second is read off the ``F^q`` that the rotation
-search in :func:`exact_rotation` built and certified ``p/q`` with
-(``RotationResult.rigid``), so ``F^q`` is built and decided once, and
-:func:`is_conjugate_to_rigid` insists the two certificates agree.
+identically.  One certificate decides both: the explicit ``F^q`` that the
+rotation search certified ``p/q`` with.  Its marked points are the
+backward orbits of those of ``F``, so forward orbits when ``F^q = x + p``,
+and a break orbit that does not close shows in ``F^q(b) - b - p``.  Float
+data keep one guard that exact algebra does not need (the backend's
+``rounding_doubt``), or the verdict is :class:`Undecided`.
 
 When the test passes, the break orbits partition the break set into
 ``K <= n/2`` classes, each carrying at least two breaks and a jump-ratio
 product of 1 (the trivial cancellations).  Their ``N = q*K`` sorted
 points carry all that the conjugacy and the density need, since ``f``
-carries point ``j`` onto point ``j + p*K (mod N)``, and each cell
-between adjacent orbit points affinely onto the next cell of its cycle,
-so the invariant probability measure gives each cell the mass ``L / q``,
-``L`` the total length of its cycle.  The conjugacy ``h`` of
-:func:`build_conjugacy` is the distribution function of that measure,
-normalised by ``h(b_1) = 0`` for ``b_1`` the first break of the first
-orbit, and the density of :func:`invariant_density` is the slopes of
-``h``: both come from the one private ``_distribution``.
-:func:`verify_invariance` checks a density against the map over all arcs
-at once, from the one composition ``Phi o F`` with its cumulative ``Phi``.
+carries point ``j`` onto point ``j + p*K (mod N)`` (so the orbit of point
+``j`` is its class ``j mod K``), and each cell between adjacent orbit
+points affinely onto the next cell of its cycle, so the invariant
+probability measure gives each cell the mass ``L / q``, ``L`` the total
+length of its cycle.  The conjugacy ``h`` of :func:`build_conjugacy` is
+the distribution function of that measure, normalised by ``h(b_1) = 0``
+for ``b_1`` the first break of the first orbit, and the density of
+:func:`invariant_density` is the slopes of ``h``: both come from the one
+private ``_distribution``.  :func:`verify_invariance` checks a density
+against the map over all arcs at once, from the one composition
+``Phi o F`` with its cumulative ``Phi``.
 
 The float closure band ``ORBIT_TOL`` and the mass band ``MASS_TOL`` live
 in :mod:`pwlrotor.backend` with the other bands, and the default search
@@ -39,10 +40,11 @@ points with a slope above 1.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+import math
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from . import errors
 from .backend import MASS_TOL, ORBIT_TOL, Num, Record, to_json
@@ -55,9 +57,10 @@ from .lift import (
     jump_product,
     make_lift,
     piece,
+    power,
     rigid,
 )
-from .rotation import RotationResult, exact_rotation
+from .rotation import RotationResult, _edge_values, _is_rigid_shift, _rotation_search
 
 #: Largest denominator the rotation search tries when no ``(p, q)`` is given.
 Q_CAP = 64
@@ -118,113 +121,109 @@ def _orbit_points(f: PwlLift, x0, q: int) -> list:
     return pts
 
 
-def _lowest_near(xs: list, tags: list, x, near):
-    """Lowest ``tags[t]`` over the sorted circle points ``xs[t]`` near ``x``,
-    or None.  They form one arc around the place of ``x`` in ``xs``: a
-    bisection and a walk outward each way, across the 0/1 wrap, find them."""
-    n = len(xs)
-    pos = bisect_left(xs, x)
-    hits = []
-    for start, step in ((pos, 1), (pos - 1, -1)):
-        for k in range(n):
-            t = (start + step * k) % n
-            if not near(x, xs[t]):
-                break
-            hits.append(tags[t])
-    return min(hits, default=None)
+def _nearest(xs: tuple, x) -> int:
+    """Index of the sorted circle point of ``xs`` nearest to ``x``, across the 0/1 wrap."""
+    t = bisect_left(xs, x) % len(xs)
+    return min(t, (t - 1) % len(xs), key=lambda j: _circle_dist(xs[j], x))
+
+
+def _half_turn(d) -> Num:
+    """``d`` reduced mod 1 to (-1/2, 1/2], in ``d``'s own scalar type."""
+    return d - math.ceil(d - Fraction(1, 2))
+
+
+def _float_doubt(f: PwlLift, P: PwlLift, p: int, q: int, home: dict) -> Optional[str]:
+    """Why rounding puts the partition read off ``P = F^q`` in doubt, or None.
+
+    Each break orbit walked forward through ``f`` must close within
+    ``ORBIT_TOL`` just when ``P`` says so.  When all close, ``P`` (which
+    merges points at ``eps_x``) must be ``x + p`` to ``eps_x`` on a multiple
+    of ``q`` points, and the kept classes (those of the breaks' ``home``
+    points) more than twice ``ORBIT_TOL`` apart: no break is near two.
+    """
+    sign = f.backend.sign
+    for i in home:
+        b = f.breaks[i]
+        drift, walked = _half_turn(P(b) - b - p), _half_turn(_orbit_points(f, b, q + 1)[-1] - b)
+        opens = sign(abs(drift), ORBIT_TOL) == 1
+        if opens != (sign(abs(walked), ORBIT_TOL) == 1):
+            return "F^%d moves break %d by %s, but its orbit walked forward moves it by %s" % (
+                q, i, drift, walked)
+        if opens:
+            return None
+    xs = P.breaks
+    K, rest = divmod(len(xs), q)
+    if rest or not _is_rigid_shift(P, _edge_values(P, p)):
+        return "F^%d is not x + %d to eps_x on a multiple of %d points" % (q, p, q)
+    kept = {j % K for j in home.values()}
+    pts = [x for j, x in enumerate(xs) if j % K in kept]
+    for a, b in zip(pts, cell_ends(pts) if pts else ()):
+        if sign(b - a, 2 * ORBIT_TOL) != 1:
+            return "break orbit points %s and %s lie within twice ORBIT_TOL" % (a, b)
+    return None
+
+
+def _read_off(f: PwlLift, P: PwlLift, p, q) -> Union[OrbitPartition, NotPeriodic, Undecided]:
+    """The break-orbit partition of ``f`` read off ``P = F^q``, ``p/q`` in lowest terms.
+
+    The first genuine break whose drift ``P(b) - b - p``, reduced to
+    (-1/2, 1/2], is not 0 (within ``ORBIT_TOL`` in floats) is :class:`NotPeriodic`.
+    Otherwise the ``N`` sorted marked points of ``P`` are every orbit point,
+    the orbit of point ``j`` is its class ``j mod N/q``, and a break marks
+    its nearest point (the lowest break when two do), as its landmark; the
+    classes that hold a break are kept, in break order.  Float data must pass
+    :func:`_float_doubt`, or give :class:`Undecided`.  A drift of whole turns
+    raises :class:`errors.InternalMismatch`: ``p`` is not the map's.
+    """
+    backend = f.backend
+    xs = P.breaks
+    home = {i: _nearest(xs, f.breaks[i]) for i in f.genuine_break_indices()}
+    doubt = backend.rounding_doubt(lambda: _float_doubt(f, P, p, q, home))
+    if doubt is not None:
+        return Undecided(reason=doubt)
+    for i in home:
+        b = f.breaks[i]
+        e = P(b) - b - p
+        drift = _half_turn(e)
+        if backend.sign(abs(drift), ORBIT_TOL) == 1:
+            return NotPeriodic(break_index=i, point=b, drift=drift, q=q)
+        if backend.sign(abs(e), ORBIT_TOL) == 1:
+            raise errors.InternalMismatch(
+                "orbit points are not well-ordered as a %d/%d rotation orbit" % (p, q)
+            )
+    K = len(xs) // q or 1  # 0 only when no break keeps a class
+    at, orbit_of = {}, {}  # point -> lowest break on it; class -> orbit
+    for i, j in home.items():
+        at.setdefault(j, i)
+        orbit_of.setdefault(j % K, len(orbit_of))
+    orbits = [tuple(i for i, j in home.items() if orbit_of[j % K] == r) for r in orbit_of.values()]
+    points = sorted((OrbitPoint(x=f.breaks[at[j]] if j in at else x, is_break=j in at,
+                                break_index=at.get(j), orbit=orbit_of[j % K])
+                     for j, x in enumerate(xs) if j % K in orbit_of), key=lambda pt: pt.x)
+    return OrbitPartition(p=p, q=q, orbits=tuple(orbits), points=tuple(points))
 
 
 def break_orbit_partition(
     f: PwlLift, q_hint: Optional[Tuple[int, int]] = None
-) -> Union[OrbitPartition, NotPeriodic]:
+) -> Union[OrbitPartition, NotPeriodic, Undecided]:
     """Partition the genuine breaks of ``f`` by periodic orbit.
 
-    ``q_hint`` may supply ``(p, q)`` directly; otherwise the rotation
-    number is certified by :func:`exact_rotation` first, raising
-    :class:`errors.RotationIrrational` when no rational value is found
-    within :data:`Q_CAP`.  Returns :class:`NotPeriodic` evidence (first break
-    whose orbit misses itself, with its drift) instead of a partition as
-    soon as any orbit fails to close.  Two circle points coincide unless
-    ``backend.sign`` of their distance, with band ``ORBIT_TOL``, is 1: they
-    agree to within ``ORBIT_TOL`` in floats and exactly for ``Fraction`` data.
-    A break joins the lowest orbit with a point that coincides with it, and
-    an orbit point marks the lowest genuine break it coincides with; both
-    are found by bisection into the sorted points (:func:`_lowest_near`).
+    Read off ``F^q`` (:func:`_read_off`): ``power(f, q)`` for ``q_hint = (p, q)``
+    in lowest terms, else the ``F^q`` that certified ``p/q`` within
+    :data:`Q_CAP` (:class:`errors.RotationIrrational` when none did).  Gives
+    :class:`NotPeriodic` evidence (the first break whose orbit misses itself,
+    with its drift), or :class:`Undecided` when rounding leaves it in doubt.
     """
-    if q_hint is not None:
-        p, q = q_hint
-    else:
-        rr = exact_rotation(f, q_max=Q_CAP)
+    if q_hint is None:
+        rr, P = _rotation_search(f, Q_CAP)
         if rr.kind != "exact":
             raise errors.RotationIrrational(
                 "rotation number not certified rational within q <= %d: [%s, %s]"
                 % (Q_CAP, rr.lo, rr.hi)
             )
-        p, q = rr.p, rr.q
-
-    sign = f.backend.sign
-
-    def near(a, b) -> bool:
-        return sign(_circle_dist(a, b), ORBIT_TOL) != 1
-
-    genuine = f.genuine_break_indices()
-    if not genuine:
-        return OrbitPartition(p=p, q=q, orbits=(), points=())
-
-    orbit_of: dict = {}
-    orbit_pts: List[list] = []
-    placed_xs: list = []  # every point of the orbits so far, sorted ...
-    placed_rs: list = []  # ... with its orbit
-    for i in genuine:
-        b = f.breaks[i]
-        pts = _orbit_points(f, b, q)
-        closure = frac(f(pts[-1]))
-        if not near(closure, b):
-            signed = closure - b
-            if signed > Fraction(1, 2):
-                signed -= 1
-            elif signed < -Fraction(1, 2):
-                signed += 1
-            return NotPeriodic(break_index=i, point=b, drift=signed, q=q)
-        r = _lowest_near(placed_xs, placed_rs, b, near)
-        if r is None:
-            r = len(orbit_pts)
-            orbit_pts.append(pts)
-            for x in pts:
-                t = bisect_right(placed_xs, x)
-                placed_xs.insert(t, x)
-                placed_rs.insert(t, r)
-        orbit_of[i] = r
-
-    orbits = tuple(tuple(i for i in genuine if orbit_of[i] == r) for r in range(len(orbit_pts)))
-
-    genuine_xs = [f.breaks[i] for i in genuine]
-    points = []
-    for r, pts in enumerate(orbit_pts):
-        for x in pts:
-            brk = _lowest_near(genuine_xs, genuine, x, near)
-            points.append(OrbitPoint(x=x, is_break=brk is not None, break_index=brk, orbit=r))
-    points.sort(key=lambda pt: pt.x)
-
-    _check_well_ordered(orbit_pts, p, q)
-    return OrbitPartition(p=p, q=q, orbits=orbits, points=tuple(points))
-
-
-def _check_well_ordered(orbit_pts, p, q):
-    """Each orbit must be combinatorially a rigid p/q orbit.
-
-    Sorting an orbit and following one application of the map should
-    advance the sorted position by exactly ``p`` mod ``q``.
-    """
-    for pts in orbit_pts:
-        order = sorted(range(q), key=lambda j: pts[j])
-        pos = {j: t for t, j in enumerate(order)}
-        for j in range(q):
-            nxt = (j + 1) % q
-            if (pos[nxt] - pos[j]) % q != p % q:
-                raise errors.InternalMismatch(
-                    "orbit points are not well-ordered as a %d/%d rotation orbit" % (p, q)
-                )
+        return _read_off(f, P, rr.p, rr.q)
+    r = Fraction(*q_hint)
+    return _read_off(f, power(f, r.denominator), r.numerator, r.denominator)
 
 
 @dataclass(frozen=True)
@@ -255,18 +254,15 @@ Verdict = Union[Conjugate, NotConjugate, Undecided]
 
 
 def is_conjugate_to_rigid(f: PwlLift, q_cap: int = Q_CAP) -> Verdict:
-    """Decide conjugacy to a rigid rational rotation, with cross-checks.
+    """Decide conjugacy to a rigid rational rotation, from one certificate.
 
-    Certifies the rotation number, then runs the break-orbit test, and
-    compares it with the ``F^q``-rigidity certificate that the rotation
-    search built on its way to ``p/q`` (``RotationResult.rigid``: ``F^q``
-    is not built a second time).  The two must agree or
-    :class:`errors.InternalMismatch` is raised (a tolerance problem, not a
-    mathematical possibility).  A search that ends in an enclosure gives
+    The break-orbit partition is read off the ``F^q`` with which the rotation
+    search certified ``p/q``.  A search that ends in an enclosure gives
     :class:`Undecided`, whose reason says what stopped it: ``q_cap``, or a
-    float sign inside the decision band.
+    float sign inside the decision band; so does a float reading in doubt,
+    naming the failed check, with the search's exact result as enclosure.
     """
-    rr = exact_rotation(f, q_max=q_cap)
+    rr, P = _rotation_search(f, q_cap)
     if rr.kind != "exact":
         if rr.lo.denominator + rr.hi.denominator <= q_cap:
             # the next mediant was within reach: a float sign stopped the search
@@ -276,13 +272,8 @@ def is_conjugate_to_rigid(f: PwlLift, q_cap: int = Q_CAP) -> Verdict:
             reason = "rotation number not certified rational within q <= %d" % q_cap
         return Undecided(reason=reason, enclosure=rr)
     p, q = rr.p, rr.q
-    part = break_orbit_partition(f, q_hint=(p, q))
+    part = _read_off(f, P, p, q)
     if isinstance(part, NotPeriodic):
-        if rr.rigid:
-            raise errors.InternalMismatch(
-                "F^%d is a rigid shift but break %d drifts by %s; tolerances disagree"
-                % (q, part.break_index, part.drift)
-            )
         return NotConjugate(
             reason="break point %d is not periodic (drift %s after %d steps)"
             % (part.break_index, part.drift, q),
@@ -290,10 +281,8 @@ def is_conjugate_to_rigid(f: PwlLift, q_cap: int = Q_CAP) -> Verdict:
             q=q,
             evidence=part,
         )
-    if not rr.rigid:
-        raise errors.InternalMismatch(
-            "all break orbits close but F^%d(x) != x + %d at a marked point of F^%d" % (q, p, q)
-        )
+    if isinstance(part, Undecided):
+        return replace(part, enclosure=rr)
     return Conjugate(p=p, q=q, partition=part)
 
 
@@ -304,7 +293,8 @@ def _certified_partition(f: PwlLift, q: Optional[int] = None) -> OrbitPartition:
     when there is none).
 
     Raises :class:`errors.NotConjugateError` when a break orbit does not
-    close, and ValueError when ``q < 1``.
+    close, :class:`errors.PrecisionLoss` when float rounding leaves the
+    partition in doubt, and ValueError when ``q < 1``.
     """
     if q is None:
         part = break_orbit_partition(f)
@@ -322,6 +312,8 @@ def _certified_partition(f: PwlLift, q: Optional[int] = None) -> OrbitPartition:
             "break %d is not periodic (drift %s after %d steps)"
             % (part.break_index, part.drift, part.q)
         )
+    if isinstance(part, Undecided):
+        raise errors.PrecisionLoss(part.reason)
     return part
 
 

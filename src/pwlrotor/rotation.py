@@ -18,8 +18,7 @@ Three complementary tools live here.
   a decision band.  Inside the band the only certificate left is ``E = 0``
   at every marked point (``F^q`` is the rigid shift by ``p``); without it
   the search degrades to the current enclosure instead of guessing.  The
-  same edge values say whether ``F^q = x + p`` identically, which is the
-  conjugacy criterion, so the result carries that verdict as ``rigid``.
+  conjugacy verdict reads its break orbits off the ``F^q`` that certified.
 * :func:`mode_lock_interval` — for a monotone one-parameter family, locate
   the parameter interval on which ``rho = p/q`` by bisecting the two sign
   functions ``max E`` (lower edge) and ``min E`` (upper edge) separately,
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -59,11 +58,6 @@ class RotationResult(Record):
     ``kind`` is ``"exact"`` (with ``p``, ``q``, and a periodic ``witness``)
     or ``"enclosure"`` (with rigorous bounds ``lo <= rho <= hi``).  Both
     kinds populate ``lo``/``hi`` so consumers can treat them uniformly.
-
-    ``rigid`` says whether ``F^q(x) = x + p`` at every marked point of the
-    ``F^q`` that certified an exact result (``eq_point`` on its edge
-    values), i.e. whether the map is conjugate to the rigid rotation by
-    ``p/q``.  It is None for enclosures and is not serialized.
     """
 
     kind: str
@@ -73,10 +67,9 @@ class RotationResult(Record):
     hi: Num
     witness: Optional[Num] = None
     iterations: Optional[int] = None
-    rigid: Optional[bool] = field(default=None, metadata={"json": False})
 
     @classmethod
-    def exact(cls, p: int, q: int, witness, iterations=None, rigid=None) -> "RotationResult":
+    def exact(cls, p: int, q: int, witness, iterations=None) -> "RotationResult":
         value = Fraction(p, q)
         return cls(
             kind="exact",
@@ -86,7 +79,6 @@ class RotationResult(Record):
             hi=value,
             witness=witness,
             iterations=iterations,
-            rigid=rigid,
         )
 
     @classmethod
@@ -257,7 +249,7 @@ def _classify(P: PwlLift, p) -> str:
     return _UNDECIDED
 
 
-def _checked_exact(P: PwlLift, p: int, q: int, iterations) -> RotationResult:
+def _checked_exact(P: PwlLift, p: int, q: int, iterations) -> Tuple[RotationResult, PwlLift]:
     vals = _edge_values(P, p)
     witness = _find_witness(P, vals)
     resid = P(witness) - witness - p
@@ -265,19 +257,11 @@ def _checked_exact(P: PwlLift, p: int, q: int, iterations) -> RotationResult:
         raise errors.InternalMismatch(
             "periodic witness failed verification: residual %s at x=%s" % (resid, witness)
         )
-    return RotationResult.exact(p, q, witness, iterations, rigid=_is_rigid_shift(P, vals))
+    return RotationResult.exact(p, q, witness, iterations), P
 
 
-def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
-    """Stern-Brocot search for an exact rational rotation number.
-
-    Starting from the integer interval ``[floor(F(0)), floor(F(0)) + 1]``,
-    repeatedly test the mediant ``p/q``.  The powers behind the current
-    interval ends are cached, so each step costs one composition.  Returns
-    an exact result with witness, or the tightest Farey enclosure reached
-    when ``q_max`` is exhausted or a float sign test refuses to decide.
-    ``iterations`` counts the mediants tested, i.e. the compositions.
-    """
+def _rotation_search(f: PwlLift, q_max: int) -> Tuple[RotationResult, Optional[PwlLift]]:
+    """:func:`exact_rotation`, and the ``P = F^q`` that certified it (None for an enclosure)."""
     backend = f.backend
     zero = backend.coerce(0)
     k0 = math.floor(f(zero))
@@ -290,7 +274,7 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
         if status == _HIT:
             return _checked_exact(f, p, 1, 0)
         if status == _UNDECIDED:
-            return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1), iterations=0)
+            return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1), iterations=0), None
 
     pl, ql, Pl = k0, 1, f
     pr, qr, Pr = k0 + 1, 1, f
@@ -298,7 +282,7 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
     while True:
         p, q = pl + pr, ql + qr
         if q > q_max:
-            return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=tested)
+            break
         P = compose(Pl, Pr)  # F^{ql} o F^{qr} = F^q
         tested += 1
         status = _classify(P, p)
@@ -309,7 +293,21 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
         elif status == _BELOW:
             pr, qr, Pr = p, q, P
         else:
-            return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=tested)
+            break
+    return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=tested), None
+
+
+def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
+    """Stern-Brocot search for an exact rational rotation number.
+
+    Starting from the integer interval ``[floor(F(0)), floor(F(0)) + 1]``,
+    repeatedly test the mediant ``p/q``.  The powers behind the current
+    interval ends are cached, so each step costs one composition.  Returns
+    an exact result with witness, or the tightest Farey enclosure reached
+    when ``q_max`` is exhausted or a float sign test refuses to decide.
+    ``iterations`` counts the mediants tested, i.e. the compositions.
+    """
+    return _rotation_search(f, q_max)[0]
 
 
 @dataclass(frozen=True)

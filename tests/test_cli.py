@@ -472,6 +472,23 @@ def main_on(tmp_path, capsys, command, config, *extra):
 class TestExitsInProcess:
     """Refusals and output forms that no subprocess test reaches."""
 
+    def test_float_orbits_closer_than_the_band_are_undecided(self, tmp_path, capsys):
+        # h^-1 o R_{2/3} o h for h through (1/3, 1/5), (1/3 + 1e-10, 1/2),
+        # (3/4, 4/5), in floats: F^3 is x + 2 to eps_x, but the orbit of
+        # break 1 walked forward misses itself by 2.4e-7
+        breaks = [0.041666666666666664, 0.2361111111111111, 0.3333333333333333,
+                  0.3333333334333333, 0.3796296297185185, 0.75, 0.7986111111111112]
+        values = [0.5648148148592592, 0.75, 0.8472222222222222, 1.2847222222222223,
+                  1.3333333333333333, 1.3333333334222222, 1.3333333334333333]
+        family = {"family": "custom", "params": {"mu": [0, 1], "breaks": [breaks, breaks],
+                                                 "values": [values, values]}}
+        code, out, err = main_on(tmp_path, capsys, "conjugacy", {"family": family, "mu": 0})
+        assert code == 0, err
+        verdict = json.loads(out)["verdict"]
+        assert verdict["verdict"] == "undecided"
+        assert "walked forward moves it by -2.4" in verdict["reason"]
+        assert verdict["enclosure"]["q"] == 3 and "h" not in json.loads(out)
+
     @pytest.mark.parametrize("text, message", [
         ("{", "is not valid JSON"),
         ("[1]", "config root must be a JSON object"),

@@ -176,7 +176,7 @@ class TestExactRotation:
         # F(0) = 3/4 puts rho in [0, 1], and F(1/2) = 1/2 + 1 certifies rho = 1
         r = pr.exact_rotation(pr.make_lift([Fr(0), Fr(1, 2)], [Fr(3, 4), Fr(3, 2)]))
         assert (r.kind, r.p, r.q, r.iterations) == ("exact", 1, 1, 0)
-        assert r.witness == Fr(1, 2) and r.rigid is False
+        assert r.witness == Fr(1, 2)
 
     @pytest.mark.parametrize("shift", [1e-11, 1 - 1e-11])
     def test_float_undecided_at_an_integer_end(self, shift):
@@ -229,14 +229,6 @@ class TestExactRotation:
         assert r.kind == "enclosure" and (r.lo, r.hi) == (Fr(1, 3), Fr(1, 2))
         assert r.iterations == 2
         assert r.to_json()["iterations"] == 2
-
-    def test_rigid_reads_the_certifying_power(self):
-        # F^q = x + p at every marked point of the F^q that certified p/q
-        assert pr.exact_rotation(pr.rigid(Fr(2, 5))).rigid is True
-        locked = pr.exact_rotation(pr.herman_shifted(Fr(3, 2)).lift(Fr(-4, 25)))
-        assert (locked.p, locked.q, locked.rigid) == (1, 3, False)
-        enc = pr.exact_rotation(pr.coelho(Fr(3, 10), Fr(11, 20)).lift(0), q_max=30)
-        assert enc.kind == "enclosure" and enc.rigid is None
 
     def test_result_json(self):
         r = pr.exact_rotation(pr.rigid(Fr(2, 5)))
