@@ -40,7 +40,6 @@ points with a slope above 1.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -129,7 +128,7 @@ def _nearest(xs: tuple, x) -> int:
 
 def _half_turn(d) -> Num:
     """``d`` reduced mod 1 to (-1/2, 1/2], in ``d``'s own scalar type."""
-    return d - math.ceil(d - Fraction(1, 2))
+    return d + (1 - 2 * d) // 2
 
 
 def _float_doubt(f: PwlLift, P: PwlLift, p: int, q: int, home: dict) -> Optional[str]:
