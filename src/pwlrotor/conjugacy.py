@@ -287,9 +287,9 @@ def is_conjugate_to_rigid(f: PwlLift, q_cap: int = Q_CAP) -> Verdict:
 
 def _certified_partition(f: PwlLift, q: Optional[int] = None) -> OrbitPartition:
     """The break-orbit partition of ``f`` at its rotation number: the one
-    certified within :data:`Q_CAP` or, given ``q``, ``(F^q(b) - b)/q`` in
-    lowest terms for the first genuine break ``b`` (the first marked point
-    when there is none).
+    certified within :data:`Q_CAP` or, given ``q``, the one read off ``F^q``
+    at ``(F^q(b) - b)/q`` in lowest terms for the first genuine break ``b``
+    (the first marked point when there is none).
 
     Raises :class:`errors.NotConjugateError` when a break orbit does not
     close, :class:`errors.PrecisionLoss` when float rounding leaves the
@@ -300,12 +300,12 @@ def _certified_partition(f: PwlLift, q: Optional[int] = None) -> OrbitPartition:
     else:
         if q < 1:
             raise ValueError("the period q must be >= 1, got %d" % q)
+        P = power(f, q)
         genuine = f.genuine_break_indices()
-        b = x = f.breaks[genuine[0] if genuine else 0]
-        for _ in range(q):
-            x = f(x)
-        r = Fraction(round(x - b), q)
-        part = break_orbit_partition(f, q_hint=(r.numerator, r.denominator))
+        b = f.breaks[genuine[0] if genuine else 0]
+        r = Fraction(round(P(b) - b), q)
+        P = P if r.denominator == q else power(f, r.denominator)
+        part = _read_off(f, P, r.numerator, r.denominator)
     if isinstance(part, NotPeriodic):
         raise errors.NotConjugateError(
             "break %d is not periodic (drift %s after %d steps)"
