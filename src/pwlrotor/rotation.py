@@ -18,7 +18,7 @@ Three complementary tools live here.
   a decision band.  Inside the band the only certificate left is ``E = 0``
   at every marked point (``F^q`` is the rigid shift by ``p``); without it
   the search degrades to the current enclosure instead of guessing.  The
-  conjugacy verdict reads its break orbits off the ``F^q`` that certified.
+  conjugacy verdict reads its break orbits off the ``F^q`` that certified ``p/q``.
 * :func:`mode_lock_interval` — for a monotone one-parameter family, locate
   the parameter interval on which ``rho = p/q`` by bisecting the two sign
   functions ``max E`` (lower edge) and ``min E`` (upper edge) separately,
