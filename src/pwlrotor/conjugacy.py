@@ -56,10 +56,9 @@ from .lift import (
     jump_product,
     make_lift,
     piece,
-    power,
     rigid,
 )
-from .rotation import RotationResult, _edge_values, _is_rigid_shift, _rotation_search
+from .rotation import RotationResult, _edge_values, _farey_power, _is_rigid_shift, _rotation_search
 
 #: Largest denominator the rotation search tries when no ``(p, q)`` is given.
 Q_CAP = 64
@@ -126,9 +125,10 @@ def _nearest(xs: tuple, x) -> int:
     return min(t, (t - 1) % len(xs), key=lambda j: _circle_dist(xs[j], x))
 
 
-def _half_turn(d) -> Num:
-    """``d`` reduced mod 1 to (-1/2, 1/2], in ``d``'s own scalar type."""
-    return d + (1 - 2 * d) // 2
+def _drift(b, image) -> Num:
+    """``frac(image) - b`` reduced mod 1 to [-1/2, 1/2], as a walk from ``b`` sees it."""
+    d = frac(image) - b
+    return d - 1 if 2 * d > 1 else d + 1 if 2 * d < -1 else d
 
 
 def _float_doubt(f: PwlLift, P: PwlLift, p: int, q: int, home: dict) -> Optional[str]:
@@ -143,7 +143,7 @@ def _float_doubt(f: PwlLift, P: PwlLift, p: int, q: int, home: dict) -> Optional
     sign = f.backend.sign
     for i in home:
         b = f.breaks[i]
-        drift, walked = _half_turn(P(b) - b - p), _half_turn(_orbit_points(f, b, q + 1)[-1] - b)
+        drift, walked = _drift(b, P(b)), _drift(b, _orbit_points(f, b, q + 1)[-1])
         opens = sign(abs(drift), ORBIT_TOL) == 1
         if opens != (sign(abs(walked), ORBIT_TOL) == 1):
             return "F^%d moves break %d by %s, but its orbit walked forward moves it by %s" % (
@@ -165,8 +165,8 @@ def _float_doubt(f: PwlLift, P: PwlLift, p: int, q: int, home: dict) -> Optional
 def _read_off(f: PwlLift, P: PwlLift, p, q) -> Union[OrbitPartition, NotPeriodic, Undecided]:
     """The break-orbit partition of ``f`` read off ``P = F^q``, ``p/q`` in lowest terms.
 
-    The first genuine break whose drift ``P(b) - b - p``, reduced to
-    (-1/2, 1/2], is not 0 (within ``ORBIT_TOL`` in floats) is :class:`NotPeriodic`.
+    The first genuine break whose drift (:func:`_drift` of ``P(b)``) is not
+    0, within ``ORBIT_TOL`` in floats, is :class:`NotPeriodic`.
     Otherwise the ``N`` sorted marked points of ``P`` are every orbit point,
     the orbit of point ``j`` is its class ``j mod N/q``, and a break marks
     its nearest point (the lowest break when two do), as its landmark; the
@@ -182,11 +182,11 @@ def _read_off(f: PwlLift, P: PwlLift, p, q) -> Union[OrbitPartition, NotPeriodic
         return Undecided(reason=doubt)
     for i in home:
         b = f.breaks[i]
-        e = P(b) - b - p
-        drift = _half_turn(e)
+        y = P(b)
+        drift = _drift(b, y)
         if backend.sign(abs(drift), ORBIT_TOL) == 1:
             return NotPeriodic(break_index=i, point=b, drift=drift, q=q)
-        if backend.sign(abs(e), ORBIT_TOL) == 1:
+        if backend.sign(abs(y - b - p), ORBIT_TOL) == 1:
             raise errors.InternalMismatch(
                 "orbit points are not well-ordered as a %d/%d rotation orbit" % (p, q)
             )
@@ -204,25 +204,29 @@ def _read_off(f: PwlLift, P: PwlLift, p, q) -> Union[OrbitPartition, NotPeriodic
 
 def break_orbit_partition(
     f: PwlLift, q_hint: Optional[Tuple[int, int]] = None
-) -> Union[OrbitPartition, NotPeriodic, Undecided]:
+) -> Union[OrbitPartition, NotPeriodic]:
     """Partition the genuine breaks of ``f`` by periodic orbit.
 
-    Read off ``F^q`` (:func:`_read_off`): ``power(f, q)`` for ``q_hint = (p, q)``
-    in lowest terms, else the ``F^q`` that certified ``p/q`` within
-    :data:`Q_CAP` (:class:`errors.RotationIrrational` when none did).  Gives
-    :class:`NotPeriodic` evidence (the first break whose orbit misses itself,
-    with its drift), or :class:`Undecided` when rounding leaves it in doubt.
+    Read off ``F^q`` (:func:`_read_off`): the ``F^q`` that certified ``p/q``
+    within :data:`Q_CAP` (:class:`errors.RotationIrrational` when none did),
+    or for ``q_hint = (p, q)`` in lowest terms the ``F^q`` composed as that
+    search composes it.  Gives :class:`NotPeriodic` evidence (the first break
+    whose orbit misses itself, with its drift); raises
+    :class:`errors.PrecisionLoss` when float rounding leaves it in doubt.
     """
     if q_hint is None:
         rr, P = _rotation_search(f, Q_CAP)
         if rr.kind != "exact":
-            raise errors.RotationIrrational(
-                "rotation number not certified rational within q <= %d: [%s, %s]"
-                % (Q_CAP, rr.lo, rr.hi)
-            )
-        return _read_off(f, P, rr.p, rr.q)
-    r = Fraction(*q_hint)
-    return _read_off(f, power(f, r.denominator), r.numerator, r.denominator)
+            raise errors.RotationIrrational("rotation number not certified rational within "
+                                            "q <= %d: [%s, %s]" % (Q_CAP, rr.lo, rr.hi))
+        r = Fraction(rr.p, rr.q)
+    else:
+        r = Fraction(*q_hint)
+        P = _farey_power(f, r)
+    part = _read_off(f, P, r.numerator, r.denominator)
+    if isinstance(part, Undecided):
+        raise errors.PrecisionLoss(part.reason)
+    return part
 
 
 @dataclass(frozen=True)
@@ -270,19 +274,13 @@ def is_conjugate_to_rigid(f: PwlLift, q_cap: int = Q_CAP) -> Verdict:
         else:
             reason = "rotation number not certified rational within q <= %d" % q_cap
         return Undecided(reason=reason, enclosure=rr)
-    p, q = rr.p, rr.q
-    part = _read_off(f, P, p, q)
+    part = _read_off(f, P, rr.p, rr.q)
     if isinstance(part, NotPeriodic):
-        return NotConjugate(
-            reason="break point %d is not periodic (drift %s after %d steps)"
-            % (part.break_index, part.drift, q),
-            p=p,
-            q=q,
-            evidence=part,
-        )
+        return NotConjugate(reason="break point %d is not periodic (drift %s after %d steps)"
+                            % (part.break_index, part.drift, rr.q), p=rr.p, q=rr.q, evidence=part)
     if isinstance(part, Undecided):
         return replace(part, enclosure=rr)
-    return Conjugate(p=p, q=q, partition=part)
+    return Conjugate(p=rr.p, q=rr.q, partition=part)
 
 
 def _certified_partition(f: PwlLift, q: Optional[int] = None) -> OrbitPartition:
@@ -295,24 +293,19 @@ def _certified_partition(f: PwlLift, q: Optional[int] = None) -> OrbitPartition:
     close, :class:`errors.PrecisionLoss` when float rounding leaves the
     partition in doubt, and ValueError when ``q < 1``.
     """
-    if q is None:
-        part = break_orbit_partition(f)
-    else:
+    hint = None
+    if q is not None:
         if q < 1:
             raise ValueError("the period q must be >= 1, got %d" % q)
-        P = power(f, q)
         genuine = f.genuine_break_indices()
-        b = f.breaks[genuine[0] if genuine else 0]
-        r = Fraction(round(P(b) - b), q)
-        P = P if r.denominator == q else power(f, r.denominator)
-        part = _read_off(f, P, r.numerator, r.denominator)
+        b = x = f.breaks[genuine[0] if genuine else 0]
+        for _ in range(q):
+            x = f(x)
+        hint = (round(x - b), q)
+    part = break_orbit_partition(f, hint)
     if isinstance(part, NotPeriodic):
-        raise errors.NotConjugateError(
-            "break %d is not periodic (drift %s after %d steps)"
-            % (part.break_index, part.drift, part.q)
-        )
-    if isinstance(part, Undecided):
-        raise errors.PrecisionLoss(part.reason)
+        raise errors.NotConjugateError("break %d is not periodic (drift %s after %d steps)"
+                                       % (part.break_index, part.drift, part.q))
     return part
 
 
@@ -411,10 +404,8 @@ class PiecewiseConstantDensity:
         return self.values[piece(self.cuts, frac(self.backend.coerce(x)))]
 
     def mass(self) -> Num:
-        total = self.backend.coerce(0)
-        for rho, x, end in zip(self.values, self.cuts, cell_ends(self.cuts)):
-            total += rho * (end - x)
-        return total
+        terms = zip(self.values, self.cuts, cell_ends(self.cuts))
+        return sum((rho * (end - x) for rho, x, end in terms), self.backend.coerce(0))
 
     def cdf_lift(self) -> PwlLift:
         """The cumulative distribution as a degree-one lift.
@@ -517,10 +508,7 @@ def break_count_growth(f: PwlLift, k_max: int) -> list:
 
     Bounded by ``q*K`` along conjugate maps; grows linearly otherwise.
     """
-    counts = []
-    for P in _canonical_iterates(f, k_max):
-        counts.append(0 if P.is_rigid else P.n)
-    return counts
+    return [0 if P.is_rigid else P.n for P in _canonical_iterates(f, k_max)]
 
 
 def derivative_growth(f: PwlLift, k_max: int) -> list:
@@ -529,7 +517,4 @@ def derivative_growth(f: PwlLift, k_max: int) -> list:
     Conjugate maps stay below ``max_slope**(q-1)``; locked non-conjugate
     maps grow geometrically (powers of ``(F^q)'`` at a periodic point).
     """
-    out = []
-    for P in _canonical_iterates(f, k_max):
-        out.append(max(P.slopes))
-    return out
+    return [max(P.slopes) for P in _canonical_iterates(f, k_max)]

@@ -297,6 +297,19 @@ def _rotation_search(f: PwlLift, q_max: int) -> Tuple[RotationResult, Optional[P
     return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=tested), None
 
 
+def _farey_power(f: PwlLift, r: Fraction) -> PwlLift:
+    """``F^q`` for ``r = p/q``, composed as :func:`_rotation_search` composes
+    it on its way to ``p/q``: each mediant's power is ``F^{ql} o F^{qr}`` of
+    its Farey parents'.  Exact powers do not depend on the order; float ones
+    lose monotonicity less often this way than by :func:`power`'s squares."""
+    lo, hi, Pl, Pr, P = Fraction(math.floor(r)), Fraction(math.floor(r) + 1), f, f, f
+    while lo.denominator + hi.denominator <= r.denominator:
+        P = compose(Pl, Pr)
+        mediant = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
+        lo, hi, Pl, Pr = (mediant, hi, P, Pr) if mediant < r else (lo, mediant, Pl, P)
+    return P
+
+
 def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
     """Stern-Brocot search for an exact rational rotation number.
 

@@ -83,6 +83,16 @@ class TestBreakOrbitPartition:
         res = pr.break_orbit_partition(f)
         assert res == pr.NotPeriodic(break_index=0, point=Fr(17, 30), drift=Fr(13, 30), q=1)
 
+    @pytest.mark.parametrize("breaks, values, drift", [
+        ([Fr(3, 5), Fr(7, 10), Fr(4, 5)], [Fr(1, 10), Fr(1, 5), Fr(9, 10)], Fr(-1, 2)),
+        ([Fr(1, 5), Fr(3, 10), Fr(9, 10)], [Fr(7, 10), Fr(3, 4), Fr(4, 5)], Fr(1, 2)),
+    ], ids=["down", "up"])
+    def test_drift_of_half_a_turn(self, breaks, values, drift):
+        # rho = 0/1 and the first break lands half a turn round: the drift
+        # is where its image lies in [0, 1) less the break, as a walk sees it
+        res = pr.break_orbit_partition(pr.make_lift(breaks, values))
+        assert res == pr.NotPeriodic(break_index=0, point=breaks[0], drift=drift, q=1)
+
     def test_orbit_out_of_rotation_order_raises(self, coelho_q3):
         # the break orbits of rho = 1/3 close after 3 steps, but they step
         # one place round the circle, not the two a 2/3 orbit steps
@@ -161,36 +171,21 @@ def circle_dist(a, b):
     return min(d, 1 - d)
 
 
-def walked_miss(f, b, q):
-    """Circle distance from ``b`` to ``F^q(b)``, by ``q`` steps of ``f``."""
-    x = b
-    for _ in range(q):
-        x = pr.frac(f(x))
-    return circle_dist(x, b)
-
-
 def assert_same_partition(f, p, q):
     """The partition read off ``F^q`` is the walked one, bit for bit for
     exact data.  Float landmarks come from ``compose``'s preimages, not from
     forward evaluation, so they need only lie within ``ORBIT_TOL`` of the
     walk's, in circle order; a float drift (the edge value of ``F^q``) names
-    a break whose walked orbit misses itself too; and rounding may leave a
-    float reading undecided, or the float ``F^q`` unbuilt."""
+    the break whose walked orbit misses itself first."""
     want = scanned_partition(f, p, q)
-    exact = isinstance(f.backend, RationalBackend)
-    try:
-        got = pr.break_orbit_partition(f, q_hint=(p, q))
-    except errors.PrecisionLoss:
-        assert not exact
-        return None
-    if exact:
+    got = pr.break_orbit_partition(f, q_hint=(p, q))
+    if isinstance(f.backend, RationalBackend):
         assert got == want
         assert got.to_json() == want.to_json()
     elif isinstance(got, pr.NotPeriodic):
-        # the walk stops at the first break whose orbit misses itself
-        assert isinstance(want, pr.NotPeriodic) and want.break_index <= got.break_index
-        assert walked_miss(f, got.point, q) > ORBIT_TOL
-    elif isinstance(got, pr.OrbitPartition):
+        assert isinstance(want, pr.NotPeriodic)
+        assert (got.break_index, got.point, got.q) == (want.break_index, want.point, want.q)
+    else:
         assert (got.p, got.q, got.orbits) == (want.p, want.q, want.orbits)
         # a preimage just below 1 is the walk's point at 0: turn the circle order
         turn = next((k for k, pt in enumerate(got.points)
@@ -199,9 +194,36 @@ def assert_same_partition(f, p, q):
         assert [(pt.is_break, pt.break_index, pt.orbit) for pt in pts] == [
             (pt.is_break, pt.break_index, pt.orbit) for pt in want.points]
         assert all(circle_dist(a.x, b.x) <= ORBIT_TOL for a, b in zip(pts, want.points))
-    else:
-        assert isinstance(got, pr.Undecided)
     return got
+
+
+# What a float reading of breaks closer than ORBIT_TOL may refuse on: the
+# checks of the float guard, or a composition of F^q that lost monotonicity.
+REFUSALS = ("but its orbit walked forward moves it by", "to eps_x on a multiple of",
+            "lie within twice ORBIT_TOL", "lost monotonicity")
+
+
+def partition_or_refusal(f, p, q):
+    """:func:`assert_same_partition` for float data whose breaks or orbit
+    points lie within ``ORBIT_TOL``, where rounding may also leave the
+    partition in doubt: the :class:`errors.PrecisionLoss` is returned, and
+    must name one of the :data:`REFUSALS`."""
+    assert not isinstance(f.backend, RationalBackend)
+    try:
+        return assert_same_partition(f, p, q)
+    except errors.PrecisionLoss as exc:
+        assert any(why in str(exc) for why in REFUSALS), exc
+        return exc
+
+
+def near_band_map(gap, rho):
+    """``h^-1 o R_rho o h`` for ``h`` through (1/3, 1/5), (1/3 + gap, 1/2)
+    and (3/4, 4/5): two break orbits ``gap`` apart, closer than ``ORBIT_TOL``."""
+    return conjugate_to(rho, [Fr(1, 3), Fr(1, 3) + gap, Fr(3, 4)], [Fr(1, 5), Fr(1, 2), Fr(4, 5)])
+
+
+NEAR_BAND = [(gap, Fr(p, q)) for gap in (Fr(1, 10**10), Fr(3, 10**10))
+             for q in range(2, 9) for p in range(1, q) if math.gcd(p, q) == 1]
 
 
 def rotated(f, t, lift_by):
@@ -212,7 +234,7 @@ def rotated(f, t, lift_by):
 
 
 class TestLookupMatchesScan:
-    """The bisected lookups give the quadratic scans' partitions, bit for bit."""
+    """The partition read off F^q is the walked one: bit for bit for exact data."""
 
     @settings(max_examples=60, deadline=None)
     @given(conjugate_maps(q_max=9))
@@ -244,13 +266,30 @@ class TestLookupMatchesScan:
     @pytest.mark.parametrize("gap", [Fr(1, 10**10), Fr(3, 10**10)])
     def test_float_breaks_closer_than_the_band(self, gap):
         # h's breaks 1/3 and 1/3 + gap give f pairs of breaks within
-        # ORBIT_TOL: a float orbit point near both marks the lower index
-        h = pr.make_lift([Fr(1, 3), Fr(1, 3) + gap, Fr(3, 4)], [Fr(1, 5), Fr(1, 2), Fr(4, 5)])
-        for q in range(2, 9):
-            for p in range(1, q):
-                if math.gcd(p, q) == 1:
-                    f = pr.compose(pr.invert(h), pr.compose(pr.rigid(Fr(p, q)), h))
-                    assert_same_partition(float_copy(f), p, q)
+        # ORBIT_TOL, so the float F^q can be x + p to eps_x while the float
+        # data's own F^q is off by up to 2.4e-7.  The float verdict is
+        # conjugate with the exact orbits, or a typed refusal, never an
+        # InternalMismatch; a hinted partition reads the F^q the search read.
+        for rho in (rho for g, rho in NEAR_BAND if g == gap):
+            f = near_band_map(gap, rho)
+            p, q = rho.numerator, rho.denominator
+            exact = pr.is_conjugate_to_rigid(f)
+            assert isinstance(exact, pr.Conjugate) and Fr(exact.p, exact.q) == rho
+            assert assert_same_partition(f, p, q) == exact.partition
+            g = float_copy(f)
+            hinted = partition_or_refusal(g, p, q)
+            try:
+                v = pr.is_conjugate_to_rigid(g)
+            except errors.PrecisionLoss as exc:  # a composition of the search
+                assert "lost monotonicity" in str(exc)
+                assert isinstance(hinted, errors.PrecisionLoss)
+                continue
+            assert isinstance(v, (pr.Conjugate, pr.Undecided)), v
+            if isinstance(v, pr.Conjugate):
+                assert v.partition.orbits == exact.partition.orbits and hinted == v.partition
+            elif v.enclosure.kind == "exact":  # the search certified p/q, then doubted
+                assert (v.enclosure.p, v.enclosure.q) == (p, q)
+                assert isinstance(hinted, errors.PrecisionLoss) and str(hinted) == v.reason
 
     def test_float_points_near_a_break_across_the_wrap(self):
         # coelho(1/7, 3/7) carries 3/7 onto 0: turned by t and lifted by
@@ -261,38 +300,10 @@ class TestLookupMatchesScan:
         for t in (Fr(1, 10**11), Fr(-1, 10**11), Fr(3, 10**10)):
             for delta in (-3e-11, 0.0, 3e-11, 2e-10):
                 g = rotated(f, t, delta)
-                part = assert_same_partition(g, 1, 3)
+                part = partition_or_refusal(g, 1, 3)
                 if isinstance(part, pr.OrbitPartition):
                     wrapped += sum(pt.is_break and 1 - pt.x <= ORBIT_TOL for pt in part.points)
         assert wrapped > 0
-
-
-def near_band_map(gap, rho):
-    """``h^-1 o R_rho o h`` for ``h`` through (1/3, 1/5), (1/3 + gap, 1/2)
-    and (3/4, 4/5): two break orbits ``gap`` apart, closer than ``ORBIT_TOL``."""
-    return conjugate_to(rho, [Fr(1, 3), Fr(1, 3) + gap, Fr(3, 4)], [Fr(1, 5), Fr(1, 2), Fr(4, 5)])
-
-
-NEAR_BAND = [(gap, Fr(p, q)) for gap in (Fr(1, 10**10), Fr(3, 10**10))
-             for q in range(2, 9) for p in range(1, q) if math.gcd(p, q) == 1]
-
-
-@pytest.mark.parametrize("gap, rho", NEAR_BAND,
-                         ids=["%s-gap%de-10" % (rho, gap.numerator) for gap, rho in NEAR_BAND])
-def test_near_band_census(gap, rho):
-    # the float F^q can be rigid to eps_x while the float data's own F^q is
-    # off by up to 2.4e-7: the float verdict is conjugate with the exact
-    # orbits, or a typed refusal, never an InternalMismatch
-    f = near_band_map(gap, rho)
-    exact = pr.is_conjugate_to_rigid(f)
-    assert isinstance(exact, pr.Conjugate) and Fr(exact.p, exact.q) == rho
-    try:
-        v = pr.is_conjugate_to_rigid(float_copy(f))
-    except errors.PrecisionLoss:  # a float composition of the search lost monotonicity
-        return
-    assert isinstance(v, (pr.Conjugate, pr.NotConjugate, pr.Undecided))
-    if isinstance(v, pr.Conjugate):
-        assert v.partition.orbits == exact.partition.orbits
 
 
 class TestVerdicts:

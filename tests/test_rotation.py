@@ -230,6 +230,19 @@ class TestExactRotation:
         assert r.iterations == 2
         assert r.to_json()["iterations"] == 2
 
+    @settings(max_examples=40, deadline=None)
+    @given(rational_lifts(max_pieces=4))
+    def test_farey_power_is_the_certifying_power(self, f):
+        # the F^q the search certifies p/q with, exact or float, is the one
+        # composed along the Farey path to p/q; exact, it is also power(f, q)
+        rr, P = rotation._rotation_search(f, 12)
+        if rr.kind == "exact":
+            assert rotation._farey_power(f, Fr(rr.p, rr.q)) == P == pr.power(f, rr.q)
+        g = float_copy(f)
+        rr, P = rotation._rotation_search(g, 12)
+        if rr.kind == "exact":
+            assert rotation._farey_power(g, Fr(rr.p, rr.q)) == P
+
     def test_result_json(self):
         r = pr.exact_rotation(pr.rigid(Fr(2, 5)))
         j = r.to_json()
