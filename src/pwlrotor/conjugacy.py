@@ -404,8 +404,10 @@ class PiecewiseConstantDensity:
         return self.values[piece(self.cuts, frac(self.backend.coerce(x)))]
 
     def mass(self) -> Num:
-        terms = zip(self.values, self.cuts, cell_ends(self.cuts))
-        return sum((rho * (end - x) for rho, x, end in terms), self.backend.coerce(0))
+        total = self.backend.coerce(0)
+        for rho, x, end in zip(self.values, self.cuts, cell_ends(self.cuts)):
+            total += rho * (end - x)
+        return total
 
     def cdf_lift(self) -> PwlLift:
         """The cumulative distribution as a degree-one lift.
@@ -508,7 +510,10 @@ def break_count_growth(f: PwlLift, k_max: int) -> list:
 
     Bounded by ``q*K`` along conjugate maps; grows linearly otherwise.
     """
-    return [0 if P.is_rigid else P.n for P in _canonical_iterates(f, k_max)]
+    counts = []
+    for P in _canonical_iterates(f, k_max):
+        counts.append(0 if P.is_rigid else P.n)
+    return counts
 
 
 def derivative_growth(f: PwlLift, k_max: int) -> list:
@@ -517,4 +522,7 @@ def derivative_growth(f: PwlLift, k_max: int) -> list:
     Conjugate maps stay below ``max_slope**(q-1)``; locked non-conjugate
     maps grow geometrically (powers of ``(F^q)'`` at a periodic point).
     """
-    return [max(P.slopes) for P in _canonical_iterates(f, k_max)]
+    out = []
+    for P in _canonical_iterates(f, k_max):
+        out.append(max(P.slopes))
+    return out
