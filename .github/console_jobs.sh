@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the installed pwl-rotor console script on seven small jobs and check
+# Run the installed pwl-rotor console script on nine small jobs and check
 # their answers.  Usage: console_jobs.sh [DIR]; the job files and outputs go
 # to DIR (default: a new temporary directory).  CI runs it once with numpy
 # installed and once without it: these subcommands must not need numpy.
@@ -100,4 +100,29 @@ pwl-rotor modelock --config "$dir/modelock.json" > "$dir/modelock.out"
 cat "$dir/modelock.out"
 grep -q '"q": 3' "$dir/modelock.out"
 grep -q '"lo": "-' "$dir/modelock.out"
+# float map whose F - x changes sign on a piece of slope 3e8: the decided
+# signs certify rho = 0/1, with no second check of the rounded root
+cat > "$dir/rho_steep.json" <<'JOB'
+{"family": {"family": "custom", "params": {"mu": [0, 1],
+  "breaks": [[0.0, 0.3, 0.300000001], [0.0, 0.3, 0.300000001]],
+  "values": [[-0.1, 0.2, 0.5], [-0.1, 0.2, 0.5]]}},
+ "mu": 0}
+JOB
+pwl-rotor rho --config "$dir/rho_steep.json" > "$dir/rho_steep.out"
+cat "$dir/rho_steep.out"
+python3 - "$dir/rho_steep.out" <<'CHECK'
+import json, sys
+r = json.load(open(sys.argv[1]))["rotation"]
+assert (r["kind"], r["p"], r["q"]) == ("exact", 0, 1), r
+CHECK
+
+# a family backend that is no tag is a bad config: exit 2, not a traceback
+cat > "$dir/bad_backend.json" <<'JOB'
+{"family": {"family": "herman_shifted", "params": {"lam": 1.5}, "backend": 5}, "mu": 0.01}
+JOB
+status=0
+pwl-rotor rho --config "$dir/bad_backend.json" > "$dir/bad_backend.out" 2> "$dir/bad_backend.err" || status=$?
+cat "$dir/bad_backend.err"
+test "$status" -eq 2
+grep -q '^error: unknown backend tag 5' "$dir/bad_backend.err"
 echo "console jobs passed"

@@ -37,8 +37,6 @@ Num = Union[Fraction, float]
 #: Two circle points on one break orbit coincide (orbit closure, orbit
 #: membership) when their distance is within this band.
 ORBIT_TOL = 1e-9
-#: A periodic witness must satisfy ``F^q(x) = x + p`` to within this band.
-WITNESS_TOL = 1e-11
 #: An invariant density's total mass must be 1 to within this band.
 MASS_TOL = 1e-12
 #: Adjacent laminar landmarks collide when closer than this.

@@ -92,7 +92,7 @@ def _number(key, v):
     finite = not isinstance(v, float) or math.isfinite(v)
     if isinstance(v, (int, float, str)) and not isinstance(v, bool) and finite:
         try:
-            return _decode_param(v)
+            return _decode_param(key, v)
         except ValueError:
             pass
     raise ConfigError("%s must be a number or a 'p/q' string, got %s" % (key, json.dumps(v)))

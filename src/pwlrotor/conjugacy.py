@@ -43,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from . import errors
 from .backend import MASS_TOL, ORBIT_TOL, Num, Record, to_json
@@ -171,8 +171,8 @@ def _read_off(f: PwlLift, P: PwlLift, p, q) -> Union[OrbitPartition, NotPeriodic
     the orbit of point ``j`` is its class ``j mod N/q``, and a break marks
     its nearest point (the lowest break when two do), as its landmark; the
     classes that hold a break are kept, in break order.  Float data must pass
-    :func:`_float_doubt`, or give :class:`Undecided`.  A drift of whole turns
-    raises :class:`errors.InternalMismatch`: ``p`` is not the map's.
+    :func:`_float_doubt`, or give :class:`Undecided`.  ``p`` is the map's
+    own (the search's, or read from ``F^q(b) - b``): only drifts mod 1 count.
     """
     backend = f.backend
     xs = P.breaks
@@ -182,14 +182,9 @@ def _read_off(f: PwlLift, P: PwlLift, p, q) -> Union[OrbitPartition, NotPeriodic
         return Undecided(reason=doubt)
     for i in home:
         b = f.breaks[i]
-        y = P(b)
-        drift = _drift(b, y)
+        drift = _drift(b, P(b))
         if backend.sign(abs(drift), ORBIT_TOL) == 1:
             return NotPeriodic(break_index=i, point=b, drift=drift, q=q)
-        if backend.sign(abs(y - b - p), ORBIT_TOL) == 1:
-            raise errors.InternalMismatch(
-                "orbit points are not well-ordered as a %d/%d rotation orbit" % (p, q)
-            )
     K = len(xs) // q or 1  # 0 only when no break keeps a class
     at, orbit_of = {}, {}  # point -> lowest break on it; class -> orbit
     for i, j in home.items():
@@ -200,33 +195,6 @@ def _read_off(f: PwlLift, P: PwlLift, p, q) -> Union[OrbitPartition, NotPeriodic
                                 break_index=at.get(j), orbit=orbit_of[j % K])
                      for j, x in enumerate(xs) if j % K in orbit_of), key=lambda pt: pt.x)
     return OrbitPartition(p=p, q=q, orbits=tuple(orbits), points=tuple(points))
-
-
-def break_orbit_partition(
-    f: PwlLift, q_hint: Optional[Tuple[int, int]] = None
-) -> Union[OrbitPartition, NotPeriodic]:
-    """Partition the genuine breaks of ``f`` by periodic orbit.
-
-    Read off ``F^q`` (:func:`_read_off`): the ``F^q`` that certified ``p/q``
-    within :data:`Q_CAP` (:class:`errors.RotationIrrational` when none did),
-    or for ``q_hint = (p, q)`` in lowest terms the ``F^q`` composed as that
-    search composes it.  Gives :class:`NotPeriodic` evidence (the first break
-    whose orbit misses itself, with its drift); raises
-    :class:`errors.PrecisionLoss` when float rounding leaves it in doubt.
-    """
-    if q_hint is None:
-        rr, P = _rotation_search(f, Q_CAP)
-        if rr.kind != "exact":
-            raise errors.RotationIrrational("rotation number not certified rational within "
-                                            "q <= %d: [%s, %s]" % (Q_CAP, rr.lo, rr.hi))
-        r = Fraction(rr.p, rr.q)
-    else:
-        r = Fraction(*q_hint)
-        P = _farey_power(f, r)
-    part = _read_off(f, P, r.numerator, r.denominator)
-    if isinstance(part, Undecided):
-        raise errors.PrecisionLoss(part.reason)
-    return part
 
 
 @dataclass(frozen=True)
@@ -256,6 +224,11 @@ class Undecided(Record):
 Verdict = Union[Conjugate, NotConjugate, Undecided]
 
 
+def _exhausted(rr: RotationResult, q_cap: int) -> bool:
+    """The search's enclosure ``rr`` stopped at ``q_cap``, not at a float sign in the band."""
+    return rr.kind != "exact" and rr.lo.denominator + rr.hi.denominator > q_cap
+
+
 def is_conjugate_to_rigid(f: PwlLift, q_cap: int = Q_CAP) -> Verdict:
     """Decide conjugacy to a rigid rational rotation, from one certificate.
 
@@ -267,12 +240,11 @@ def is_conjugate_to_rigid(f: PwlLift, q_cap: int = Q_CAP) -> Verdict:
     """
     rr, P = _rotation_search(f, q_cap)
     if rr.kind != "exact":
-        if rr.lo.denominator + rr.hi.denominator <= q_cap:
-            # the next mediant was within reach: a float sign stopped the search
+        if _exhausted(rr, q_cap):
+            reason = "rotation number not certified rational within q <= %d" % q_cap
+        else:
             reason = ("rotation number not certified rational: a float sign inside the "
                       "decision band stopped the search before q <= %d was exhausted" % q_cap)
-        else:
-            reason = "rotation number not certified rational within q <= %d" % q_cap
         return Undecided(reason=reason, enclosure=rr)
     part = _read_off(f, P, rr.p, rr.q)
     if isinstance(part, NotPeriodic):
@@ -283,6 +255,36 @@ def is_conjugate_to_rigid(f: PwlLift, q_cap: int = Q_CAP) -> Verdict:
     return Conjugate(p=rr.p, q=rr.q, partition=part)
 
 
+def break_orbit_partition(f: PwlLift) -> Union[OrbitPartition, NotPeriodic]:
+    """Partition the genuine breaks of ``f`` by periodic orbit: the verdict
+    :func:`is_conjugate_to_rigid` within :data:`Q_CAP` reads.
+
+    Gives a :class:`Conjugate` verdict's partition, or a :class:`NotConjugate`
+    one's :class:`NotPeriodic` evidence (the first break whose orbit misses
+    itself, with its drift).  An :class:`Undecided` one raises
+    :class:`errors.RotationIrrational` when the search ran out of
+    :data:`Q_CAP`, else :class:`errors.PrecisionLoss` with its reason.
+    """
+    v = is_conjugate_to_rigid(f)
+    if isinstance(v, Conjugate):
+        return v.partition
+    if isinstance(v, NotConjugate):
+        return v.evidence
+    rr = v.enclosure
+    if _exhausted(rr, Q_CAP):
+        raise errors.RotationIrrational("%s: [%s, %s]" % (v.reason, rr.lo, rr.hi))
+    raise errors.PrecisionLoss(v.reason)
+
+
+def _partition_at(f: PwlLift, r: Fraction) -> Union[OrbitPartition, NotPeriodic]:
+    """:func:`_read_off` of the ``F^q`` the rotation search composes on its
+    way to ``r = p/q``; :class:`errors.PrecisionLoss` when floats leave it in doubt."""
+    part = _read_off(f, _farey_power(f, r), r.numerator, r.denominator)
+    if isinstance(part, Undecided):
+        raise errors.PrecisionLoss(part.reason)
+    return part
+
+
 def _certified_partition(f: PwlLift, q: Optional[int] = None) -> OrbitPartition:
     """The break-orbit partition of ``f`` at its rotation number: the one
     certified within :data:`Q_CAP` or, given ``q``, the one read off ``F^q``
@@ -290,19 +292,19 @@ def _certified_partition(f: PwlLift, q: Optional[int] = None) -> OrbitPartition:
     (the first marked point when there is none).
 
     Raises :class:`errors.NotConjugateError` when a break orbit does not
-    close, :class:`errors.PrecisionLoss` when float rounding leaves the
-    partition in doubt, and ValueError when ``q < 1``.
+    close, ValueError when ``q < 1``, and what :func:`break_orbit_partition`
+    or :func:`_partition_at` raises when there is no partition to read.
     """
-    hint = None
-    if q is not None:
+    if q is None:
+        part = break_orbit_partition(f)
+    else:
         if q < 1:
             raise ValueError("the period q must be >= 1, got %d" % q)
         genuine = f.genuine_break_indices()
         b = x = f.breaks[genuine[0] if genuine else 0]
         for _ in range(q):
             x = f(x)
-        hint = (round(x - b), q)
-    part = break_orbit_partition(f, hint)
+        part = _partition_at(f, Fraction(round(x - b), q))
     if isinstance(part, NotPeriodic):
         raise errors.NotConjugateError("break %d is not periodic (drift %s after %d steps)"
                                        % (part.break_index, part.drift, part.q))

@@ -48,7 +48,8 @@ class NotConjugateError(PwlError):
 
 
 class InternalMismatch(PwlError):
-    """Two independent certification routes disagreed; check tolerances."""
+    """A partition handed to ``build_conjugacy`` or ``invariant_density`` is
+    inconsistent: a run of its orbit points misses an orbit, or its mass is not 1."""
 
 
 class SegmentCollision(PwlError):

@@ -62,10 +62,11 @@ from .lift import PwlLift, make_lift
 
 
 def _pick_backend(backend, *values) -> Backend:
-    """The given backend (or tag), else float when any value is a float."""
+    """The given backend or tag (ValueError for any other value), else
+    float when any value is a float."""
     if backend is None:
         return infer_backend(values)
-    return backend_from_tag(backend) if isinstance(backend, str) else backend
+    return backend if isinstance(backend, Backend) else backend_from_tag(backend)
 
 
 @dataclass(frozen=True)
@@ -416,17 +417,21 @@ _FAMILIES = {
 }
 
 
-def _decode_param(v):
-    """A JSON scalar, with ``"p/q"`` strings read as Fractions, lists entrywise.
-
-    A string that is no fraction (``"1/0"`` included) raises ValueError."""
+def _decode_param(name, v):
+    """Param ``name``'s JSON value, ``"p/q"`` strings read as Fractions, lists
+    entrywise.  ValueError for a string that is no fraction (``"1/0"`` too),
+    a boolean where a number is read, or anything but a boolean for ``increasing``."""
+    flag = name == "increasing"
+    if flag != isinstance(v, bool):
+        raise ValueError("param %r must be %s, got %r"
+                         % (name, "a boolean" if flag else "a number or a 'p/q' string", v))
     if isinstance(v, str):
         try:
             return Fraction(v)
         except ZeroDivisionError:
             raise ValueError("%r has a zero denominator" % (v,)) from None
     if isinstance(v, list):
-        return [_decode_param(x) for x in v]
+        return [_decode_param(name, x) for x in v]
     return v
 
 
@@ -434,9 +439,10 @@ def family_from_json(obj: dict, backend=None) -> FamilySpec:
     """Build a family from its JSON description.
 
     Expects ``{"family": name, "params": {...}}``; scalar parameters may
-    be JSON numbers or exact ``"p/q"`` strings.  An optional ``backend``
-    key (or the ``backend`` argument, which wins) forces the scalar
-    representation.
+    be JSON numbers or exact ``"p/q"`` strings, and ``increasing`` a JSON
+    boolean.  An optional ``backend`` key (a tag or null; the ``backend``
+    argument wins) forces the scalar representation.  Anything else raises
+    ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError("family description must be an object")
@@ -460,8 +466,8 @@ def family_from_json(obj: dict, backend=None) -> FamilySpec:
         raise ValueError("family %r got unknown params: %s" % (name, sorted(extra)))
     if backend is None:
         backend = obj.get("backend")
-    args = [_decode_param(params[k]) for k in required]
-    kwargs = {k: _decode_param(params[k]) for k in optional if k in params}
+    args = [_decode_param(k, params[k]) for k in required]
+    kwargs = {k: _decode_param(k, params[k]) for k in optional if k in params}
     try:
         return build(*args, backend=backend, **kwargs)
     except TypeError as exc:

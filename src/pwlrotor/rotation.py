@@ -24,9 +24,9 @@ Three complementary tools live here.
   functions ``max E`` (lower edge) and ``min E`` (upper edge) separately,
   which keeps width-zero intervals (conjugacy pinches) honest.
 
-Float bands (the witness check, the default bisection width) are the named
-constants of :mod:`pwlrotor.backend`; nothing here asks which backend it
-holds.
+The hit is the certificate: the witness is read off ``F^q`` and not
+evaluated again.  The default bisection width is a named constant of
+:mod:`pwlrotor.backend`; nothing here asks which backend it holds.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import errors
-from .backend import LOCK_TOL, WITNESS_TOL, Num, Record, to_json
+from .backend import LOCK_TOL, Num, Record, to_json
 from .lift import PwlLift, cell_ends, compose, frac, power
 
 log = logging.getLogger(__name__)
@@ -199,19 +199,17 @@ def _edge_extremes(P: PwlLift, p) -> tuple:
     return min(d) - p, max(d) - p
 
 
-def _find_witness(P: PwlLift, vals):
-    """A root of ``E`` from its edge values ``vals``, which :func:`_classify`
-    called a hit.
-
-    A hit has an edge value equal to 0 by ``eq_point``, or a decided
-    negative minimum and positive maximum.  In the second case the walk
-    around the cycle from a positive value meets a zero or a strict sign
-    change ``e_k > 0 > e_{k+1}``, and no NaN hides it (float lifts pass
-    ``lift._checked_lift``, which refuses NaN and infinite data; exact ones
-    come from exact arithmetic on validated lifts), so the loop returns.
+def _find_witness(P: PwlLift, p):
+    """A root of ``E`` for ``P = F^q`` at a hit ``p/q`` of :func:`_classify`:
+    an edge value equal to 0 by ``eq_point``, or else (both extremes decided)
+    the root ``b_k + e_k/(1 - s_k)`` of a piece where ``E`` changes sign
+    strictly.  No NaN hides one (float lifts pass ``lift._checked_lift``,
+    which refuses NaN and infinite data), so the loop returns.  The hit is
+    the certificate: the root is not evaluated again, its residual being 0
+    in exact data and only its rounding times ``|1 - s_k|`` in floats.
     """
     eq = P.backend.eq_point
-    n = P.n
+    n, vals = P.n, _edge_values(P, p)
     for k in range(n):
         ek = vals[k]
         if eq(ek, 0):
@@ -249,17 +247,6 @@ def _classify(P: PwlLift, p) -> str:
     return _UNDECIDED
 
 
-def _checked_exact(P: PwlLift, p: int, q: int, iterations) -> Tuple[RotationResult, PwlLift]:
-    vals = _edge_values(P, p)
-    witness = _find_witness(P, vals)
-    resid = P(witness) - witness - p
-    if P.backend.sign(abs(resid), WITNESS_TOL) == 1:
-        raise errors.InternalMismatch(
-            "periodic witness failed verification: residual %s at x=%s" % (resid, witness)
-        )
-    return RotationResult.exact(p, q, witness, iterations), P
-
-
 def _rotation_search(f: PwlLift, q_max: int) -> Tuple[RotationResult, Optional[PwlLift]]:
     """:func:`exact_rotation`, and the ``P = F^q`` that certified it (None for an enclosure)."""
     backend = f.backend
@@ -272,7 +259,7 @@ def _rotation_search(f: PwlLift, q_max: int) -> Tuple[RotationResult, Optional[P
     for p in (k0, k0 + 1):
         status = _classify(f, p)
         if status == _HIT:
-            return _checked_exact(f, p, 1, 0)
+            return RotationResult.exact(p, 1, _find_witness(f, p), 0), f
         if status == _UNDECIDED:
             return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1), iterations=0), None
 
@@ -287,7 +274,7 @@ def _rotation_search(f: PwlLift, q_max: int) -> Tuple[RotationResult, Optional[P
         tested += 1
         status = _classify(P, p)
         if status == _HIT:
-            return _checked_exact(P, p, q, tested)
+            return RotationResult.exact(p, q, _find_witness(P, p), tested), P
         if status == _ABOVE:
             pl, ql, Pl = p, q, P
         elif status == _BELOW:

@@ -500,6 +500,20 @@ class TestExitsInProcess:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("family, message", [
+        ({**HERMAN, "backend": 5}, "unknown backend tag 5"),
+        ({**HERMAN, "backend": ["float"]}, "unknown backend tag ['float']"),
+        ({"family": "herman_shifted", "params": {"lam": True}}, "param 'lam' must be a number"),
+        ({"family": "herman", "params": {"lam": 1.5, "beta": True}}, "param 'beta' must be a"),
+        ({"family": "custom", "params": {"mu": [0, 1], "breaks": [[0], [0]],
+                                         "values": [[0.5], [0.5]], "increasing": "yes"}},
+         "param 'increasing' must be a boolean"),
+    ], ids=["backend-int", "backend-list", "lam-bool", "beta-bool", "increasing-text"])
+    def test_malformed_family_exits_2(self, tmp_path, capsys, family, message):
+        code, out, err = main_on(tmp_path, capsys, "rho", {"family": family, "mu": 0.0})
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
     def test_missing_job_file_exits_2(self, tmp_path, capsys):
         assert cli.main(["rho", "--config", str(tmp_path / "absent.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pwlrotor as pr
-from pwlrotor import errors
+from pwlrotor import conjugacy, errors
 from pwlrotor.backend import ORBIT_TOL, RationalBackend
 from pwlrotor.conjugacy import OrbitPoint
 from pwlrotor.lift import piece
@@ -93,16 +93,13 @@ class TestBreakOrbitPartition:
         res = pr.break_orbit_partition(pr.make_lift(breaks, values))
         assert res == pr.NotPeriodic(break_index=0, point=breaks[0], drift=drift, q=1)
 
-    def test_orbit_out_of_rotation_order_raises(self, coelho_q3):
-        # the break orbits of rho = 1/3 close after 3 steps, but they step
-        # one place round the circle, not the two a 2/3 orbit steps
-        with pytest.raises(errors.InternalMismatch, match="not well-ordered as a 2/3"):
-            pr.break_orbit_partition(coelho_q3, q_hint=(2, 3))
-
     def test_unresolvable_rotation_raises(self):
         f = pr.coelho(Fr(3, 10), Fr(11, 20)).lift(0)
-        with pytest.raises(errors.RotationIrrational):
+        # the search runs out of q <= 64 at its Farey enclosure [22/59, 3/8]
+        with pytest.raises(errors.RotationIrrational) as exc:
             pr.break_orbit_partition(f)
+        assert str(exc.value) == ("rotation number not certified rational within q <= 64: "
+                                  "[22/59, 3/8]")
 
     def test_partition_json(self, coelho_q3):
         j = pr.break_orbit_partition(coelho_q3).to_json()
@@ -178,7 +175,7 @@ def assert_same_partition(f, p, q):
     walk's, in circle order; a float drift (the edge value of ``F^q``) names
     the break whose walked orbit misses itself first."""
     want = scanned_partition(f, p, q)
-    got = pr.break_orbit_partition(f, q_hint=(p, q))
+    got = conjugacy._partition_at(f, Fr(p, q))
     if isinstance(f.backend, RationalBackend):
         assert got == want
         assert got.to_json() == want.to_json()
@@ -269,7 +266,7 @@ class TestLookupMatchesScan:
         # ORBIT_TOL, so the float F^q can be x + p to eps_x while the float
         # data's own F^q is off by up to 2.4e-7.  The float verdict is
         # conjugate with the exact orbits, or a typed refusal, never an
-        # InternalMismatch; a hinted partition reads the F^q the search read.
+        # InternalMismatch; the partition read at p/q reads the F^q the search read.
         for rho in (rho for g, rho in NEAR_BAND if g == gap):
             f = near_band_map(gap, rho)
             p, q = rho.numerator, rho.denominator

@@ -403,6 +403,40 @@ class TestJsonRoundTrips:
         with pytest.raises(ValueError, match=match):
             pr.family_from_json(obj)
 
+    @pytest.mark.parametrize("backend", [5, ["float"], {"tag": "float"}, True])
+    def test_backend_must_be_a_tag(self, backend):
+        obj = {"family": "herman_shifted", "params": {"lam": 1.5}, "backend": backend}
+        with pytest.raises(ValueError, match="unknown backend tag"):
+            pr.family_from_json(obj)
+
+    @pytest.mark.parametrize("backend, want", [(None, pr.RATIONAL), ("float", pr.FLOAT),
+                                               (pr.FLOAT, pr.FLOAT)])
+    def test_backend_tag_object_or_null(self, backend, want):
+        # null infers the backend from the exact param
+        obj = {"family": "herman_shifted", "params": {"lam": "3/2"}, "backend": backend}
+        assert pr.family_from_json(obj).backend is want
+
+    ROWS = {"breaks": [["0"], ["0"]], "values": [["1/2"], ["1/2"]]}
+
+    @pytest.mark.parametrize("name, params, param", [
+        ("herman_shifted", {"lam": True}, "lam"),
+        ("herman", {"lam": 1.5, "beta": True}, "beta"),
+        ("coelho", {"a": "1/3", "b": False}, "b"),
+        ("custom", {"mu": [False, True], **ROWS}, "mu"),
+        ("custom", {"mu": [0, 1], "breaks": [[0], [True]], "values": [[0.5], [0.5]]}, "breaks"),
+        ("custom", {"mu": [0, 1], **ROWS, "increasing": "yes"}, "increasing"),
+        ("custom", {"mu": [0, 1], **ROWS, "increasing": 1}, "increasing"),
+        ("custom", {"mu": [0, 1], **ROWS, "increasing": None}, "increasing"),
+    ])
+    def test_booleans_only_where_a_flag_is_read(self, name, params, param):
+        with pytest.raises(ValueError, match="^param '%s' must be a" % param):
+            pr.family_from_json({"family": name, "params": params})
+
+    def test_increasing_takes_a_json_boolean(self):
+        for flag in (True, False):
+            params = {"mu": [0, 1], **self.ROWS, "increasing": flag}
+            assert pr.family_from_json({"family": "custom", "params": params}).increasing is flag
+
     def test_unknown_top_level_keys(self):
         with pytest.raises(ValueError):
             pr.family_from_json({"family": "coelho", "params": {"a": "1/7", "b": "3/7"},

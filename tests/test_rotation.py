@@ -1,4 +1,5 @@
 """Rotation numbers: enclosures, exact certification, locked intervals."""
+import json
 import logging
 import math
 from fractions import Fraction as Fr
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pwlrotor as pr
-from pwlrotor import errors, rotation
+from pwlrotor import cli, errors, rotation
 
 from conftest import float_copy, rational_lifts
 
@@ -213,15 +214,37 @@ class TestExactRotation:
         assert (cap.enclosure.lo, cap.enclosure.hi) == (Fr(5, 9), Fr(9, 16))
         assert cap.reason == "rotation number not certified rational within q <= 20"
 
-    def test_witness_residual_past_the_band_is_a_mismatch(self):
+    @pytest.mark.parametrize("read", [pr.break_orbit_partition, pr.build_conjugacy,
+                                      pr.invariant_density])
+    def test_band_stopped_partition_is_a_precision_loss(self, read):
+        # no rotation number was certified, but q <= 64 was not exhausted:
+        # the partition's readers raise the verdict's reason, not the cap's
+        f = pr.make_lift(UNDECIDED_BREAKS, UNDECIDED_VALUES)
+        reason = pr.is_conjugate_to_rigid(f).reason
+        assert "decision band" in reason
+        with pytest.raises(errors.PrecisionLoss) as exc:
+            read(f)
+        assert str(exc.value) == reason
+
+    def test_steep_float_root_certifies_with_the_exact_witness(self, tmp_path, capsys):
         # E = F - x changes sign on a piece of slope 3e8 next to 0.3: the
-        # root rounded to a float misses by 5e-9, past WITNESS_TOL
+        # float root's residual, 5e-9, is its rounding times the slope, and
+        # the decided signs of E certify the hit on their own
         breaks, values = [0.0, 0.3, 0.3 + 1e-9], [-0.1, 0.2, 0.5]
-        with pytest.raises(errors.InternalMismatch, match="periodic witness failed"):
-            pr.exact_rotation(pr.make_lift(breaks, values))
+        r = pr.exact_rotation(pr.make_lift(breaks, values))
         exact = pr.make_lift([Fr(x) for x in breaks], [Fr(x) for x in values])
-        r = pr.exact_rotation(exact)
-        assert (r.p, r.q) == (0, 1) and exact(r.witness) == r.witness
+        e = pr.exact_rotation(exact)
+        assert (r.kind, r.p, r.q) == (e.kind, e.p, e.q) == ("exact", 0, 1)
+        assert exact(e.witness) == e.witness and r.witness == float(e.witness)
+        # the CLI rho job on the map, a custom family with two equal rows
+        family = {"family": "custom", "params": {"mu": [0, 1], "breaks": [breaks, breaks],
+                                                 "values": [values, values]}}
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"family": family, "mu": 0}))
+        assert cli.main(["rho", "--config", str(cfg)]) == 0
+        rotation_json = json.loads(capsys.readouterr().out)["rotation"]
+        assert (rotation_json["p"], rotation_json["q"]) == (0, 1)
+        assert rotation_json["witness"] == r.witness
 
     def test_enclosure_at_q_max_carries_iterations(self):
         # 1/2 and 1/3 are tested; the next mediant 2/5 is past q_max = 4

@@ -17,7 +17,7 @@ FIXED = {"cap", "eps_x", "eps_s", "decision_band", "b_threshold", "trials", "see
 
 #: Parameters that some public functions keep and these ones do not take.
 FIXED_IN = {
-    "break_orbit_partition": {"q_cap"},
+    "break_orbit_partition": {"q_cap", "q_hint"},
     "build_conjugacy": {"q_cap"},
     "invariant_density": {"q_cap"},
     "verify_invariance": {"q"},
@@ -36,7 +36,6 @@ KEPT = {
     "birkhoff_enclosures": {"x0"},
     "invariant_density": {"q", "partition"},
     "build_conjugacy": {"partition"},
-    "break_orbit_partition": {"q_hint"},
 }
 
 
