@@ -69,6 +69,8 @@ JOB
 pwl-rotor pinch --config "$dir/pinch.json" > "$dir/pinch.csv"
 cat "$dir/pinch.csv"
 grep -qx '0.0,0.0,0.0' "$dir/pinch.csv"
+# at d = 1/50 the lock is exactly [0, 1/100]: secant probes land on both edges
+grep -qx '0.02,0.0,0.01' "$dir/pinch.csv"
 pwl-rotor pinch --config "$dir/pinch.json" --format json > "$dir/pinch.out"
 grep -q '"width_at_zero": "0"' "$dir/pinch.out"
 
@@ -91,7 +93,7 @@ cat "$dir/rho.out"
 grep -q '"mu": "0"' "$dir/rho.out"
 grep -q '"q": 2' "$dir/rho.out"
 
-# exact herman_shifted(3/2): the 1/3 tongue has edges near -6/35 and -3/20
+# exact herman_shifted(3/2): the 1/3 tongue is exactly [-6/35, -3/20]
 cat > "$dir/modelock.json" <<'JOB'
 {"family": {"family": "herman_shifted", "params": {"lam": "3/2"}},
  "p": 1, "q": 3, "bracket": ["-1/4", "0"]}
@@ -99,7 +101,8 @@ JOB
 pwl-rotor modelock --config "$dir/modelock.json" > "$dir/modelock.out"
 cat "$dir/modelock.out"
 grep -q '"q": 3' "$dir/modelock.out"
-grep -q '"lo": "-' "$dir/modelock.out"
+grep -q '"lo": "-6/35"' "$dir/modelock.out"
+grep -q '"hi": "-3/20"' "$dir/modelock.out"
 # float map whose F - x changes sign on a piece of slope 3e8: the decided
 # signs certify rho = 0/1, with no second check of the rounded root
 cat > "$dir/rho_steep.json" <<'JOB'

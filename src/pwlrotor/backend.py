@@ -41,7 +41,8 @@ ORBIT_TOL = 1e-9
 MASS_TOL = 1e-12
 #: Adjacent laminar landmarks collide when closer than this.
 COLLISION_TOL = 1e-11
-#: Default bisection width of locked-interval edges (both backends).
+#: Default width of locked-interval edges (both backends): a secant probe
+#: that lands on an edge ends its search sooner, with the edge exactly.
 LOCK_TOL = Fraction(1, 10**10)
 #: A batch of float orbits runs in lock-step (:func:`kernel.iterate_lanes`)
 #: when that is cheaper than one orbit at a time.  A lock-step step costs
@@ -108,6 +109,17 @@ class RationalBackend:
     def rounding_doubt(self, check):
         """None, leaving ``check`` uncalled: exact algebra has no rounding to doubt."""
         return None
+
+    def snap(self, x, width):
+        """The rational of least denominator within ``width > 0`` of ``x``: the
+        continued fraction both ends share, closed by the least integer that fits."""
+        (a, b), (c, d) = (x - width).as_integer_ratio(), (x + width).as_integer_ratio()
+        p0, q0, p1, q1 = 0, 1, 1, 0  # x is (p1*t + p0)/(q1*t + q0) of a t in [a/b, c/d]
+        while (n := -(-a // b)) * d > c:  # no integer in [a/b, c/d]: n - 1 is both floors
+            n -= 1
+            a, b, c, d = d, c - n * d, b, a - n * b  # t -> 1/(t - n) swaps the ends
+            p0, q0, p1, q1 = p1, q1, n * p1 + p0, n * q1 + q0
+        return Fraction(n * p1 + p0, n * q1 + q0)
 
     def orbits(self, lanes, x0s, m):
         """``kernel.iterate`` of ``m`` steps for each ``(breaks, values,
@@ -184,6 +196,10 @@ class FloatBackend:
     def rounding_doubt(self, check):
         """``check()``: why float rounding leaves a result in doubt, or None."""
         return check()
+
+    def snap(self, x, width):
+        """``x`` unchanged: a float probe is never simplified."""
+        return x
 
     def orbits(self, lanes, x0s, m):
         """``kernel.iterate`` of ``m`` steps for each ``(breaks, values,

@@ -20,12 +20,14 @@ Three complementary tools live here.
   the search degrades to the current enclosure instead of guessing.  The
   conjugacy verdict reads its break orbits off the ``F^q`` that certified ``p/q``.
 * :func:`mode_lock_interval` — for a monotone one-parameter family, locate
-  the parameter interval on which ``rho = p/q`` by bisecting the two sign
-  functions ``max E`` (lower edge) and ``min E`` (upper edge) separately,
-  which keeps width-zero intervals (conjugacy pinches) honest.
+  the parameter interval on which ``rho = p/q`` by secant steps on the two
+  sign functions ``max E`` (lower edge) and ``min E`` (upper edge) apart,
+  which keeps width-zero intervals (conjugacy pinches) honest.  Both are
+  piecewise affine in ``mu`` for shift families, so a secant lands on an
+  exact edge, and ``lo``/``hi`` are the outer ends of the edge brackets.
 
 The hit is the certificate: the witness is read off ``F^q`` and not
-evaluated again.  The default bisection width is a named constant of
+evaluated again.  The default edge width is a named constant of
 :mod:`pwlrotor.backend`; nothing here asks which backend it holds.
 """
 from __future__ import annotations
@@ -401,9 +403,10 @@ def periodic_points(f: PwlLift, p: int, q: int) -> PeriodicScan:
 class ModeLockInterval(Record):
     """Parameter interval on which the family locks onto ``rho = p/q``.
 
-    ``lo``/``hi`` are located to within ``tol`` by bisection; the
-    certificates record the sign data of ``min/max E`` that pinned each
-    edge down.
+    ``lo``/``hi`` are the outer ends of the two edge brackets, each found
+    to within ``tol`` by secant steps, and exact where a probe landed on
+    the edge; the certificates record each edge's final bracket, the sign
+    data of ``min/max E`` at the bracket ends and the ``probes`` it took.
     """
 
     p: int
@@ -421,35 +424,51 @@ class ModeLockInterval(Record):
         return {**super().to_json(), "width": to_json(self.width)}
 
 
-def _bisect_root(g: Callable, a, b, ga, gb, tol):
-    """Locate the sign change of ``g`` on [a, b] to within ``tol``.
+def _edge_root(g: Callable, a, b, ga, gb, tol, snap):
+    """Locate the sign change of ``g`` on ``a < b`` to within ``tol``.
 
     ``ga`` and ``gb`` are ``g(a)`` and ``g(b)``, computed by the caller.
-    Returns the final bracket ``(left, right)``, which stays wider than
-    ``tol`` only when its ends are adjacent floats.  Raises NotBracketed
-    when the endpoint signs agree.
+    Each round probes the secant root through the last two probes on the
+    side of the smaller ``|g|`` (the bracket ends while that side has one),
+    moved by ``snap`` to a simple nearby point; a probe that falls on that
+    side again is followed by one ``tol/2`` past it, and a round that did
+    not halve the bracket ends with a bisection.  On an affine piece of
+    ``g`` the secant lands on the root, and ``g == 0`` ends the search with
+    the bracket ``(x, x)``.  Returns the final bracket, wider than ``tol``
+    only when its ends are adjacent floats, and the number of probes.
+    Raises NotBracketed when the endpoint signs agree.
     """
     if not ((ga > 0 > gb) or (ga < 0 < gb)):
         raise errors.NotBracketed(
             "no sign change on [%s, %s]: endpoint values %s and %s" % (a, b, ga, gb)
         )
-    left, right = a, b
-    while right - left > tol:
-        mid = (left + right) / 2
-        if not left < mid < right:
-            break  # adjacent floats: the bracket cannot shrink below tol
-        gm = g(mid)
-        if gm == 0:
-            # Landing exactly on the transition: shrink symmetrically.
-            left = mid
-            right = mid
-            break
-        if (gm > 0) == (ga > 0):
-            left = mid
-            ga = gm
-        else:
-            right = mid
-    return left, right
+    sides = ([(a, ga)], [(b, gb)])  # the probes on each side of the root, in order
+    probes = 0
+
+    def inside(x):
+        return sides[0][-1][0] < x < sides[1][-1][0]
+
+    def probe(x):
+        nonlocal probes
+        probes += 1
+        gx = g(x)
+        for side in sides:  # a root closes the bracket on both sides
+            if gx == 0 or (gx > 0) == (side[0][1] > 0):
+                side.append((x, gx))
+
+    while (width := sides[1][-1][0] - sides[0][-1][0]) > tol:
+        near = min(sides, key=lambda side: abs(side[-1][1]))
+        (x0, g0), (x1, g1) = near[-2:] if len(near) > 1 else (sides[0][-1], sides[1][-1])
+        if g0 != g1 and inside(x := snap(x1 - g1 * (x1 - x0) / (g1 - g0), tol * tol)):
+            probe(x)
+            past = x + (tol / 2 if near is sides[0] else -tol / 2)
+            if near[-1][0] == x and inside(past):  # the same side again: straddle the root
+                probe(past)
+        if sides[1][-1][0] - sides[0][-1][0] > width / 2:
+            if not inside(mid := (sides[0][-1][0] + sides[1][-1][0]) / 2):
+                break  # adjacent floats: the bracket cannot shrink below tol
+            probe(mid)
+    return (sides[0][-1][0], sides[1][-1][0]), probes
 
 
 def mode_lock_interval(
@@ -464,8 +483,11 @@ def mode_lock_interval(
     The family must cross ``p/q`` monotonically inside the bracket (either
     orientation).  The lower and upper edges are the zeros of
     ``max_x E_mu`` and ``min_x E_mu`` with ``E_mu = F_mu^q - x - p``; each
-    is bisected independently, so a width-zero interval (a conjugacy
-    pinch) comes out as ``lo == hi`` up to ``tol`` instead of being missed.
+    is located apart by :func:`_edge_root`, so a width-zero interval (a
+    conjugacy pinch) comes out as ``lo == hi`` up to ``tol`` instead of
+    being missed, and exactly where a probe lands on it.  ``lo``/``hi``
+    are the outer ends of the edge brackets, so they enclose the lock when
+    the signs are right.  ``bracket`` names an interval, in either order.
     ``family`` is anything with a ``lift(mu)`` method.  ``tol`` (default
     :data:`backend.LOCK_TOL`) is taken in the family's backend.
 
@@ -475,11 +497,8 @@ def mode_lock_interval(
             bracket (the locked set touches or lies outside the bracket).
     """
     lift_fn = family.lift
-    a, b = bracket
-    f_a = lift_fn(a)
+    f_a = lift_fn(bracket[0])
     backend = f_a.backend
-    a = backend.coerce(a)
-    b = backend.coerce(b)
     tol = backend.coerce(Fraction(LOCK_TOL if tol is None else tol))
     if not tol > 0:
         raise ValueError("tol must be positive, got %s" % (tol,))
@@ -487,25 +506,18 @@ def mode_lock_interval(
     def stats(F):
         return _edge_extremes(power(F, q), p)
 
-    def g_min(mu):
-        return stats(lift_fn(mu))[0]
+    a, b = map(backend.coerce, bracket)
+    ends = [(a, stats(f_a)), (b, stats(lift_fn(b)))]
+    (a, at_a), (b, at_b) = sorted(ends, key=lambda end: end[0])  # the interval, in order
 
-    def g_max(mu):
-        return stats(lift_fn(mu))[1]
+    def edge(which, k):  # the zero of max E (k = 1) or min E (k = 0)
+        (left, right), probes = _edge_root(lambda mu: stats(lift_fn(mu))[k], a, b,
+                                           at_a[k], at_b[k], tol, backend.snap)
+        return {"which": which, "bracket": (left, right), "values": (at_a[k], at_b[k]),
+                "probes": probes}
 
-    min_a, max_a = stats(f_a)
-    min_b, max_b = stats(lift_fn(b))
-    lo_l, lo_r = _bisect_root(g_max, a, b, max_a, max_b, tol)
-    hi_l, hi_r = _bisect_root(g_min, a, b, min_a, min_b, tol)
-    edge_max = (lo_l + lo_r) / 2
-    edge_min = (hi_l + hi_r) / 2
     # A stable sort: on a tie the "max" edge stays the lower one.
-    (lo, lo_cert), (hi, hi_cert) = sorted(
-        [
-            (edge_max, {"which": "max", "bracket": (lo_l, lo_r), "values": (max_a, max_b)}),
-            (edge_min, {"which": "min", "bracket": (hi_l, hi_r), "values": (min_a, min_b)}),
-        ],
-        key=lambda edge: edge[0],
-    )
-    certificates = {"lo": lo_cert, "hi": hi_cert}
-    return ModeLockInterval(p=p, q=q, lo=lo, hi=hi, tol=tol, certificates=certificates)
+    lo_cert, hi_cert = sorted([edge("max", 1), edge("min", 0)], key=lambda e: sum(e["bracket"]))
+    (lo_l, lo_r), (hi_l, hi_r) = lo_cert["bracket"], hi_cert["bracket"]
+    return ModeLockInterval(p=p, q=q, lo=min(lo_l, hi_l), hi=max(lo_r, hi_r), tol=tol,
+                            certificates={"lo": lo_cert, "hi": hi_cert})

@@ -449,14 +449,14 @@ def pinch_boundaries(
     slopes in ``d`` are fitted per sign of ``d`` (the wedge is generally
     not symmetric) through the origin, for comparison against the
     family's first-order reference slopes.  ``d_grid``, ``mu_bracket``
-    and ``tol`` (default :data:`backend.LOCK_TOL`) are taken, and
-    reported, in the family's backend.
+    (its ends in order) and ``tol`` (default :data:`backend.LOCK_TOL`) are
+    taken, and reported, in the family's backend.
     """
     p, q = pq
     coerce = two_param.backend.coerce
     tol = coerce(Fraction(LOCK_TOL if tol is None else tol))
     d_grid = [coerce(d) for d in d_grid]
-    mu_bracket = (coerce(mu_bracket[0]), coerce(mu_bracket[1]))
+    mu_bracket = tuple(sorted(map(coerce, mu_bracket)))
     rows = []
     for d in d_grid:
         fam_d = two_param.at(d)

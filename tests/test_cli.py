@@ -277,6 +277,18 @@ class TestModelock:
         out = json.loads(proc.stdout)
         assert out["p"] == 1 and out["q"] == 2
 
+    def test_reversed_bracket_gives_the_ordered_answer(self, tmp_path, capsys):
+        # the lock is [0, 1/100], not the width-zero pinch of an unordered bracket
+        outs = []
+        for bracket in (["-1/20", "1/20"], ["1/20", "-1/20"]):
+            cfg = {"family": OFFSET, "p": 1, "q": 2, "bracket": bracket}
+            code, out, _ = main_on(tmp_path, capsys, "modelock", cfg)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        out = json.loads(outs[0])
+        assert (out["lo"], out["hi"], out["width"]) == ("0", "1/100", "1/100")
+
     def test_not_bracketed_exits_5(self, tmp_path):
         cfg = {"family": {"family": "herman_offset",
                           "params": {"lam": "1/2", "d": "1/50"}},

@@ -25,6 +25,44 @@ UNDECIDED_VALUES = [0.8896319728416018, 0.8936810431293881, 1.8004012036108326,
                     1.887527196975542]
 
 
+def reference_bisect(g, a, b, tol):
+    """The bisection that located lock edges before secant steps, kept as an
+    oracle: the final bracket of the sign change of ``g`` on ``a < b``, no
+    wider than ``tol``, or ``(mid, mid)`` on a midpoint where ``g`` is 0."""
+    ga = g(a)
+    left, right = a, b
+    while right - left > tol:
+        mid = (left + right) / 2
+        gm = g(mid)
+        if gm == 0:
+            return mid, mid
+        if (gm > 0) == (ga > 0):
+            left = mid
+        else:
+            right = mid
+    return left, right
+
+
+def edge_function(family, p, q, which):
+    """``mu -> max E`` (``which == "max"``) or ``min E`` of ``E = F_mu^q - x - p``
+    over the marked points of ``F_mu^q``, the sign function of that lock edge."""
+    pick = max if which == "max" else min
+
+    def g(mu):
+        P = pr.power(family.lift(mu), q)
+        return pick(v - b - p for b, v in zip(P.breaks, P.values))
+
+    return g
+
+
+#: Rational shift families ``herman_offset(lam, d)`` whose 1/2 lock lies
+#: well inside [-1/10, 1/10].
+offset_params = st.tuples(
+    st.integers(2, 24).filter(lambda k: k != 8).map(lambda k: Fr(k, 8)),
+    st.integers(-6, 6).map(lambda j: Fr(j, 200)),
+)
+
+
 def bounded(family, probes=500):
     """``family`` with a cap on the lifts a bisection may build, so a
     bisection that does not stop fails instead of hanging."""
@@ -346,11 +384,11 @@ class TestModeLockInterval:
             pr.mode_lock_interval(rigid_family, 1, 2, (Fr(3, 5), Fr(9, 10)))
 
     def test_offset_family_lock_edges(self):
-        # exact-continuity offset family: edges at 0 and (1-lam)*d
+        # exact-continuity offset family: edges at 0 and (1-lam)*d, where
+        # secant probes land
         fam = pr.herman_offset(Fr(1, 2), Fr(1, 50))
         mli = pr.mode_lock_interval(fam, 1, 2, (Fr(-1, 20), Fr(1, 20)))
-        assert abs(mli.lo - 0) <= 1e-9
-        assert abs(mli.hi - Fr(1, 100)) <= 1e-9
+        assert (mli.lo, mli.hi) == (0, Fr(1, 100))
 
     def test_certificates_and_json(self):
         fam = pr.herman_offset(Fr(1, 2), Fr(1, 50))
@@ -358,6 +396,94 @@ class TestModeLockInterval:
         assert set(mli.certificates) == {"lo", "hi"}
         j = mli.to_json()
         assert j["p"] == 1 and j["q"] == 2 and "width" in j
+        assert {c["which"] for c in j["certificates"].values()} == {"max", "min"}
+        assert all(type(c["probes"]) is int and c["probes"] > 0
+                   for c in j["certificates"].values())
+
+    @pytest.mark.parametrize("p, q, bracket, lock", [
+        (1, 3, (Fr(-1, 4), Fr(0)), (Fr(-6, 35), Fr(-3, 20))),
+        (1, 2, (Fr(-1, 7), Fr(1, 10)), (0, 0)),
+        (5, 9, (Fr(0), Fr(1, 10)), (Fr(6, 115), Fr(3, 55))),
+    ], ids=["1/3", "1/2 pinch", "5/9 Farey neighbour"])
+    def test_shifted_family_locks_are_exact(self, p, q, bracket, lock):
+        # herman_shifted moves affinely in mu, so its edge functions are
+        # piecewise affine and each edge is a probe where g is exactly 0;
+        # 5/9 is the k = 4 Farey neighbour (k+1)/(2k+1) of the 1/2 pinch
+        fam = pr.herman_shifted(Fr(3, 2))
+        mli = pr.mode_lock_interval(fam, p, q, bracket)
+        assert (mli.lo, mli.hi) == lock
+        for cert in mli.certificates.values():
+            left, right = cert["bracket"]
+            assert left == right and edge_function(fam, p, q, cert["which"])(left) == 0
+
+    @pytest.mark.parametrize("lam, d, ends", [
+        (Fr(1, 2), Fr(1, 50), (Fr(-1, 20), Fr(1, 20))),
+        (0.5, 0.02, (-0.05, 0.05)),
+    ], ids=["exact", "float"])
+    def test_reversed_bracket_names_the_same_interval(self, lam, d, ends):
+        # the lock is [0, 1/100]: a bracket given high end first must not
+        # come back as a width-zero pinch
+        fam = pr.herman_offset(lam, d)
+        forward = pr.mode_lock_interval(fam, 1, 2, ends)
+        assert pr.mode_lock_interval(fam, 1, 2, ends[::-1]) == forward
+        assert forward.lo <= 0 and forward.hi >= Fr(1, 100) - 1e-12
+
+    def test_pinch_rows_take_few_powers(self, monkeypatch):
+        # the benchmark's pinch rows: two bracket ends, then a handful of
+        # probes per edge, where bisection took about 31
+        calls = []
+
+        def counting_power(f, k, *rest):
+            calls.append(k)
+            return pr.power(f, k, *rest)
+
+        monkeypatch.setattr(rotation, "power", counting_power)
+        plane = pr.herman_offset_family(Fr(1, 2))
+        for d in (Fr(0), Fr(1, 50), Fr(-1, 50), Fr(1, 137), Fr(-1, 137), Fr(1, 389), Fr(-1, 389)):
+            calls.clear()
+            mli = pr.mode_lock_interval(plane.at(d), 1, 2, (Fr(-1, 10), Fr(1, 10)))
+            assert len(calls) <= 12, (d, len(calls))
+            assert len(calls) == 2 + sum(c["probes"] for c in mli.certificates.values())
+
+    @settings(max_examples=25, deadline=None)
+    @given(params=offset_params)
+    def test_edges_agree_with_reference_bisection(self, params):
+        lam, d = params
+        bracket = (Fr(-1, 10), Fr(1, 10))
+        fam = pr.herman_offset(lam, d)
+        mli = pr.mode_lock_interval(fam, 1, 2, bracket)
+        for cert in mli.certificates.values():
+            g = edge_function(fam, 1, 2, cert["which"])
+            ref_left, ref_right = reference_bisect(g, *bracket, mli.tol)
+            left, right = cert["bracket"]
+            # both brackets hold the sign change; a landed edge is a root
+            assert max(left, ref_left) <= min(right, ref_right)
+            if left == right:
+                assert g(left) == 0 and ref_left <= left <= ref_right
+        lefts, rights = zip(*(c["bracket"] for c in mli.certificates.values()))
+        assert (mli.lo, mli.hi) == (min(lefts), max(rights))
+
+    @settings(max_examples=25, deadline=None)
+    @given(params=offset_params)
+    def test_float_copy_encloses_the_exact_lock(self, params):
+        lam, d = params
+        exact = pr.mode_lock_interval(pr.herman_offset(lam, d), 1, 2, (Fr(-1, 10), Fr(1, 10)))
+        assert all(c["bracket"][0] == c["bracket"][1] for c in exact.certificates.values())
+        approx = pr.mode_lock_interval(pr.herman_offset(float(lam), float(d)), 1, 2, (-0.1, 0.1))
+        # raw float signs of E can be off by its rounding (about 1e-16 here):
+        # the outer ends hold the lock to within eps_x, far inside tol/2
+        slack = pr.FLOAT.eps_x
+        assert approx.lo - slack <= exact.lo and exact.hi <= approx.hi + slack, (approx, exact)
+
+    def test_exact_refraction_edges_keep_small_denominators(self):
+        # refraction is not affine in mu; secant points snapped to the
+        # simplest rational within tol**2 keep the edge denominators near
+        # 1/tol, where raw secant points grow to hundreds of digits
+        mli = pr.mode_lock_interval(pr.refraction(2, 1), 5, 6, (Fr(1, 10), Fr(1, 5)))
+        assert max(mli.lo.denominator, mli.hi.denominator) < 10**12
+        assert Fr(1, 10) < mli.lo < mli.hi < Fr(1, 5) and mli.width > Fr(1, 100)
+        # fewer probes than bisection's 30 per edge over this bracket
+        assert all(c["probes"] < 30 for c in mli.certificates.values())
 
     def test_each_bracket_end_powered_once(self, monkeypatch):
         calls = []

@@ -6,6 +6,7 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pwlrotor as pr
 from pwlrotor import FLOAT, RATIONAL, backend_from_tag, errors, infer_backend
@@ -85,6 +86,29 @@ class TestRationalBackend:
         want = kernel.iterate(f.breaks, f.values, f.slopes, Fr(1, 5), 7)
         monkeypatch.setattr(kernel, "iterate_lanes", None)
         assert RATIONAL.orbits(lanes, [Fr(1, 5)] * LOCKSTEP_LANES, 7) == [want] * LOCKSTEP_LANES
+
+
+def simplest_by_search(lo, hi):
+    """The rational of least denominator in ``[lo, hi]``, denominator by denominator."""
+    q = 1
+    while -(-lo.numerator * q // lo.denominator) * hi.denominator > hi.numerator * q:
+        q += 1
+    return Fr(-(-lo.numerator * q // lo.denominator), q)
+
+
+class TestSnap:
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.fractions(min_value=-3, max_value=3, max_denominator=500),
+           width=st.integers(1, 5000).map(lambda k: Fr(1, k)))
+    def test_rational_snap_is_the_simplest_rational_nearby(self, x, width):
+        assert RATIONAL.snap(x, width) == simplest_by_search(x - width, x + width)
+
+    def test_a_small_denominator_survives_snapping(self):
+        # two rationals of denominator below 1/tol lie more than tol**2 apart
+        assert RATIONAL.snap(Fr(-6, 35) + Fr(1, 10**25), Fr(1, 10**20)) == Fr(-6, 35)
+
+    def test_floats_are_not_snapped(self):
+        assert FLOAT.snap(0.1, 1e-20) == 0.1
 
 
 class TestFloatBackend:

@@ -311,10 +311,16 @@ class TestPinchBoundaries:
             hi_ref = max(0, Fr(1, 2) * row.d)
             assert abs(row.lo - lo_ref) <= 3 * row.d**2 + 1e-9
             assert abs(row.hi - hi_ref) <= 3 * row.d**2 + 1e-9
-        lo_slope, hi_slope = rep.fitted_slopes["pos"]
-        assert abs(lo_slope - 0) < 0.01
-        assert abs(hi_slope - Fr(1, 2)) < 0.01
+        # for d > 0 the edges are exactly 0 and d/2, and secant probes land on them
+        assert rep.fitted_slopes["pos"] == (0, Fr(1, 2))
         assert rep.reference_slopes == (0.0, 0.5)
+
+    def test_reversed_mu_bracket_names_the_same_interval(self):
+        plane = pr.herman_offset_family(Fr(1, 2))
+        ds = [Fr(-1, 50), Fr(0), Fr(1, 50)]
+        forward = pr.pinch_boundaries(plane, (1, 2), ds, (Fr(-1, 10), Fr(1, 10)))
+        assert pr.pinch_boundaries(plane, (1, 2), ds, (Fr(1, 10), Fr(-1, 10))) == forward
+        assert [(r.lo, r.hi) for r in forward.rows][1:] == [(0, 0), (0, Fr(1, 100))]
 
     def test_unbracketed_rows_are_recorded_not_fatal(self):
         plane = pr.herman_offset_family(Fr(1, 2))
