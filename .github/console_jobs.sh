@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the installed pwl-rotor console script on nine small jobs and check
+# Run the installed pwl-rotor console script on ten small jobs and check
 # their answers.  Usage: console_jobs.sh [DIR]; the job files and outputs go
 # to DIR (default: a new temporary directory).  CI runs it once with numpy
 # installed and once without it: these subcommands must not need numpy.
@@ -92,6 +92,16 @@ pwl-rotor rho --config "$dir/rho.json" > "$dir/rho.out"
 cat "$dir/rho.out"
 grep -q '"mu": "0"' "$dir/rho.out"
 grep -q '"q": 2' "$dir/rho.out"
+
+# exact coelho(7/19, 11/23) at mu = 0: a deep search, 54 mediants to q_max = 1000
+cat > "$dir/rho_deep.json" <<'JOB'
+{"family": {"family": "coelho", "params": {"a": "7/19", "b": "11/23"}}, "mu": 0,
+ "q_max": 1000, "m": 100}
+JOB
+pwl-rotor rho --config "$dir/rho_deep.json" > "$dir/rho_deep.out"
+cat "$dir/rho_deep.out"
+grep -q '"lo": "386/869"' "$dir/rho_deep.out"
+grep -q '"hi": "195/439"' "$dir/rho_deep.out"
 
 # exact herman_shifted(3/2): the 1/3 tongue is exactly [-6/35, -3/20]
 cat > "$dir/modelock.json" <<'JOB'

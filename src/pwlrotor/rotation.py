@@ -10,15 +10,29 @@ Three complementary tools live here.
   sweep over a parameter grid); the backend runs a large float batch in
   lock-step, bit for bit the orbits one call per lift would give.
 * :func:`exact_rotation` — walk the Stern-Brocot tree.  For a candidate
-  ``p/q`` the sign of ``E(x) = F^q(x) - x - p`` over the marked points of
-  the explicit lift of ``F^q`` decides ``rho`` against ``p/q``: ``min E > 0``
-  means ``rho > p/q``, ``max E < 0`` means ``rho < p/q``, and a zero or sign
-  change certifies ``rho = p/q`` together with a periodic witness.  Signs
-  come from ``backend.sign``, so in the float backend each one must clear
-  a decision band.  Inside the band the only certificate left is ``E = 0``
-  at every marked point (``F^q`` is the rigid shift by ``p``); without it
-  the search degrades to the current enclosure instead of guessing.  The
-  conjugacy verdict reads its break orbits off the ``F^q`` that certified ``p/q``.
+  ``p/q`` the sign of ``E(x) = F^q(x) - x - p`` decides ``rho`` against
+  ``p/q``: ``min E > 0`` means ``rho > p/q``, ``max E < 0`` means ``rho <
+  p/q``, and a zero or sign change certifies ``rho = p/q`` together with a
+  periodic witness.  ``E`` is read on one arc of a restricted pair (the
+  dynamical partition: de Melo & van Strien, *One-Dimensional Dynamics*,
+  ch. I; Khanin & Vul 1991).  For Farey neighbours ``pl/ql < rho < pr/qr``,
+  ``xi = F^{ql} - pl`` lies above the identity and ``eta = F^{qr} - pr``
+  below it; on a periodic orbit of the mediant's type ``xi`` moves each
+  point to its right neighbour and ``eta`` to its left one (``ql p - pl q
+  = 1 = pr q - qr p``).  So the orbit point ``z <= 0`` nearest 0 lies in
+  ``J_l = [eta(0), 0]`` and ``xi(z)`` in ``J_r = [0, xi(0)]``: a zero of
+  ``E`` anywhere has one on each arc, so the sign of ``E`` on an arc is its
+  sign everywhere.  ``E = 0`` on an arc makes ``xi`` map ``J_l`` onto
+  ``J_r``, and holds on the circle, which their images cover.  ``xi`` on
+  ``J_l`` and ``eta`` on ``J_r`` carry
+  at most ``n`` marked points between their ends, so each mediant costs
+  one composition of bounded size, whatever ``q`` is.  Signs come from
+  ``backend.sign``, so in the float backend each one must clear a decision
+  band.  Inside the band the only certificate left is ``E = 0`` at every
+  marked point (``F^q`` is the rigid shift by ``p``); without it, or when
+  rounding loses the order of a restricted map, the search degrades to the
+  current enclosure instead of guessing.  The conjugacy verdict walks full
+  powers ``F^q`` instead and reads its break orbits off the one at the hit.
 * :func:`mode_lock_interval` — for a monotone one-parameter family, locate
   the parameter interval on which ``rho = p/q`` by secant steps on the two
   sign functions ``max E`` (lower edge) and ``min E`` (upper edge) apart,
@@ -40,7 +54,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from . import errors
 from .backend import LOCK_TOL, Num, Record, to_json
-from .lift import PwlLift, cell_ends, compose, frac, power
+from .lift import PwlLift, _checked_lift, cell_ends, compose, frac, power
 
 log = logging.getLogger(__name__)
 
@@ -201,14 +215,15 @@ def _edge_extremes(P: PwlLift, p) -> tuple:
     return min(d) - p, max(d) - p
 
 
-def _find_witness(P: PwlLift, p):
+def _find_witness(P: PwlLift, p, skip=None):
     """A root of ``E`` for ``P = F^q`` at a hit ``p/q`` of :func:`_classify`:
     an edge value equal to 0 by ``eq_point``, or else (both extremes decided)
-    the root ``b_k + e_k/(1 - s_k)`` of a piece where ``E`` changes sign
-    strictly.  No NaN hides one (float lifts pass ``lift._checked_lift``,
-    which refuses NaN and infinite data), so the loop returns.  The hit is
-    the certificate: the root is not evaluated again, its residual being 0
-    in exact data and only its rounding times ``|1 - s_k|`` in floats.
+    the root ``b_k + e_k/(1 - s_k)`` of a piece other than ``skip`` where
+    ``E`` changes sign strictly.  No NaN hides one (float lifts pass
+    ``lift._checked_lift``, which refuses NaN and infinite data), so the loop
+    returns.  The hit is the certificate: the root is not evaluated again,
+    its residual being 0 in exact data and only its rounding times
+    ``|1 - s_k|`` in floats.
     """
     eq = P.backend.eq_point
     n, vals = P.n, _edge_values(P, p)
@@ -217,7 +232,7 @@ def _find_witness(P: PwlLift, p):
         if eq(ek, 0):
             return P.breaks[k]
         e_next = vals[(k + 1) % n]
-        if (ek > 0 > e_next) or (ek < 0 < e_next):
+        if k != skip and ((ek > 0 > e_next) or (ek < 0 < e_next)):
             # strict sign change inside the piece; slope != 1 there
             root = P.breaks[k] + ek / (1 - P.slopes[k])
             return frac(root)
@@ -230,7 +245,7 @@ def _is_rigid_shift(P: PwlLift, vals) -> bool:
     return all(eq(e, 0) for e in vals)
 
 
-def _classify(P: PwlLift, p) -> str:
+def _classify(P: PwlLift, p, q=None) -> str:
     """Place ``rho`` against ``p/q`` for ``P = F^q``.
 
     ``sign(min E) == 1`` is above, ``sign(max E) == -1`` below, and both
@@ -249,32 +264,34 @@ def _classify(P: PwlLift, p) -> str:
     return _UNDECIDED
 
 
-def _rotation_search(f: PwlLift, q_max: int) -> Tuple[RotationResult, Optional[PwlLift]]:
-    """:func:`exact_rotation`, and the ``P = F^q`` that certified it (None for an enclosure)."""
-    backend = f.backend
-    zero = backend.coerce(0)
-    k0 = math.floor(f(zero))
-
-    # F(0) - k0 lies in [0, 1) and F(x) - x - p takes its extremes at marked
-    # points, so rho is never below k0 nor above k0 + 1: each integer end is
-    # a hit, undecided, or on its own side of rho.
+def _integer_ends(f: PwlLift, k0: int, side: Callable) -> Optional[tuple]:
+    """``(result, F)`` when ``side(F, p, 1)`` ends a search at ``p = k0`` or
+    ``k0 + 1``, else None.  ``F(0) - k0`` lies in [0, 1) and ``E`` takes its
+    extremes at marked points, so each end is a hit, in the band, or on its own side."""
     for p in (k0, k0 + 1):
-        status = _classify(f, p)
+        status = side(f, p, 1)
         if status == _HIT:
             return RotationResult.exact(p, 1, _find_witness(f, p), 0), f
         if status == _UNDECIDED:
             return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1), iterations=0), None
 
-    pl, ql, Pl = k0, 1, f
-    pr, qr, Pr = k0 + 1, 1, f
+
+def _rotation_search(f: PwlLift, q_max: int, side: Callable = _classify,
+                     k0: Optional[int] = None) -> Tuple[RotationResult, Optional[PwlLift]]:
+    """:func:`exact_rotation` over full powers, each ``F^{ql} o F^{qr}`` of its
+    Farey parents', and the ``F^q`` at a hit (else None) that the conjugacy
+    verdict reads its partition off.  ``side(P, p, q)`` places the target
+    against ``p/q`` from ``[k0, k0 + 1]`` on, by default ``k0 = floor(F(0))``."""
+    k0 = math.floor(f(f.backend.coerce(0))) if k0 is None else k0
+    ends = _integer_ends(f, k0, side)
+    if ends:
+        return ends
+    pl, ql, Pl, pr, qr, Pr = k0, 1, f, k0 + 1, 1, f
     tested = 0
-    while True:
-        p, q = pl + pr, ql + qr
-        if q > q_max:
-            break
-        P = compose(Pl, Pr)  # F^{ql} o F^{qr} = F^q
+    while (q := ql + qr) <= q_max:
+        p, P = pl + pr, compose(Pl, Pr)
         tested += 1
-        status = _classify(P, p)
+        status = side(P, p, q)
         if status == _HIT:
             return RotationResult.exact(p, q, _find_witness(P, p), tested), P
         if status == _ABOVE:
@@ -287,29 +304,72 @@ def _rotation_search(f: PwlLift, q_max: int) -> Tuple[RotationResult, Optional[P
 
 
 def _farey_power(f: PwlLift, r: Fraction) -> PwlLift:
-    """``F^q`` for ``r = p/q``, composed as :func:`_rotation_search` composes
-    it on its way to ``p/q``: each mediant's power is ``F^{ql} o F^{qr}`` of
-    its Farey parents'.  Exact powers do not depend on the order; float ones
-    lose monotonicity less often this way than by :func:`power`'s squares."""
-    lo, hi, Pl, Pr, P = Fraction(math.floor(r)), Fraction(math.floor(r) + 1), f, f, f
-    while lo.denominator + hi.denominator <= r.denominator:
-        P = compose(Pl, Pr)
-        mediant = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
-        lo, hi, Pl, Pr = (mediant, hi, P, Pr) if mediant < r else (lo, mediant, Pl, P)
-    return P
+    """``F^q`` for ``r = p/q``, composed as :func:`_rotation_search` composes it
+    on its way to ``p/q``: float powers lose monotonicity less often this way
+    than by :func:`power`'s squares (exact ones do not depend on the order)."""
+    def side(P, p, q):
+        return _HIT if p == r * q else _ABOVE if p < r * q else _BELOW
+
+    return _rotation_search(f, r.denominator, side, math.floor(r))[1]
+
+
+def _restricted(P: PwlLift, a, b, shift=0) -> PwlLift:
+    """``P - shift`` on the arc from ``a`` to ``b`` in [0, 1) (``[a, 1] + [0, b]``
+    when ``b <= a``), affine on the rest of the turn: marked at ``a``, at the
+    marked points of ``P`` inside, and at ``b``.  Float points go through
+    ``merge_close``; an order that rounding lost raises PrecisionLoss."""
+    inside = (lambda x: a < x < b) if a < b else (lambda x: x < b or x > a)
+    pts = sorted([(a, P(a)), (b, P(b))] + [xy for xy in zip(P.breaks, P.values) if inside(xy[0])])
+    xs, fx = P.backend.merge_close([x for x, _ in pts], [y - shift for _, y in pts])
+    try:
+        return _checked_lift(xs, fx, P.backend)
+    except errors.NonMonotone as exc:  # only float rounding gets here
+        raise errors.PrecisionLoss("float restriction lost monotonicity: %s" % exc) from exc
 
 
 def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
     """Stern-Brocot search for an exact rational rotation number.
 
-    Starting from the integer interval ``[floor(F(0)), floor(F(0)) + 1]``,
-    repeatedly test the mediant ``p/q``.  The powers behind the current
-    interval ends are cached, so each step costs one composition.  Returns
-    an exact result with witness, or the tightest Farey enclosure reached
-    when ``q_max`` is exhausted or a float sign test refuses to decide.
+    From ``[floor(F(0)), floor(F(0)) + 1]``, test mediants on the restricted
+    pair of the module docstring, kept as ``A = xi`` on ``J_l = [a, 1]`` and
+    ``B = eta + 1`` on ``J_r = [0, b]`` so that both take 0 into [0, 1)
+    (``a = B(0)``, ``b = A(0)``).  One composition per mediant: ``B o A`` on
+    ``J_l`` when ``xi`` maps it into ``J_r`` (``A(a) >= 1``), else ``A o B``
+    on ``J_r``; the result replaces ``A`` (rho above) or ``B`` (below), and
+    the other map is cut to its new arc.  Returns an exact result with a
+    witness on the arc, or the tightest Farey enclosure reached when
+    ``q_max`` is exhausted or a float sign test refuses to decide.
     ``iterations`` counts the mediants tested, i.e. the compositions.
     """
-    return _rotation_search(f, q_max)[0]
+    zero = f.backend.coerce(0)
+    k0 = math.floor(f(zero))
+    ends = _integer_ends(f, k0, _classify)
+    if ends:
+        return ends[0]
+    a = b = f(zero) - k0
+    A, B = _restricted(f, a, zero, k0), _restricted(f, zero, b, k0)
+    pl, ql, pr, qr, tested = k0, 1, k0 + 1, 1, 0
+    while (q := ql + qr) <= q_max:
+        p, tested = pl + pr, tested + 1
+        try:
+            if A(a) >= 1:  # C = F^q - p on J_l
+                C, e = _restricted(compose(B, A), a, zero, 1), 0
+            else:  # C = F^q - p + 1 on J_r
+                C, e = _restricted(compose(A, B), zero, b), 1
+            status = _classify(C, e)
+            if status == _ABOVE:
+                pl, ql, A, b = p, q, C, C(zero)
+                B = _restricted(B, zero, b)
+            elif status == _BELOW:
+                pr, qr, B, a = p, q, C, C(zero)
+                A = _restricted(A, a, zero)
+        except errors.PrecisionLoss:  # rounding lost the order: no sign to read
+            status = _UNDECIDED
+        if status == _HIT:  # the filler piece is the first on J_l, the last on J_r
+            return RotationResult.exact(p, q, _find_witness(C, e, -e % C.n), tested)
+        if status == _UNDECIDED:
+            break
+    return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=tested)
 
 
 @dataclass(frozen=True)

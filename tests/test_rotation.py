@@ -2,6 +2,8 @@
 import json
 import logging
 import math
+import random
+import sys
 from fractions import Fraction as Fr
 from types import SimpleNamespace
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import pwlrotor as pr
 from pwlrotor import cli, errors, rotation
 
-from conftest import float_copy, rational_lifts
+from conftest import conjugate_maps, float_copy, rational_lifts
 
 
 #: The rigid rotations ``x + mu`` as a family: anything with ``.lift``.
@@ -311,6 +313,131 @@ class TestExactRotation:
         assert "rigid" not in j
         e = pr.birkhoff_enclosure(pr.rigid(Fr(2, 5)), 10).to_json()
         assert e["kind"] == "enclosure" and e["p"] is None
+
+
+def seeded_conjugate_map(seed):
+    """``h^-1 o R_{p/q} o h`` for a random exact ``h`` with 2 to 6 breaks on a
+    grid of 97, 997 or 4985 points, and ``p/q`` in lowest terms, ``q <= 40``."""
+    rng = random.Random(seed)
+    n, denom = rng.randint(2, 6), rng.choice([97, 997, 4985])
+    breaks = sorted(Fr(k, denom) for k in rng.sample(range(denom), n))
+    v0 = Fr(rng.randrange(denom), denom)
+    h = pr.make_lift(breaks, [v0] + [v0 + Fr(c, denom)
+                                     for c in sorted(rng.sample(range(1, denom), n - 1))])
+    q = rng.randint(2, 40)
+    return pr.compose(pr.invert(h), pr.compose(pr.rigid(Fr(rng.randrange(1, q), q)), h))
+
+
+def search_outcome(search, f, q_max):
+    """What a rotation search answers on ``f``, witness aside, or the error it raises."""
+    try:
+        r = search(f, q_max)
+    except errors.PrecisionLoss:
+        return "PrecisionLoss"
+    return (r.kind, r.p, r.q, r.lo, r.hi, r.iterations)
+
+
+def full_walk(f, q_max):
+    """The search over full powers ``F^q`` that the conjugacy verdict walks."""
+    return rotation._rotation_search(f, q_max)[0]
+
+
+#: Seeds below 400 whose float copy the restricted pair answers otherwise than
+#: the full walk, as (full walk, restricted pair), each against the exact copy.
+FLOAT_MOVES = {
+    # 11/16: a float E at the rigid check lies just past eps_x on the arc
+    13: (("exact", 11, 16, Fr(11, 16), Fr(11, 16), 7),
+         ("enclosure", None, None, Fr(2, 3), Fr(9, 13), 7)),
+    # 16/37: the full F^q lost its order, the restricted pair certifies
+    187: ("PrecisionLoss", ("exact", 16, 37, Fr(16, 37), Fr(16, 37), 9)),
+    # 20/31: the full F^q had a sign in the band, the arc certifies
+    298: (("enclosure", None, None, Fr(9, 14), Fr(11, 17), 8),
+          ("exact", 20, 31, Fr(20, 31), Fr(20, 31), 8)),
+    # 13/15: as seed 13
+    371: (("exact", 13, 15, Fr(13, 15), Fr(13, 15), 8),
+          ("enclosure", None, None, Fr(6, 7), Fr(7, 8), 8)),
+}
+
+
+@st.composite
+def searched_lifts(draw):
+    """Exact lifts with known kinds of rotation number: conjugates of
+    rational rotations, ``coelho`` maps, ``herman_shifted(3/2)`` at rational
+    mu, and random lifts."""
+    kind = draw(st.sampled_from(["conjugate", "coelho", "herman", "random"]))
+    if kind == "conjugate":
+        return draw(conjugate_maps(q_max=40))[0]
+    if kind == "coelho":
+        a, b, mu = (draw(st.integers(lo, 59)) for lo in (1, 1, -10))
+        return pr.coelho(Fr(a, 60), Fr(b, 60)).lift(Fr(mu, 60))
+    if kind == "herman":
+        return pr.herman_shifted(Fr(3, 2)).lift(Fr(draw(st.integers(-60, 60)), 300))
+    return draw(rational_lifts())
+
+
+class TestRestrictedPair:
+    """``exact_rotation`` walks the restricted Farey pair; the full-lift walk
+    behind the conjugacy verdict is its oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(searched_lifts(), st.sampled_from([64, 300]))
+    def test_agrees_with_the_full_walk(self, f, q_max):
+        r = pr.exact_rotation(f, q_max)
+        assert search_outcome(pr.exact_rotation, f, q_max) == search_outcome(full_walk, f, q_max)
+        if r.kind == "exact":  # the witness is periodic, exactly
+            assert pr.power(f, r.q)(r.witness) == r.witness + r.p
+
+    def test_float_copies_agree_but_for_the_named_moves(self):
+        moved = {}
+        for seed in range(400):
+            f = seeded_conjugate_map(seed)
+            g = float_copy(f)
+            new, old = (search_outcome(s, g, 64) for s in (pr.exact_rotation, full_walk))
+            if new != old:
+                moved[seed] = (old, new)
+            if new != "PrecisionLoss":  # never a contradiction of the exact copy
+                exact = pr.exact_rotation(f, 64)
+                assert new[3] <= exact.lo and exact.hi <= new[4]
+        assert moved == FLOAT_MOVES
+
+    def test_each_composition_carries_at_most_n_plus_four_points(self, monkeypatch):
+        f = pr.coelho(Fr(7, 19), Fr(11, 23)).lift(0)
+        sizes = []
+        compose = pr.lift.compose
+
+        def counted(*args, **kwargs):
+            out = compose(*args, **kwargs)
+            sizes.append(out.n)
+            return out
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("pwlrotor") and vars(module).get("compose") is compose:
+                monkeypatch.setattr(module, "compose", counted)
+        r = pr.exact_rotation(f, q_max=1000)
+        monkeypatch.undo()
+        assert (r.kind, r.lo, r.hi, r.iterations) == ("enclosure", Fr(386, 869), Fr(195, 439), 54)
+        assert len(sizes) == 54 and max(sizes) <= f.n + 4
+
+    def test_float_involution_keeps_its_witness(self):
+        # float coelho(1/3, 1/3): F^2 = x + 1, certified on the arc at 0
+        r = pr.exact_rotation(pr.coelho(1 / 3, 1 / 3).lift(0.0))
+        assert (r.kind, r.p, r.q, r.witness, r.iterations) == ("exact", 1, 2, 0.0, 1)
+
+    def test_float_conjugate_the_full_walk_cannot_compose(self):
+        # h^-1 o R_{20/21} o h: the exact witness is the arc's end 0, and the
+        # float copy stops in the band at 20/21 where the full F^21 lost its
+        # order; the verdict walks full powers and still raises
+        h = pr.make_lift([Fr(439, 997), Fr(486, 997)], [Fr(3874, 4985), Fr(8849, 4985)])
+        f = pr.compose(pr.invert(h), pr.compose(pr.rigid(Fr(20, 21)), h))
+        r = pr.exact_rotation(f)
+        assert (r.kind, r.p, r.q, r.witness, r.iterations) == ("exact", 20, 21, 0, 20)
+        g = float_copy(f)
+        r = pr.exact_rotation(g)
+        assert (r.kind, r.lo, r.hi, r.iterations) == ("enclosure", Fr(19, 20), 1, 20)
+        with pytest.raises(errors.PrecisionLoss):
+            full_walk(g, 10_000)
+        with pytest.raises(errors.PrecisionLoss):
+            pr.is_conjugate_to_rigid(g)
 
 
 class TestPeriodicPoints:
