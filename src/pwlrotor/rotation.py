@@ -24,11 +24,10 @@ Three complementary tools live here.
   ``E`` anywhere has one on each arc, so the sign of ``E`` on an arc is its
   sign everywhere.  ``E = 0`` on an arc makes ``xi`` map ``J_l`` onto
   ``J_r``, and holds on the circle, which their images cover.  ``xi`` on
-  ``J_l`` and ``eta`` on ``J_r`` carry
-  at most ``n`` marked points between their ends, so each mediant costs
-  one composition of bounded size, whatever ``q`` is.  Signs come from
-  ``backend.sign``, so in the float backend each one must clear a decision
-  band.  Inside the band the only certificate left is ``E = 0`` at every
+  ``J_l`` and ``eta`` on ``J_r`` carry at most ``n`` marked points between
+  their ends, so each mediant costs one composition of bounded size,
+  whatever ``q`` is.  Signs come from ``backend.sign``, so in the float
+  backend each one must clear a decision band.  Inside the band the only certificate left is ``E = 0`` at every
   marked point (``F^q`` is the rigid shift by ``p``); without it, or when
   rounding loses the order of a restricted map, the search degrades to the
   current enclosure instead of guessing.  The conjugacy verdict walks full
@@ -251,7 +250,8 @@ def _classify(P: PwlLift, p, q=None) -> str:
     ``sign(min E) == 1`` is above, ``sign(max E) == -1`` below, and both
     signs decided is a hit.  Otherwise a sign lies inside the float
     decision band, and only ``E = 0`` at every marked point (``F^q`` the
-    rigid shift by ``p``) still certifies a hit.
+    rigid shift by ``p``) still certifies a hit.  ``q`` is not read: it
+    makes the ladder a side test of :func:`_rotation_search`.
     """
     backend = P.backend
     lo, hi = map(backend.sign, _edge_extremes(P, p))
