@@ -338,8 +338,8 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
     on ``J_r``; the result replaces ``A`` (rho above) or ``B`` (below), and
     the other map is cut to its new arc.  Returns an exact result with a
     witness on the arc, or the tightest Farey enclosure reached when
-    ``q_max`` is exhausted or a float sign test refuses to decide.
-    ``iterations`` counts the mediants tested, i.e. the compositions.
+    ``q_max`` is exhausted, a float sign test refuses to decide or rounding
+    loses a float order.  ``iterations`` counts the mediants tested.
     """
     zero = f.backend.coerce(0)
     k0 = math.floor(f(zero))
@@ -347,28 +347,28 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
     if ends:
         return ends[0]
     a = b = f(zero) - k0
-    A, B = _restricted(f, a, zero, k0), _restricted(f, zero, b, k0)
     pl, ql, pr, qr, tested = k0, 1, k0 + 1, 1, 0
-    while (q := ql + qr) <= q_max:
-        p, tested = pl + pr, tested + 1
-        try:
+    try:
+        A, B = _restricted(f, a, zero, k0), _restricted(f, zero, b, k0)
+        while (q := ql + qr) <= q_max:
+            p, tested = pl + pr, tested + 1
             if A(a) >= 1:  # C = F^q - p on J_l
                 C, e = _restricted(compose(B, A), a, zero, 1), 0
             else:  # C = F^q - p + 1 on J_r
                 C, e = _restricted(compose(A, B), zero, b), 1
             status = _classify(C, e)
+            if status == _HIT:  # the filler piece is the first on J_l, the last on J_r
+                return RotationResult.exact(p, q, _find_witness(C, e, -e % C.n), tested)
             if status == _ABOVE:
                 pl, ql, A, b = p, q, C, C(zero)
                 B = _restricted(B, zero, b)
             elif status == _BELOW:
                 pr, qr, B, a = p, q, C, C(zero)
                 A = _restricted(A, a, zero)
-        except errors.PrecisionLoss:  # rounding lost the order: no sign to read
-            status = _UNDECIDED
-        if status == _HIT:  # the filler piece is the first on J_l, the last on J_r
-            return RotationResult.exact(p, q, _find_witness(C, e, -e % C.n), tested)
-        if status == _UNDECIDED:
-            break
+            else:
+                break
+    except errors.PrecisionLoss:  # rounding lost a float order: stop as at a sign in the band
+        pass
     return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=tested)
 
 

@@ -427,6 +427,16 @@ class TestRestrictedPair:
         r = pr.exact_rotation(pr.coelho(1 / 3, 1 / 3).lift(0.0))
         assert (r.kind, r.p, r.q, r.witness, r.iterations) == ("exact", 1, 2, 0.0, 1)
 
+    def test_float_order_lost_at_the_start_keeps_the_integer_pair(self):
+        # a piece 1e-11 wide that rises by 1e-16: rounding loses the order of
+        # the first restriction, so the search stops at its integer pair as at
+        # a sign in the band, where the full walk raises
+        f = pr.make_lift([0.67725, 0.67725000001], [0.3510622107225285, 0.35106221072252863])
+        r = pr.exact_rotation(f)
+        assert (r.kind, r.lo, r.hi, r.iterations) == ("enclosure", -1, 0, 0)
+        with pytest.raises(errors.PrecisionLoss):
+            full_walk(f, 10_000)
+
     def test_float_conjugate_the_full_walk_cannot_compose(self):
         # h^-1 o R_{20/21} o h: the exact witness is the arc's end 0, and the
         # float copy stops in the band at 20/21 where the full F^21 lost its
