@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the installed pwl-rotor console script on ten small jobs and check
+# Run the installed pwl-rotor console script on eleven small jobs and check
 # their answers.  Usage: console_jobs.sh [DIR]; the job files and outputs go
 # to DIR (default: a new temporary directory).  CI runs it once with numpy
 # installed and once without it: these subcommands must not need numpy.
@@ -127,6 +127,25 @@ python3 - "$dir/rho_steep.out" <<'CHECK'
 import json, sys
 r = json.load(open(sys.argv[1]))["rotation"]
 assert (r["kind"], r["p"], r["q"]) == ("exact", 0, 1), r
+CHECK
+
+# float herman_shifted(sqrt 2) sweep at m = 1000: 41 lanes run one at a
+# time, so no numpy; the orbits run on F^4
+cat > "$dir/sweep.json" <<'JOB'
+{"family": {"family": "herman_shifted", "params": {"lam": 1.4142135623730951}},
+ "mu_min": 0.0, "mu_max": 0.04, "points": 41, "m": 1000}
+JOB
+pwl-rotor sweep --config "$dir/sweep.json" --workers 1 -o "$dir/sweep.csv"
+pwl-rotor sweep --config "$dir/sweep.json" --workers 2 -o "$dir/sweep_2.csv"
+cat "$dir/sweep.csv"
+cmp "$dir/sweep.csv" "$dir/sweep_2.csv"
+python3 - "$dir/sweep.csv" <<'CHECK'
+import csv, sys
+rows = [[float(x) for x in row] for row in csv.reader(open(sys.argv[1])) if not row[0].startswith(("#", "mu"))]
+assert len(rows) == 41, len(rows)
+assert all(abs((hi - lo) * 1000 - 2) <= 2e-9 for _, lo, hi in rows), rows
+assert all(a[1] <= b[1] for a, b in zip(rows, rows[1:])), "rho_lo decreases in mu"
+assert rows[0][0] == 0.0 and rows[0][1] <= 0.5 <= rows[0][2], rows[0]
 CHECK
 
 # a family backend that is no tag is a bad config: exit 2, not a traceback

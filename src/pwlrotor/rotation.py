@@ -53,12 +53,9 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from . import errors
 from .backend import LOCK_TOL, Num, Record, to_json
-from .lift import PwlLift, _checked_lift, cell_ends, compose, frac, power
+from .lift import PwlLift, _lift, cell_ends, compose, frac, piece, power
 
 log = logging.getLogger(__name__)
-
-#: Orbits shorter than ``16 * MIN_POWER**2`` steps iterate ``F`` directly.
-MIN_POWER = 16
 
 _ABOVE = "above"
 _BELOW = "below"
@@ -109,27 +106,18 @@ class RotationResult(Record):
         return self.hi - self.lo
 
 
-def _orbit_power(m: int) -> int:
-    """The power ``Q`` whose explicit lift carries an ``m``-step orbit.
+def _orbit_power(f: PwlLift, m: int) -> Tuple[PwlLift, int]:
+    """``(P, Q)`` with ``P = F^Q`` the explicit lift that carries an ``m``-step orbit.
 
-    The largest power of two with ``Q <= sqrt(m)/4``: building ``F^Q``
-    costs about ``Q*n`` and iterating it ``m/Q``, so the best ``Q`` grows
-    like ``sqrt(m)``.  Returns 1 (iterate ``F`` itself) below ``MIN_POWER``.
-    """
-    q = 1 << max(0, (math.isqrt(m) // 4).bit_length() - 1)
-    return q if q >= MIN_POWER else 1
-
-
-def _power_for_orbit(f: PwlLift, q_target: int) -> Tuple[PwlLift, int]:
-    """``(P, q)`` with ``P = F^q`` built by repeated squaring up to
-    ``q_target`` (see :func:`_orbit_power`).
-
-    A squaring that loses float precision or exceeds the piece cap stops
-    it, and the last square built is used instead (``F`` itself when the
-    first one fails).
+    ``F`` is squared while ``64*Q**2 <= m``, which gives the largest power
+    of two with ``Q <= sqrt(m)/4``: building ``F^Q`` costs about ``Q*n`` and
+    iterating it ``m/Q``, so the best ``Q`` grows like ``sqrt(m)``.  A
+    squaring that loses float precision or exceeds the piece cap stops it,
+    and the last square built is used instead (``F`` itself when the first
+    one fails).
     """
     P, q = f, 1
-    while q < q_target:
+    while 64 * q * q <= m:
         try:
             P = compose(P, P)
         except (errors.PrecisionLoss, errors.Overflow) as exc:
@@ -157,9 +145,9 @@ def _run_lanes(backend, q: int, lanes: list, m: int, out: list) -> None:
 def birkhoff_enclosures(lifts: Sequence[PwlLift], m: int, x0=0) -> list:
     """:func:`birkhoff_enclosure` of each lift in ``lifts``, all from ``x0``.
 
-    Each lift gets its own ``P = F^Q`` (``Q`` grows like ``sqrt(m)``, see
-    :func:`_orbit_power`; a squaring that loses float precision or
-    exceeds the piece cap falls back to the last square built).  Lanes
+    Each lift gets its own ``P = F^Q`` from :func:`_orbit_power` (``Q``
+    the largest power of two up to ``sqrt(m)/4``, or the last square built
+    when a squaring loses float precision or exceeds the piece cap).  Lanes
     that reached the same ``Q`` in the same backend form one batch of
     ``backend.orbits``: ``m//Q`` steps of their ``P``, then ``m%Q`` steps
     of ``F``.  The backend decides whether a batch runs in lock-step;
@@ -170,13 +158,12 @@ def birkhoff_enclosures(lifts: Sequence[PwlLift], m: int, x0=0) -> list:
     """
     if m < 1:
         raise ValueError("need at least one iterate, got m=%d" % m)
-    q_target = _orbit_power(m)
     out = [None] * len(lifts)
     groups = {}  # (backend, Q) -> [(index, F, P, start)]
     for i, f in enumerate(lifts):
         backend = f.backend
         start = frac(backend.coerce(x0))
-        P, q = _power_for_orbit(f, q_target)
+        P, q = _orbit_power(f, m)
         log.debug("birkhoff_enclosure: m=%d, Q=%d, %d marked points", m, q, P.n)
         groups.setdefault((backend, q), []).append((i, f, P, start))
     for (backend, q), lanes in groups.items():
@@ -189,7 +176,7 @@ def birkhoff_enclosure(f: PwlLift, m: int, x0=0) -> RotationResult:
 
     Uses the bound ``|F^m(x) - x - m rho| < 1``, so the enclosure has
     width exactly ``2/m``.  Both backends iterate the explicit lift of a
-    power ``F^Q`` (``Q`` grows like ``sqrt(m)``, see :func:`_orbit_power`)
+    power ``F^Q`` (``Q`` up to ``sqrt(m)/4``, see :func:`_orbit_power`)
     in the Python kernel, with the winding tracked separately from the
     fractional position.  In the exact backend every step is a rational
     operation, so the result is fully rigorous.  The one-lift case of
@@ -316,13 +303,20 @@ def _farey_power(f: PwlLift, r: Fraction) -> PwlLift:
 def _restricted(P: PwlLift, a, b, shift=0) -> PwlLift:
     """``P - shift`` on the arc from ``a`` to ``b`` in [0, 1) (``[a, 1] + [0, b]``
     when ``b <= a``), affine on the rest of the turn: marked at ``a``, at the
-    marked points of ``P`` inside, and at ``b``.  Float points go through
-    ``merge_close``; an order that rounding lost raises PrecisionLoss."""
+    marked points of ``P`` inside, and at ``b``.  Each arc piece lies on one
+    piece of ``P`` and carries its slope; only the filler from ``b`` takes
+    rise over run.  Float points go through ``merge_close`` and are checked;
+    an order that rounding lost raises PrecisionLoss."""
     inside = (lambda x: a < x < b) if a < b else (lambda x: x < b or x > a)
     pts = sorted([(a, P(a)), (b, P(b))] + [xy for xy in zip(P.breaks, P.values) if inside(xy[0])])
     xs, fx = P.backend.merge_close([x for x, _ in pts], [y - shift for _, y in pts])
+
+    def slopes():
+        return [(v1 - v0) / (x1 - x0) if x0 == b else P.slopes[piece(P.breaks, x0)]
+                for x0, x1, v0, v1 in zip(xs, cell_ends(xs), fx, cell_ends(fx))]
+
     try:
-        return _checked_lift(xs, fx, P.backend)
+        return _lift(xs, fx, slopes, P.backend)
     except errors.NonMonotone as exc:  # only float rounding gets here
         raise errors.PrecisionLoss("float restriction lost monotonicity: %s" % exc) from exc
 

@@ -59,14 +59,16 @@ def test_winding_of_rigid_rotation():
     assert abs(x - 0.1) < 1e-15
 
 
-@pytest.mark.parametrize("m, q", [(1, 1), (1000, 1), (4095, 1), (4096, 16), (10**4, 16),
-                                  (10**5, 64), (10**7, 512)])
+@pytest.mark.parametrize("m, q", [(1, 1), (63, 1), (64, 2), (1000, 4), (4095, 8), (4096, 16),
+                                  (10**4, 16), (10**5, 64), (10**7, 512)])
 def test_orbit_power_grows_like_sqrt_m(m, q):
-    assert _orbit_power(m) == q
+    f = MAPS[-1]
+    P, Q = _orbit_power(f, m)
+    assert Q == q and P == pr.power(f, q)
 
 
 @pytest.mark.parametrize("idx", range(len(MAPS)))
-@pytest.mark.parametrize("m", [10**5, 2**20 + 37])
+@pytest.mark.parametrize("m", [1000, 10**5, 2**20 + 37])
 @pytest.mark.parametrize("x0", [0.0, 0.1234567])
 def test_power_lift_matches_direct_iteration(idx, m, x0):
     f = MAPS[idx]

@@ -107,6 +107,20 @@ class TestBirkhoffEnclosure:
         assert r.lo <= 0.5 <= r.hi
         assert abs(r.width - 2e-5) < 1e-15
 
+    def test_repelling_orbit_through_the_breaks_holds_the_exact_reading(self):
+        # float herman_shifted(1.5) at mu = -0.15: the orbit of 0 follows a
+        # repelling orbit through the breaks, so the rounding of F^4 (Q at
+        # m = 1000) grows by 2.25 per step and moves the enclosure by up to
+        # 0.75/m from the one F gives; it still holds the Farey enclosure
+        # that the exact reading of the same lift certifies
+        f = pr.herman_shifted(1.5).lift(-0.15)
+        r = pr.birkhoff_enclosure(f, 1000)
+        assert (r.lo, r.hi) == (0.333, 0.335)
+        exact = pr.exact_rotation(pr.make_lift([Fr(x) for x in f.breaks],
+                                               [Fr(x) for x in f.values]), 1000)
+        assert (exact.lo, exact.hi) == (Fr(170, 509), Fr(169, 506))
+        assert r.lo <= exact.lo and exact.hi <= r.hi
+
     def test_overflow_falls_back_to_the_last_square(self, monkeypatch, caplog):
         # F^32 of this map carries more than 40 marked points, F^16 fewer.
         monkeypatch.setattr("pwlrotor.lift.PIECE_CAP", 40)
@@ -117,16 +131,18 @@ class TestBirkhoffEnclosure:
         assert r.width == pytest.approx(2e-5)
         assert r.lo <= 5 / 6 <= r.hi
 
-    @pytest.mark.parametrize("f, m", [
-        (pr.herman_shifted(Fr(3, 2)).lift(0), 5000),
-        (pr.herman_shifted(Fr(3, 2)).lift(Fr(-4, 25)), 5000),
-        (pr.rigid(Fr(2, 7)), 10**4),
-    ], ids=["herman_shifted(3/2)@0", "herman_shifted(3/2)@-4/25", "rigid(2/7)"])
-    def test_exact_power_path_equals_direct_iteration(self, f, m, caplog):
-        # m is above the power threshold: the orbit runs on the exact F^16.
+    @pytest.mark.parametrize("f, m, q", [
+        (pr.herman_shifted(Fr(3, 2)).lift(0), 5000, 16),
+        (pr.herman_shifted(Fr(3, 2)).lift(Fr(-4, 25)), 5000, 16),
+        (pr.herman_shifted(Fr(3, 2)).lift(Fr(-4, 25)), 1000, 4),
+        (pr.rigid(Fr(2, 7)), 10**4, 16),
+    ], ids=["herman_shifted(3/2)@0", "herman_shifted(3/2)@-4/25",
+            "herman_shifted(3/2)@-4/25,m=1000", "rigid(2/7)"])
+    def test_exact_power_path_equals_direct_iteration(self, f, m, q, caplog):
+        # the orbit runs on the exact F^q
         with caplog.at_level(logging.DEBUG, logger="pwlrotor.rotation"):
             r = pr.birkhoff_enclosure(f, m)
-        assert "Q=16" in caplog.messages[-1]
+        assert "Q=%d," % q in caplog.messages[-1]
         x = Fr(0)
         for _ in range(m):
             x = f(x)
@@ -421,6 +437,27 @@ class TestRestrictedPair:
         monkeypatch.undo()
         assert (r.kind, r.lo, r.hi, r.iterations) == ("enclosure", Fr(386, 869), Fr(195, 439), 54)
         assert len(sizes) == 54 and max(sizes) <= f.n + 4
+
+    def test_exact_restrictions_carry_their_slopes(self, monkeypatch):
+        # an exact search derives no slope as rise over run but on the filler
+        # pieces, and checks no order: no _checked_lift call, under any name
+        f = pr.coelho(Fr(7, 19), Fr(11, 23)).lift(0)
+        g = float_copy(f)
+        calls = []
+        checked = pr.lift._checked_lift
+
+        def counted(*args):
+            calls.append(args)
+            return checked(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("pwlrotor") and vars(module).get("_checked_lift") is checked:
+                monkeypatch.setattr(module, "_checked_lift", counted)
+        r = pr.exact_rotation(f, q_max=1000)
+        assert (r.lo, r.hi, r.iterations) == (Fr(386, 869), Fr(195, 439), 54)
+        assert not calls
+        pr.exact_rotation(g, q_max=1000)  # float restrictions are checked
+        assert calls
 
     def test_float_involution_keeps_its_witness(self):
         # float coelho(1/3, 1/3): F^2 = x + 1, certified on the arc at 0
