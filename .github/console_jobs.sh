@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the installed pwl-rotor console script on eleven small jobs and check
+# Run the installed pwl-rotor console script on twelve small jobs and check
 # their answers.  Usage: console_jobs.sh [DIR]; the job files and outputs go
 # to DIR (default: a new temporary directory).  CI runs it once with numpy
 # installed and once without it: these subcommands must not need numpy.
@@ -26,6 +26,26 @@ assert out["verdict"]["verdict"] == "conjugate" and out["verdict"]["q"] == 3, ou
 assert out["h"]["values"] == ["-11/180", "0", "49/180", "1/3", "109/180", "2/3"], out["h"]
 densities = out["invariant_density"]["densities"]
 assert densities == ["11/15", "7/3", "11/3", "7/3", "11/15", "7/15"], densities
+CHECK
+
+# the same map marked at 3/10, 31/100 and 8/25, with its value at 31/100
+# moved up by 1/1000: rho stays 1/3, and the orbit of that break misses
+# itself by 1/1000 after three steps
+cat > "$dir/conjugacy_not.json" <<'JOB'
+{"family": {"family": "custom", "params": {"mu": [0, 1],
+  "breaks": [["1/4", "3/10", "31/100", "8/25", "11/30", "1/2", "7/12"],
+             ["1/4", "3/10", "31/100", "8/25", "11/30", "1/2", "7/12"]],
+  "values": [["23/60", "13/30", "1333/3000", "34/75", "1/2", "7/6", "5/4"],
+             ["23/60", "13/30", "1333/3000", "34/75", "1/2", "7/6", "5/4"]]}},
+ "mu": 0}
+JOB
+pwl-rotor conjugacy --config "$dir/conjugacy_not.json" > "$dir/conjugacy_not.out"
+cat "$dir/conjugacy_not.out"
+python3 - "$dir/conjugacy_not.out" <<'CHECK'
+import json, sys
+v = json.load(open(sys.argv[1]))["verdict"]
+assert v["verdict"] == "not_conjugate" and v["q"] == 3, v
+assert v["evidence"]["break_index"] == 2 and v["evidence"]["drift"] == "1/1000", v["evidence"]
 CHECK
 
 # float refraction(2, beta_c) at mu = 0: one break orbit of period 5

@@ -4,12 +4,13 @@ The criterion driving everything here: a PWL circle homeomorphism with
 rotation number ``p/q`` is conjugate to the rigid rotation by ``p/q``
 through a PWL change of coordinates exactly when every genuine break
 point lies on a periodic orbit — equivalently, when ``F^q = x + p``
-identically.  One certificate decides both: the explicit ``F^q`` that the
-rotation search certified ``p/q`` with.  Its marked points are the
-backward orbits of those of ``F``, so forward orbits when ``F^q = x + p``,
-and a break orbit that does not close shows in ``F^q(b) - b - p``.  Float
-data keep one guard that exact algebra does not need (the backend's
-``rounding_doubt``), or the verdict is :class:`Undecided`.
+identically.  The restricted-pair search certifies ``p/q``, and each
+genuine break's orbit walked ``q`` steps through ``F`` (at most ``n*q``
+evaluations) either closes or is the evidence that the map is not
+conjugate.  Float data keep one guard that exact algebra does not need
+(the backend's ``rounding_doubt``): a drift must clear the walk's rounding
+bound, and the walks must agree with the search's arc, or the verdict is
+:class:`Undecided`.
 
 When the test passes, the break orbits partition the break set into
 ``K <= n/2`` classes, each carrying at least two breaks and a jump-ratio
@@ -40,6 +41,7 @@ points with a slope above 1.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -58,7 +60,7 @@ from .lift import (
     piece,
     rigid,
 )
-from .rotation import RotationResult, _edge_values, _farey_power, _is_rigid_shift, _rotation_search
+from .rotation import RotationResult, _pair_search
 
 #: Largest denominator the rotation search tries when no ``(p, q)`` is given.
 Q_CAP = 64
@@ -119,7 +121,7 @@ def _orbit_points(f: PwlLift, x0, q: int) -> list:
     return pts
 
 
-def _nearest(xs: tuple, x) -> int:
+def _nearest(xs: list, x) -> int:
     """Index of the sorted circle point of ``xs`` nearest to ``x``, across the 0/1 wrap."""
     t = bisect_left(xs, x) % len(xs)
     return min(t, (t - 1) % len(xs), key=lambda j: _circle_dist(xs[j], x))
@@ -131,70 +133,88 @@ def _drift(b, image) -> Num:
     return d - 1 if 2 * d > 1 else d + 1 if 2 * d < -1 else d
 
 
-def _float_doubt(f: PwlLift, P: PwlLift, p: int, q: int, home: dict) -> Optional[str]:
-    """Why rounding puts the partition read off ``P = F^q`` in doubt, or None.
+def _rounding_bound(f: PwlLift, b, q: int) -> float:
+    """A bound on how far the float walk of ``q`` steps from ``b`` lies from
+    the orbit of ``b`` under the exact reading of the float data: each step
+    multiplies the bound by the largest slope near the walked point and adds
+    the step's own rounding, a few ulps of its value."""
+    x, err = b, 0.0
+    for _ in range(q):
+        k, j = (piece(f.breaks, frac(x + t)) for t in (-err, err))
+        s = max(f.slopes[k], f.slopes[j]) if (j - k) % f.n < 2 else max(f.slopes)
+        y = f(x)
+        err, x = s * err + 8 * math.ulp(abs(y) + 1), frac(y)
+    return err + math.ulp(1.0)
 
-    Each break orbit walked forward through ``f`` must close within
-    ``ORBIT_TOL`` just when ``P`` says so.  When all close, ``P`` (which
-    merges points at ``eps_x``) must be ``x + p`` to ``eps_x`` on a multiple
-    of ``q`` points, and the kept classes (those of the breaks' ``home``
-    points) more than twice ``ORBIT_TOL`` apart: no break is near two.
+
+def _float_doubt(f: PwlLift, part, arc_rigid: Optional[bool]) -> Optional[str]:
+    """Why rounding puts the walked reading ``part`` in doubt, or None.
+
+    A :class:`NotPeriodic` drift must clear the walk's :func:`_rounding_bound`
+    as well as ``ORBIT_TOL``.  Closed walks must not meet a hit whose arc is
+    not ``x + p`` to ``eps_x`` (``arc_rigid`` False; None when no search ran),
+    each genuine break must mark its own point, and the points must lie
+    more than twice ``ORBIT_TOL`` apart: no break is near two.
     """
-    sign = f.backend.sign
-    for i in home:
-        b = f.breaks[i]
-        drift, walked = _drift(b, P(b)), _drift(b, _orbit_points(f, b, q + 1)[-1])
-        opens = sign(abs(drift), ORBIT_TOL) == 1
-        if opens != (sign(abs(walked), ORBIT_TOL) == 1):
-            return "F^%d moves break %d by %s, but its orbit walked forward moves it by %s" % (
-                q, i, drift, walked)
-        if opens:
+    if isinstance(part, NotPeriodic):
+        bound = _rounding_bound(f, part.point, part.q)
+        if f.backend.sign(abs(part.drift), bound) == 1:
             return None
-    xs = P.breaks
-    K, rest = divmod(len(xs), q)
-    if rest or not _is_rigid_shift(P, _edge_values(P, p)):
-        return "F^%d is not x + %d to eps_x on a multiple of %d points" % (q, p, q)
-    kept = {j % K for j in home.values()}
-    pts = [x for j, x in enumerate(xs) if j % K in kept]
-    for a, b in zip(pts, cell_ends(pts) if pts else ()):
-        if sign(b - a, 2 * ORBIT_TOL) != 1:
+        return "the orbit of break %d walked forward moves it by %s, within its rounding " \
+               "bound %s" % (part.break_index, part.drift, bound)
+    if arc_rigid is False:
+        return "F^%d is not x + %d to eps_x on the arc, but every break orbit walked forward " \
+               "closes" % (part.q, part.p)
+    if sum(pt.is_break for pt in part.points) < len(f.genuine_break_indices()):
+        return "two breaks lie within ORBIT_TOL of one orbit point"
+    xs = part.landmarks()
+    for a, b in zip(xs, cell_ends(xs) if xs else ()):
+        if f.backend.sign(b - a, 2 * ORBIT_TOL) != 1:
             return "break orbit points %s and %s lie within twice ORBIT_TOL" % (a, b)
     return None
 
 
-def _read_off(f: PwlLift, P: PwlLift, p, q) -> Union[OrbitPartition, NotPeriodic, Undecided]:
-    """The break-orbit partition of ``f`` read off ``P = F^q``, ``p/q`` in lowest terms.
+def _walk_orbits(f: PwlLift, p: int, q: int) -> Union[OrbitPartition, NotPeriodic]:
+    """The break-orbit partition of ``f`` at ``p/q`` in lowest terms, walked
+    ``q`` steps through ``f`` from each genuine break on no orbit walked
+    before (at most ``n*q`` evaluations), or :class:`NotPeriodic` for the
+    first walk whose :func:`_drift` is not 0, within ``ORBIT_TOL`` in floats.
 
-    The first genuine break whose drift (:func:`_drift` of ``P(b)``) is not
-    0, within ``ORBIT_TOL`` in floats, is :class:`NotPeriodic`.
-    Otherwise the ``N`` sorted marked points of ``P`` are every orbit point,
-    the orbit of point ``j`` is its class ``j mod N/q``, and a break marks
-    its nearest point (the lowest break when two do), as its landmark; the
-    classes that hold a break are kept, in break order.  Float data must pass
-    :func:`_float_doubt`, or give :class:`Undecided`.  ``p`` is the map's
-    own (the search's, or read from ``F^q(b) - b``): only drifts mod 1 count.
+    A break that near a point of an orbit walked before (equal, in exact
+    data) rides on that orbit and marks the point, and the ``q*K`` points
+    are sorted.
     """
-    backend = f.backend
-    xs = P.breaks
-    home = {i: _nearest(xs, f.breaks[i]) for i in f.genuine_break_indices()}
-    doubt = backend.rounding_doubt(lambda: _float_doubt(f, P, p, q, home))
-    if doubt is not None:
-        return Undecided(reason=doubt)
-    for i in home:
+    sign = f.backend.sign
+    xs, tags, orbits = [], [], []  # sorted orbit points, their [orbit, break]; breaks per orbit
+    for i in f.genuine_break_indices():
         b = f.breaks[i]
-        drift = _drift(b, P(b))
-        if backend.sign(abs(drift), ORBIT_TOL) == 1:
+        j = _nearest(xs, b) if xs else None
+        if j is not None and sign(_circle_dist(xs[j], b), ORBIT_TOL) != 1:
+            orbits[tags[j][0]].append(i)
+            if tags[j][1] is None:
+                tags[j][1] = i
+            continue
+        pts = _orbit_points(f, b, q + 1)
+        drift = _drift(b, pts.pop())
+        if sign(abs(drift), ORBIT_TOL) == 1:
             return NotPeriodic(break_index=i, point=b, drift=drift, q=q)
-    K = len(xs) // q or 1  # 0 only when no break keeps a class
-    at, orbit_of = {}, {}  # point -> lowest break on it; class -> orbit
-    for i, j in home.items():
-        at.setdefault(j, i)
-        orbit_of.setdefault(j % K, len(orbit_of))
-    orbits = [tuple(i for i, j in home.items() if orbit_of[j % K] == r) for r in orbit_of.values()]
-    points = sorted((OrbitPoint(x=f.breaks[at[j]] if j in at else x, is_break=j in at,
-                                break_index=at.get(j), orbit=orbit_of[j % K])
-                     for j, x in enumerate(xs) if j % K in orbit_of), key=lambda pt: pt.x)
-    return OrbitPartition(p=p, q=q, orbits=tuple(orbits), points=tuple(points))
+        for k, x in enumerate(pts):
+            t = bisect_left(xs, x)
+            xs.insert(t, x)
+            tags.insert(t, [len(orbits), i if k == 0 else None])
+        orbits.append([i])
+    points = (OrbitPoint(x=x, is_break=brk is not None, break_index=brk, orbit=r)
+              for x, (r, brk) in zip(xs, tags))
+    return OrbitPartition(p=p, q=q, orbits=tuple(map(tuple, orbits)), points=tuple(points))
+
+
+def _walked_partition(f: PwlLift, p: int, q: int, arc_rigid: Optional[bool] = None
+                      ) -> Union[OrbitPartition, NotPeriodic, Undecided]:
+    """:func:`_walk_orbits`, or :class:`Undecided` when float data fail
+    :func:`_float_doubt` with the arc reading ``arc_rigid``."""
+    part = _walk_orbits(f, p, q)
+    doubt = f.backend.rounding_doubt(lambda: _float_doubt(f, part, arc_rigid))
+    return part if doubt is None else Undecided(reason=doubt)
 
 
 @dataclass(frozen=True)
@@ -230,15 +250,17 @@ def _exhausted(rr: RotationResult, q_cap: int) -> bool:
 
 
 def is_conjugate_to_rigid(f: PwlLift, q_cap: int = Q_CAP) -> Verdict:
-    """Decide conjugacy to a rigid rational rotation, from one certificate.
+    """Decide conjugacy to a rigid rational rotation.
 
-    The break-orbit partition is read off the ``F^q`` with which the rotation
-    search certified ``p/q``.  A search that ends in an enclosure gives
-    :class:`Undecided`, whose reason says what stopped it: ``q_cap``, or a
-    float sign inside the decision band; so does a float reading in doubt,
-    naming the failed check, with the search's exact result as enclosure.
+    The restricted-pair search certifies ``p/q``, and the partition is
+    walked from each genuine break ``q`` steps through ``f``: the first
+    break whose orbit misses itself makes the map :class:`NotConjugate`.
+    A search that ends in an enclosure gives :class:`Undecided`, whose
+    reason says what stopped it: ``q_cap``, or a float sign inside the
+    decision band; so does a float reading in doubt, naming the failed
+    check, with the search's exact result as enclosure.
     """
-    rr, P = _rotation_search(f, q_cap)
+    rr, arc_rigid = _pair_search(f, q_cap)
     if rr.kind != "exact":
         if _exhausted(rr, q_cap):
             reason = "rotation number not certified rational within q <= %d" % q_cap
@@ -246,7 +268,7 @@ def is_conjugate_to_rigid(f: PwlLift, q_cap: int = Q_CAP) -> Verdict:
             reason = ("rotation number not certified rational: a float sign inside the "
                       "decision band stopped the search before q <= %d was exhausted" % q_cap)
         return Undecided(reason=reason, enclosure=rr)
-    part = _read_off(f, P, rr.p, rr.q)
+    part = _walked_partition(f, rr.p, rr.q, arc_rigid)
     if isinstance(part, NotPeriodic):
         return NotConjugate(reason="break point %d is not periodic (drift %s after %d steps)"
                             % (part.break_index, part.drift, rr.q), p=rr.p, q=rr.q, evidence=part)
@@ -276,24 +298,16 @@ def break_orbit_partition(f: PwlLift) -> Union[OrbitPartition, NotPeriodic]:
     raise errors.PrecisionLoss(v.reason)
 
 
-def _partition_at(f: PwlLift, r: Fraction) -> Union[OrbitPartition, NotPeriodic]:
-    """:func:`_read_off` of the ``F^q`` the rotation search composes on its
-    way to ``r = p/q``; :class:`errors.PrecisionLoss` when floats leave it in doubt."""
-    part = _read_off(f, _farey_power(f, r), r.numerator, r.denominator)
-    if isinstance(part, Undecided):
-        raise errors.PrecisionLoss(part.reason)
-    return part
-
-
 def _certified_partition(f: PwlLift, q: Optional[int] = None) -> OrbitPartition:
     """The break-orbit partition of ``f`` at its rotation number: the one
-    certified within :data:`Q_CAP` or, given ``q``, the one read off ``F^q``
-    at ``(F^q(b) - b)/q`` in lowest terms for the first genuine break ``b``
+    certified within :data:`Q_CAP` or, given ``q``, the one walked at
+    ``(F^q(b) - b)/q`` in lowest terms for the first genuine break ``b``
     (the first marked point when there is none).
 
     Raises :class:`errors.NotConjugateError` when a break orbit does not
-    close, ValueError when ``q < 1``, and what :func:`break_orbit_partition`
-    or :func:`_partition_at` raises when there is no partition to read.
+    close, ValueError when ``q < 1``, what :func:`break_orbit_partition`
+    raises when there is no partition to read, and
+    :class:`errors.PrecisionLoss` when floats leave the walk in doubt.
     """
     if q is None:
         part = break_orbit_partition(f)
@@ -304,7 +318,10 @@ def _certified_partition(f: PwlLift, q: Optional[int] = None) -> OrbitPartition:
         b = x = f.breaks[genuine[0] if genuine else 0]
         for _ in range(q):
             x = f(x)
-        part = _partition_at(f, Fraction(round(x - b), q))
+        r = Fraction(round(x - b), q)
+        part = _walked_partition(f, r.numerator, r.denominator)
+        if isinstance(part, Undecided):
+            raise errors.PrecisionLoss(part.reason)
     if isinstance(part, NotPeriodic):
         raise errors.NotConjugateError("break %d is not periodic (drift %s after %d steps)"
                                        % (part.break_index, part.drift, part.q))

@@ -27,11 +27,13 @@ Three complementary tools live here.
   ``J_l`` and ``eta`` on ``J_r`` carry at most ``n`` marked points between
   their ends, so each mediant costs one composition of bounded size,
   whatever ``q`` is.  Signs come from ``backend.sign``, so in the float
-  backend each one must clear a decision band.  Inside the band the only certificate left is ``E = 0`` at every
-  marked point (``F^q`` is the rigid shift by ``p``); without it, or when
-  rounding loses the order of a restricted map, the search degrades to the
-  current enclosure instead of guessing.  The conjugacy verdict walks full
-  powers ``F^q`` instead and reads its break orbits off the one at the hit.
+  backend each one must clear a decision band.  Inside the band the only
+  certificate left is ``E = 0`` at every marked point of the arc (``F^q``
+  is the rigid shift by ``p``); without it, or when rounding loses the
+  order of a restricted map, the search degrades to the current enclosure
+  instead of guessing.  The same argument makes the arc decide conjugacy:
+  ``E = 0`` on it exactly when ``F^q = x + p``, which the conjugacy verdict
+  checks by walking each break orbit ``q`` steps through ``F``.
 * :func:`mode_lock_interval` — for a monotone one-parameter family, locate
   the parameter interval on which ``rho = p/q`` by secant steps on the two
   sign functions ``max E`` (lower edge) and ``min E`` (upper edge) apart,
@@ -39,7 +41,7 @@ Three complementary tools live here.
   piecewise affine in ``mu`` for shift families, so a secant lands on an
   exact edge, and ``lo``/``hi`` are the outer ends of the edge brackets.
 
-The hit is the certificate: the witness is read off ``F^q`` and not
+The hit is the certificate: the witness is read off the arc and not
 evaluated again.  The default edge width is a named constant of
 :mod:`pwlrotor.backend`; nothing here asks which backend it holds.
 """
@@ -231,14 +233,13 @@ def _is_rigid_shift(P: PwlLift, vals) -> bool:
     return all(eq(e, 0) for e in vals)
 
 
-def _classify(P: PwlLift, p, q=None) -> str:
-    """Place ``rho`` against ``p/q`` for ``P = F^q``.
+def _classify(P: PwlLift, p) -> str:
+    """Place ``rho`` against ``p/q`` for ``P = F^q``, or ``F^q`` on an arc.
 
     ``sign(min E) == 1`` is above, ``sign(max E) == -1`` below, and both
     signs decided is a hit.  Otherwise a sign lies inside the float
     decision band, and only ``E = 0`` at every marked point (``F^q`` the
-    rigid shift by ``p``) still certifies a hit.  ``q`` is not read: it
-    makes the ladder a side test of :func:`_rotation_search`.
+    rigid shift by ``p``) still certifies a hit.
     """
     backend = P.backend
     lo, hi = map(backend.sign, _edge_extremes(P, p))
@@ -249,55 +250,6 @@ def _classify(P: PwlLift, p, q=None) -> str:
     if (lo is not None and hi is not None) or _is_rigid_shift(P, _edge_values(P, p)):
         return _HIT
     return _UNDECIDED
-
-
-def _integer_ends(f: PwlLift, k0: int, side: Callable) -> Optional[tuple]:
-    """``(result, F)`` when ``side(F, p, 1)`` ends a search at ``p = k0`` or
-    ``k0 + 1``, else None.  ``F(0) - k0`` lies in [0, 1) and ``E`` takes its
-    extremes at marked points, so each end is a hit, in the band, or on its own side."""
-    for p in (k0, k0 + 1):
-        status = side(f, p, 1)
-        if status == _HIT:
-            return RotationResult.exact(p, 1, _find_witness(f, p), 0), f
-        if status == _UNDECIDED:
-            return RotationResult.enclosure(Fraction(k0), Fraction(k0 + 1), iterations=0), None
-
-
-def _rotation_search(f: PwlLift, q_max: int, side: Callable = _classify,
-                     k0: Optional[int] = None) -> Tuple[RotationResult, Optional[PwlLift]]:
-    """:func:`exact_rotation` over full powers, each ``F^{ql} o F^{qr}`` of its
-    Farey parents', and the ``F^q`` at a hit (else None) that the conjugacy
-    verdict reads its partition off.  ``side(P, p, q)`` places the target
-    against ``p/q`` from ``[k0, k0 + 1]`` on, by default ``k0 = floor(F(0))``."""
-    k0 = math.floor(f(f.backend.coerce(0))) if k0 is None else k0
-    ends = _integer_ends(f, k0, side)
-    if ends:
-        return ends
-    pl, ql, Pl, pr, qr, Pr = k0, 1, f, k0 + 1, 1, f
-    tested = 0
-    while (q := ql + qr) <= q_max:
-        p, P = pl + pr, compose(Pl, Pr)
-        tested += 1
-        status = side(P, p, q)
-        if status == _HIT:
-            return RotationResult.exact(p, q, _find_witness(P, p), tested), P
-        if status == _ABOVE:
-            pl, ql, Pl = p, q, P
-        elif status == _BELOW:
-            pr, qr, Pr = p, q, P
-        else:
-            break
-    return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=tested), None
-
-
-def _farey_power(f: PwlLift, r: Fraction) -> PwlLift:
-    """``F^q`` for ``r = p/q``, composed as :func:`_rotation_search` composes it
-    on its way to ``p/q``: float powers lose monotonicity less often this way
-    than by :func:`power`'s squares (exact ones do not depend on the order)."""
-    def side(P, p, q):
-        return _HIT if p == r * q else _ABOVE if p < r * q else _BELOW
-
-    return _rotation_search(f, r.denominator, side, math.floor(r))[1]
 
 
 def _restricted(P: PwlLift, a, b, shift=0) -> PwlLift:
@@ -321,6 +273,49 @@ def _restricted(P: PwlLift, a, b, shift=0) -> PwlLift:
         raise errors.PrecisionLoss("float restriction lost monotonicity: %s" % exc) from exc
 
 
+def _pair_search(f: PwlLift, q_max: int) -> Tuple[RotationResult, bool]:
+    """:func:`exact_rotation`, and whether ``F^q - p`` is the rigid shift on
+    the arc of its hit (False for an enclosure), which the conjugacy
+    verdict's float guard reads."""
+    zero = f.backend.coerce(0)
+    k0 = math.floor(f(zero))
+    pl, ql, pr, qr, tested = k0, 1, k0 + 1, 1, 0
+
+    def hit(C, e, p, q, skip=None):
+        return (RotationResult.exact(p, q, _find_witness(C, e, skip), tested),
+                _is_rigid_shift(C, _edge_values(C, e)))
+
+    for p in (k0, k0 + 1):  # F(0) - k0 is in [0, 1): each end is a hit, in the band or on its side
+        status = _classify(f, p)
+        if status == _HIT:
+            return hit(f, p, p, 1)
+        if status == _UNDECIDED:
+            return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=0), False
+    a = b = f(zero) - k0
+    try:
+        A, B = _restricted(f, a, zero, k0), _restricted(f, zero, b, k0)
+        while (q := ql + qr) <= q_max:
+            p, tested = pl + pr, tested + 1
+            if A(a) >= 1:  # C = F^q - p on J_l
+                C, e = _restricted(compose(B, A), a, zero, 1), 0
+            else:  # C = F^q - p + 1 on J_r
+                C, e = _restricted(compose(A, B), zero, b), 1
+            status = _classify(C, e)
+            if status == _HIT:  # the filler piece is the first on J_l, the last on J_r
+                return hit(C, e, p, q, -e % C.n)
+            if status == _ABOVE:
+                pl, ql, A, b = p, q, C, C(zero)
+                B = _restricted(B, zero, b)
+            elif status == _BELOW:
+                pr, qr, B, a = p, q, C, C(zero)
+                A = _restricted(A, a, zero)
+            else:
+                break
+    except errors.PrecisionLoss:  # rounding lost a float order: stop as at a sign in the band
+        pass
+    return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=tested), False
+
+
 def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
     """Stern-Brocot search for an exact rational rotation number.
 
@@ -335,35 +330,7 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
     ``q_max`` is exhausted, a float sign test refuses to decide or rounding
     loses a float order.  ``iterations`` counts the mediants tested.
     """
-    zero = f.backend.coerce(0)
-    k0 = math.floor(f(zero))
-    ends = _integer_ends(f, k0, _classify)
-    if ends:
-        return ends[0]
-    a = b = f(zero) - k0
-    pl, ql, pr, qr, tested = k0, 1, k0 + 1, 1, 0
-    try:
-        A, B = _restricted(f, a, zero, k0), _restricted(f, zero, b, k0)
-        while (q := ql + qr) <= q_max:
-            p, tested = pl + pr, tested + 1
-            if A(a) >= 1:  # C = F^q - p on J_l
-                C, e = _restricted(compose(B, A), a, zero, 1), 0
-            else:  # C = F^q - p + 1 on J_r
-                C, e = _restricted(compose(A, B), zero, b), 1
-            status = _classify(C, e)
-            if status == _HIT:  # the filler piece is the first on J_l, the last on J_r
-                return RotationResult.exact(p, q, _find_witness(C, e, -e % C.n), tested)
-            if status == _ABOVE:
-                pl, ql, A, b = p, q, C, C(zero)
-                B = _restricted(B, zero, b)
-            elif status == _BELOW:
-                pr, qr, B, a = p, q, C, C(zero)
-                A = _restricted(A, a, zero)
-            else:
-                break
-    except errors.PrecisionLoss:  # rounding lost a float order: stop as at a sign in the band
-        pass
-    return RotationResult.enclosure(Fraction(pl, ql), Fraction(pr, qr), iterations=tested)
+    return _pair_search(f, q_max)[0]
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,12 @@ from pwlrotor.conjugacy import OrbitPoint
 from pwlrotor.lift import piece
 
 from conftest import conjugate_maps, float_copy, rational_grid, rational_lifts
+from test_rotation import full_walk, seeded_conjugate_map
 
 LOCKED = pr.herman_offset(Fr(1, 2), Fr(1, 50)).lift(Fr(1, 200))  # rho = 1/2, not conjugate
+LOCKED_MAPS = [pr.herman_shifted(Fr(3, 2)).lift(Fr(-4, 25)), LOCKED,
+               pr.refraction(2.0, 1.14).lift(0.0)]
+LOCKED_IDS = ["herman_32_locked", "herman_offset_locked", "refraction_locked"]
 
 # h^-1 o R_{10/17} o h for h through (13/97, 43/97) and (18/97, 139/97).  Its
 # float copy keeps a piece of F^17 with slope 0.99999999935 although
@@ -163,54 +167,25 @@ def scanned_partition(f, p, q):
     return pr.OrbitPartition(p=p, q=q, orbits=orbits, points=tuple(points))
 
 
-def circle_dist(a, b):
-    d = abs(a - b)
-    return min(d, 1 - d)
-
-
 def assert_same_partition(f, p, q):
-    """The partition read off ``F^q`` is the walked one, bit for bit for
-    exact data.  Float landmarks come from ``compose``'s preimages, not from
-    forward evaluation, so they need only lie within ``ORBIT_TOL`` of the
-    walk's, in circle order; a float drift (the edge value of ``F^q``) names
-    the break whose walked orbit misses itself first."""
+    """The walked partition is the scanned one, bit for bit in both backends,
+    and so is the first break whose orbit misses itself.  Float data may be
+    left in doubt instead: the :class:`pr.Undecided` is returned, and must
+    name one of the :data:`REFUSALS`."""
+    got = conjugacy._walked_partition(f, p, q)
+    if isinstance(got, pr.Undecided):
+        assert not isinstance(f.backend, RationalBackend)
+        assert any(why in got.reason for why in REFUSALS), got.reason
+        return got
     want = scanned_partition(f, p, q)
-    got = conjugacy._partition_at(f, Fr(p, q))
-    if isinstance(f.backend, RationalBackend):
-        assert got == want
-        assert got.to_json() == want.to_json()
-    elif isinstance(got, pr.NotPeriodic):
-        assert isinstance(want, pr.NotPeriodic)
-        assert (got.break_index, got.point, got.q) == (want.break_index, want.point, want.q)
-    else:
-        assert (got.p, got.q, got.orbits) == (want.p, want.q, want.orbits)
-        # a preimage just below 1 is the walk's point at 0: turn the circle order
-        turn = next((k for k, pt in enumerate(got.points)
-                     if circle_dist(pt.x, want.points[0].x) <= ORBIT_TOL), 0)
-        pts = got.points[turn:] + got.points[:turn]
-        assert [(pt.is_break, pt.break_index, pt.orbit) for pt in pts] == [
-            (pt.is_break, pt.break_index, pt.orbit) for pt in want.points]
-        assert all(circle_dist(a.x, b.x) <= ORBIT_TOL for a, b in zip(pts, want.points))
+    assert got == want
+    assert got.to_json() == want.to_json()
     return got
 
 
-# What a float reading of breaks closer than ORBIT_TOL may refuse on: the
-# checks of the float guard, or a composition of F^q that lost monotonicity.
-REFUSALS = ("but its orbit walked forward moves it by", "to eps_x on a multiple of",
-            "lie within twice ORBIT_TOL", "lost monotonicity")
-
-
-def partition_or_refusal(f, p, q):
-    """:func:`assert_same_partition` for float data whose breaks or orbit
-    points lie within ``ORBIT_TOL``, where rounding may also leave the
-    partition in doubt: the :class:`errors.PrecisionLoss` is returned, and
-    must name one of the :data:`REFUSALS`."""
-    assert not isinstance(f.backend, RationalBackend)
-    try:
-        return assert_same_partition(f, p, q)
-    except errors.PrecisionLoss as exc:
-        assert any(why in str(exc) for why in REFUSALS), exc
-        return exc
+# What a float walk of breaks closer than ORBIT_TOL may be refused on: the
+# checks of the float guard.
+REFUSALS = ("walked forward moves it by", "of one orbit point", "lie within twice ORBIT_TOL")
 
 
 def near_band_map(gap, rho):
@@ -231,7 +206,7 @@ def rotated(f, t, lift_by):
 
 
 class TestLookupMatchesScan:
-    """The partition read off F^q is the walked one: bit for bit for exact data."""
+    """The walked partition is the scanned one, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(conjugate_maps(q_max=9))
@@ -248,11 +223,7 @@ class TestLookupMatchesScan:
             for g in (f, float_copy(f)):
                 assert_same_partition(g, rr.p, rr.q)
 
-    @pytest.mark.parametrize(
-        "f",
-        [pr.herman_shifted(Fr(3, 2)).lift(Fr(-4, 25)), LOCKED, pr.refraction(2.0, 1.14).lift(0.0)],
-        ids=["herman_32_locked", "herman_offset_locked", "refraction_locked"],
-    )
+    @pytest.mark.parametrize("f", LOCKED_MAPS, ids=LOCKED_IDS)
     def test_locked_maps_report_the_same_drift(self, f):
         rr = pr.exact_rotation(f)
         exact, rounded = (assert_same_partition(g, rr.p, rr.q) for g in (f, float_copy(f)))
@@ -263,10 +234,10 @@ class TestLookupMatchesScan:
     @pytest.mark.parametrize("gap", [Fr(1, 10**10), Fr(3, 10**10)])
     def test_float_breaks_closer_than_the_band(self, gap):
         # h's breaks 1/3 and 1/3 + gap give f pairs of breaks within
-        # ORBIT_TOL, so the float F^q can be x + p to eps_x while the float
-        # data's own F^q is off by up to 2.4e-7.  The float verdict is
-        # conjugate with the exact orbits, or a typed refusal, never an
-        # InternalMismatch; the partition read at p/q reads the F^q the search read.
+        # ORBIT_TOL, and a piece of slope up to 4.4e9, so a float walk can
+        # miss itself by 2.4e-7 while the exact orbit closes.  Every float
+        # verdict is undecided: a search stopped short of p/q, or a walk the
+        # float guard refuses, as the walk at p/q without the arc is.
         for rho in (rho for g, rho in NEAR_BAND if g == gap):
             f = near_band_map(gap, rho)
             p, q = rho.numerator, rho.denominator
@@ -274,30 +245,24 @@ class TestLookupMatchesScan:
             assert isinstance(exact, pr.Conjugate) and Fr(exact.p, exact.q) == rho
             assert assert_same_partition(f, p, q) == exact.partition
             g = float_copy(f)
-            hinted = partition_or_refusal(g, p, q)
-            try:
-                v = pr.is_conjugate_to_rigid(g)
-            except errors.PrecisionLoss as exc:  # a composition of the search
-                assert "lost monotonicity" in str(exc)
-                assert isinstance(hinted, errors.PrecisionLoss)
-                continue
-            assert isinstance(v, (pr.Conjugate, pr.Undecided)), v
-            if isinstance(v, pr.Conjugate):
-                assert v.partition.orbits == exact.partition.orbits and hinted == v.partition
-            elif v.enclosure.kind == "exact":  # the search certified p/q, then doubted
+            walked = assert_same_partition(g, p, q)
+            v = pr.is_conjugate_to_rigid(g)
+            assert isinstance(v, pr.Undecided), v
+            if v.enclosure.kind == "exact":  # the search certified p/q, then doubted
                 assert (v.enclosure.p, v.enclosure.q) == (p, q)
-                assert isinstance(hinted, errors.PrecisionLoss) and str(hinted) == v.reason
+                assert any(why in v.reason for why in REFUSALS), v.reason
+                assert isinstance(walked, pr.Undecided)
 
     def test_float_points_near_a_break_across_the_wrap(self):
         # coelho(1/7, 3/7) carries 3/7 onto 0: turned by t and lifted by
         # delta, its break at 1 - t meets an orbit point at delta - t, and
-        # its nearest marked point of F^3 may lie across the 0/1 wrap
+        # the walked point nearest to it may lie across the 0/1 wrap
         f = pr.coelho(Fr(1, 7), Fr(3, 7)).lift(0)
         wrapped = 0
         for t in (Fr(1, 10**11), Fr(-1, 10**11), Fr(3, 10**10)):
             for delta in (-3e-11, 0.0, 3e-11, 2e-10):
                 g = rotated(f, t, delta)
-                part = partition_or_refusal(g, 1, 3)
+                part = assert_same_partition(g, 1, 3)
                 if isinstance(part, pr.OrbitPartition):
                     wrapped += sum(pt.is_break and 1 - pt.x <= ORBIT_TOL for pt in part.points)
         assert wrapped > 0
@@ -333,14 +298,21 @@ class TestVerdicts:
         assert not pr.canonicalize(pr.power(f, v.q)).is_rigid
 
     @pytest.mark.parametrize(
-        "conj, p, q",
-        [(CONJ_10_17, 10, 17), (CONJ_31_33, 31, 33), (CONJ_9_13, 9, 13)],
+        "conj, p, q, float_verdict",
+        [(CONJ_10_17, 10, 17, pr.Conjugate), (CONJ_31_33, 31, 33, pr.Conjugate),
+         (CONJ_9_13, 9, 13, pr.Undecided)],
         ids=["10_17", "31_33", "9_13"],
     )
-    def test_float_power_check_decides_on_positions(self, conj, p, q):
-        for f in (conj, float_copy(conj)):
+    def test_float_power_check_decides_on_positions(self, conj, p, q, float_verdict):
+        # the float copy of CONJ_9_13 has an arc sign inside the decision
+        # band at 9/13, so its search stops at [2/3, 7/10]
+        for f, kind in ((conj, pr.Conjugate), (float_copy(conj), float_verdict)):
             v = pr.is_conjugate_to_rigid(f)
-            assert isinstance(v, pr.Conjugate)
+            assert isinstance(v, kind)
+            if kind is pr.Undecided:
+                assert "decision band" in v.reason
+                assert (v.enclosure.lo, v.enclosure.hi) == (Fr(2, 3), Fr(7, 10))
+                continue
             assert (v.p, v.q) == (p, q)
             rho = pr.invariant_density(f, partition=v.partition)
             assert abs(float(rho.mass()) - 1) <= 1e-12
@@ -388,6 +360,111 @@ class TestVerdicts:
             else:
                 assert abs(chk.global_product - 1) <= 1e-12
                 assert all(abs(p - 1) <= 1e-12 for p in chk.per_orbit)
+
+
+def perturbed_map(seed):
+    """:func:`seeded_conjugate_map` with its value at marked point ``seed % n``
+    moved by 1e-6, up for odd seeds and down for even ones, or None when
+    that loses monotonicity."""
+    f = seeded_conjugate_map(seed)
+    values = list(f.values)
+    values[seed % f.n] += Fr(1 if seed % 2 else -1, 10**6)
+    try:
+        return pr.make_lift(f.breaks, values)
+    except errors.NonMonotone:
+        return None
+
+
+def exact_reading(g):
+    """The exact map through the float marked points of ``g``."""
+    return pr.make_lift([Fr(x) for x in g.breaks], [Fr(x) for x in g.values])
+
+
+class TestWalkedVerdicts:
+    """The verdict walks break orbits after the restricted-pair search."""
+
+    def test_perturbed_maps_get_the_full_walk_verdict(self):
+        # at a hit of the full-power walk, the scanned partition or its first
+        # drift gives the verdict; at an enclosure, the verdict is undecided
+        not_conjugate = 0
+        for seed in range(60):
+            f = perturbed_map(seed)
+            if f is None:
+                continue
+            v, rr = pr.is_conjugate_to_rigid(f), full_walk(f, conjugacy.Q_CAP)
+            if rr.kind != "exact":
+                assert isinstance(v, pr.Undecided) and v.enclosure == rr
+                continue
+            part = scanned_partition(f, rr.p, rr.q)
+            if isinstance(part, pr.NotPeriodic):
+                not_conjugate += 1
+                want = pr.NotConjugate(
+                    reason="break point %d is not periodic (drift %s after %d steps)"
+                    % (part.break_index, part.drift, rr.q), p=rr.p, q=rr.q, evidence=part)
+            else:
+                want = pr.Conjugate(p=rr.p, q=rr.q, partition=part)
+            assert v.to_json() == want.to_json()
+        assert not_conjugate == 11
+
+    @pytest.mark.parametrize("f", LOCKED_MAPS + [perturbed_map(s) for s in range(40)],
+                             ids=LOCKED_IDS + ["perturbed_%d" % s for s in range(40)])
+    def test_float_not_conjugate_is_the_exact_reading(self, f):
+        # a float NotConjugate names the p/q and the first break that the
+        # exact reading of its float data names; else the verdict is undecided
+        if f is None:
+            return
+        g = f if f.backend is pr.FLOAT else float_copy(f)
+        v = pr.is_conjugate_to_rigid(g)
+        if f in LOCKED_MAPS:
+            assert isinstance(v, pr.NotConjugate)
+        if isinstance(v, pr.NotConjugate):
+            e = pr.is_conjugate_to_rigid(exact_reading(g))
+            assert isinstance(e, pr.NotConjugate)
+            assert (v.p, v.q, v.evidence.break_index) == (e.p, e.q, e.evidence.break_index)
+        else:
+            assert isinstance(v, pr.Undecided)
+
+    def test_drift_inside_the_rounding_bound_is_undecided(self):
+        # the float h^-1 o R_{2/3} o h of the CLI's band job: the arc certifies
+        # 2/3 with a sign change, but the walked drift of break 1, -2.4e-7,
+        # lies inside its rounding bound (a piece of slope 4.4e9)
+        g = float_copy(near_band_map(Fr(1, 10**10), Fr(2, 3)))
+        v = pr.is_conjugate_to_rigid(g)
+        assert isinstance(v, pr.Undecided) and (v.enclosure.p, v.enclosure.q) == (2, 3)
+        assert "break 1 walked forward moves it by -2.4" in v.reason
+        assert "rounding bound" in v.reason
+        assert conjugacy._rounding_bound(g, g.breaks[1], 3) > 2.5e-7
+
+    def test_float_orbits_shadowing_each_other_are_undecided(self):
+        # h^-1 o R_{1/2} o h for h steep on [1/5, 1/5 + g] and [3/5, 3/5 + g]:
+        # the break orbits {1/5, 3/5} and {1/5 + g, 3/5 + g} lie g = 1e-10
+        # apart at every break, so each float break lies within ORBIT_TOL of
+        # the first orbit's points, where the exact orbits are two
+        g = Fr(1, 10**10)
+        f = conjugate_to(Fr(1, 2), [Fr(1, 5), Fr(1, 5) + g, Fr(3, 5), Fr(3, 5) + g],
+                         [Fr(1, 10), Fr(2, 5), Fr(3, 5), Fr(9, 10)])
+        assert pr.is_conjugate_to_rigid(f).partition.orbits == ((0, 2), (1, 3))
+        v = pr.is_conjugate_to_rigid(float_copy(f))
+        assert isinstance(v, pr.Undecided) and (v.enclosure.p, v.enclosure.q) == (1, 2)
+        assert v.reason == "two breaks lie within ORBIT_TOL of one orbit point"
+
+    def test_float_walks_that_close_against_a_sign_change_are_undecided(self):
+        # the README's h^-1 o R_{1/3} o h marked at 3/10, 31/100, 8/25 and
+        # 2/5, 41/100, 21/50, with the values at 31/100 and 41/100 moved by
+        # +5e-10 and -5e-10 in floats: E changes sign on the arc by more than
+        # the decision band, and every break orbit closes within ORBIT_TOL
+        f = conjugate_to(Fr(1, 3), [Fr(1, 4), Fr(1, 2)], [Fr(1, 8), Fr(3, 4)])
+        xs = [Fr(1, 4), Fr(3, 10), Fr(31, 100), Fr(8, 25), Fr(11, 30), Fr(2, 5),
+              Fr(41, 100), Fr(21, 50), Fr(1, 2), Fr(7, 12)]
+        values = [float(f(x)) for x in xs]
+        values[2] += 5e-10
+        values[6] -= 5e-10
+        g = pr.make_lift([float(x) for x in xs], values)
+        v = pr.is_conjugate_to_rigid(g)
+        assert isinstance(v, pr.Undecided) and (v.enclosure.p, v.enclosure.q) == (1, 3)
+        assert v.reason == ("F^3 is not x + 1 to eps_x on the arc, but every break orbit "
+                            "walked forward closes")
+        assert isinstance(pr.is_conjugate_to_rigid(exact_reading(g)), pr.NotConjugate)
 
 
 class TestBuildConjugacy:

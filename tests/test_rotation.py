@@ -309,19 +309,6 @@ class TestExactRotation:
         assert r.iterations == 2
         assert r.to_json()["iterations"] == 2
 
-    @settings(max_examples=40, deadline=None)
-    @given(rational_lifts(max_pieces=4))
-    def test_farey_power_is_the_certifying_power(self, f):
-        # the F^q the search certifies p/q with, exact or float, is the one
-        # composed along the Farey path to p/q; exact, it is also power(f, q)
-        rr, P = rotation._rotation_search(f, 12)
-        if rr.kind == "exact":
-            assert rotation._farey_power(f, Fr(rr.p, rr.q)) == P == pr.power(f, rr.q)
-        g = float_copy(f)
-        rr, P = rotation._rotation_search(g, 12)
-        if rr.kind == "exact":
-            assert rotation._farey_power(g, Fr(rr.p, rr.q)) == P
-
     def test_result_json(self):
         r = pr.exact_rotation(pr.rigid(Fr(2, 5)))
         j = r.to_json()
@@ -358,8 +345,30 @@ def search_outcome(search, f, q_max):
 
 
 def full_walk(f, q_max):
-    """The search over full powers ``F^q`` that the conjugacy verdict walks."""
-    return rotation._rotation_search(f, q_max)[0]
+    """The Stern-Brocot search over full powers ``F^q``, each the composition
+    ``F^{ql} o F^{qr}`` of its Farey parents', with no restriction to an arc:
+    the reference for the restricted pair.  Raises PrecisionLoss where a float
+    composition loses its order."""
+    k0 = math.floor(f(f.backend.coerce(0)))
+    for p in (k0, k0 + 1):
+        status = rotation._classify(f, p)
+        if status == rotation._HIT:
+            return rotation.RotationResult.exact(p, 1, rotation._find_witness(f, p), 0)
+        if status == rotation._UNDECIDED:
+            return rotation.RotationResult.enclosure(Fr(k0), Fr(k0 + 1), iterations=0)
+    (p0, q0, P0), (p1, q1, P1), tested = (k0, 1, f), (k0 + 1, 1, f), 0
+    while (q := q0 + q1) <= q_max:
+        p, P, tested = p0 + p1, pr.compose(P0, P1), tested + 1
+        status = rotation._classify(P, p)
+        if status == rotation._HIT:
+            return rotation.RotationResult.exact(p, q, rotation._find_witness(P, p), tested)
+        if status == rotation._ABOVE:
+            p0, q0, P0 = p, q, P
+        elif status == rotation._BELOW:
+            p1, q1, P1 = p, q, P
+        else:
+            break
+    return rotation.RotationResult.enclosure(Fr(p0, q0), Fr(p1, q1), iterations=tested)
 
 
 #: Seeds below 400 whose float copy the restricted pair answers otherwise than
@@ -396,8 +405,8 @@ def searched_lifts(draw):
 
 
 class TestRestrictedPair:
-    """``exact_rotation`` walks the restricted Farey pair; the full-lift walk
-    behind the conjugacy verdict is its oracle."""
+    """``exact_rotation`` and the conjugacy verdict walk the restricted Farey
+    pair; the full-power walk is its oracle."""
 
     @settings(max_examples=80, deadline=None)
     @given(searched_lifts(), st.sampled_from([64, 300]))
@@ -477,7 +486,8 @@ class TestRestrictedPair:
     def test_float_conjugate_the_full_walk_cannot_compose(self):
         # h^-1 o R_{20/21} o h: the exact witness is the arc's end 0, and the
         # float copy stops in the band at 20/21 where the full F^21 lost its
-        # order; the verdict walks full powers and still raises
+        # order; the verdict reads the pair's enclosure, where the exact
+        # copy's verdict is conjugate
         h = pr.make_lift([Fr(439, 997), Fr(486, 997)], [Fr(3874, 4985), Fr(8849, 4985)])
         f = pr.compose(pr.invert(h), pr.compose(pr.rigid(Fr(20, 21)), h))
         r = pr.exact_rotation(f)
@@ -487,8 +497,11 @@ class TestRestrictedPair:
         assert (r.kind, r.lo, r.hi, r.iterations) == ("enclosure", Fr(19, 20), 1, 20)
         with pytest.raises(errors.PrecisionLoss):
             full_walk(g, 10_000)
-        with pytest.raises(errors.PrecisionLoss):
-            pr.is_conjugate_to_rigid(g)
+        v = pr.is_conjugate_to_rigid(g)
+        assert isinstance(v, pr.Undecided) and v.enclosure == pr.exact_rotation(g, 64)
+        assert "decision band" in v.reason
+        exact = pr.is_conjugate_to_rigid(f)
+        assert isinstance(exact, pr.Conjugate) and (exact.p, exact.q) == (20, 21)
 
 
 class TestPeriodicPoints:

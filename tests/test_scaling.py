@@ -137,13 +137,13 @@ class TestR1:
 
     def test_certifies_rho_once(self, herman_sqrt2, monkeypatch):
         calls = []
-        real = pr.conjugacy._rotation_search  # the search behind every verdict
+        real = pr.conjugacy._pair_search  # the search behind every verdict
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(pr.conjugacy, "_rotation_search", counting)
+        monkeypatch.setattr(pr.conjugacy, "_pair_search", counting)
         rep = pr.r1(herman_sqrt2, 0.0, m_fit=10**4)
         assert len(calls) == 1
         assert len(rep.landmarks) == 2
