@@ -34,8 +34,8 @@ from .errors import BackendMismatch, Overflow
 
 Num = Union[Fraction, float]
 
-#: Two circle points on one break orbit coincide (orbit closure, orbit
-#: membership) when their distance is within this band.
+#: A break-orbit walk that misses itself by no more than this band, or
+#: orbit points closer than twice it, leave a conjugacy verdict undecided.
 ORBIT_TOL = 1e-9
 #: An invariant density's total mass must be 1 to within this band.
 MASS_TOL = 1e-12

@@ -8,9 +8,9 @@ identically.  The restricted-pair search certifies ``p/q``, and each
 genuine break's orbit walked ``q`` steps through ``F`` (at most ``n*q``
 evaluations) either closes or is the evidence that the map is not
 conjugate.  Float data keep one guard that exact algebra does not need
-(the backend's ``rounding_doubt``): a drift must clear the walk's rounding
-bound, and the walks must agree with the search's arc, or the verdict is
-:class:`Undecided`.
+(the backend's ``rounding_doubt``): a walk closes within ``eps_x``, a
+drift must clear ``ORBIT_TOL`` and the walk's rounding bound, and the walks
+must agree with the search's arc, or the verdict is :class:`Undecided`.
 
 When the test passes, the break orbits partition the break set into
 ``K <= n/2`` classes, each carrying at least two breaks and a jump-ratio
@@ -28,7 +28,7 @@ private ``_distribution``.  :func:`verify_invariance` checks a density
 against the map over all arcs at once, from the one composition
 ``Phi o F`` with its cumulative ``Phi``.
 
-The float closure band ``ORBIT_TOL`` and the mass band ``MASS_TOL`` live
+The float orbit band ``ORBIT_TOL`` and the mass band ``MASS_TOL`` live
 in :mod:`pwlrotor.backend` with the other bands, and the default search
 depth :data:`Q_CAP` is a module constant; only :func:`is_conjugate_to_rigid`
 takes a depth (the ``q_cap`` job key).
@@ -140,6 +140,8 @@ def _rounding_bound(f: PwlLift, b, q: int) -> float:
     the step's own rounding, a few ulps of its value."""
     x, err = b, 0.0
     for _ in range(q):
+        if 2 * err >= 1:  # no drift in [-1/2, 1/2] clears it, and it would overflow
+            return err
         k, j = (piece(f.breaks, frac(x + t)) for t in (-err, err))
         s = max(f.slopes[k], f.slopes[j]) if (j - k) % f.n < 2 else max(f.slopes)
         y = f(x)
@@ -150,23 +152,24 @@ def _rounding_bound(f: PwlLift, b, q: int) -> float:
 def _float_doubt(f: PwlLift, part, arc_rigid: Optional[bool]) -> Optional[str]:
     """Why rounding puts the walked reading ``part`` in doubt, or None.
 
-    A :class:`NotPeriodic` drift must clear the walk's :func:`_rounding_bound`
-    as well as ``ORBIT_TOL``.  Closed walks must not meet a hit whose arc is
-    not ``x + p`` to ``eps_x`` (``arc_rigid`` False; None when no search ran),
-    each genuine break must mark its own point, and the points must lie
-    more than twice ``ORBIT_TOL`` apart: no break is near two.
+    A :class:`NotPeriodic` drift (more than ``eps_x``) must clear ``ORBIT_TOL``
+    and the walk's :func:`_rounding_bound`.  Closed walks must not meet a hit
+    whose arc is not ``x + p`` to ``eps_x`` (``arc_rigid`` False; None when no
+    search ran), and the points must lie more than twice ``ORBIT_TOL`` apart:
+    no break lies near a point it did not ride on.
     """
     if isinstance(part, NotPeriodic):
+        walked = "the orbit of break %d walked forward moves it by %s" % (part.break_index,
+                                                                          part.drift)
+        if f.backend.sign(abs(part.drift), ORBIT_TOL) != 1:
+            return walked + ": more than eps_x, within ORBIT_TOL"
         bound = _rounding_bound(f, part.point, part.q)
-        if f.backend.sign(abs(part.drift), bound) == 1:
-            return None
-        return "the orbit of break %d walked forward moves it by %s, within its rounding " \
-               "bound %s" % (part.break_index, part.drift, bound)
+        if f.backend.sign(abs(part.drift), bound) != 1:
+            return walked + ", within its rounding bound %s" % bound
+        return None
     if arc_rigid is False:
         return "F^%d is not x + %d to eps_x on the arc, but every break orbit walked forward " \
                "closes" % (part.q, part.p)
-    if sum(pt.is_break for pt in part.points) < len(f.genuine_break_indices()):
-        return "two breaks lie within ORBIT_TOL of one orbit point"
     xs = part.landmarks()
     for a, b in zip(xs, cell_ends(xs) if xs else ()):
         if f.backend.sign(b - a, 2 * ORBIT_TOL) != 1:
@@ -178,25 +181,24 @@ def _walk_orbits(f: PwlLift, p: int, q: int) -> Union[OrbitPartition, NotPeriodi
     """The break-orbit partition of ``f`` at ``p/q`` in lowest terms, walked
     ``q`` steps through ``f`` from each genuine break on no orbit walked
     before (at most ``n*q`` evaluations), or :class:`NotPeriodic` for the
-    first walk whose :func:`_drift` is not 0, within ``ORBIT_TOL`` in floats.
+    first walk whose :func:`_drift` is not 0.
 
-    A break that near a point of an orbit walked before (equal, in exact
-    data) rides on that orbit and marks the point, and the ``q*K`` points
-    are sorted.
+    Equal is ``eq_point`` (within ``eps_x`` in floats).  A break equal to an
+    unmarked point of an orbit walked before rides on that orbit and marks
+    the point, and the ``q*K`` points are sorted.
     """
-    sign = f.backend.sign
+    eq = f.backend.eq_point
     xs, tags, orbits = [], [], []  # sorted orbit points, their [orbit, break]; breaks per orbit
     for i in f.genuine_break_indices():
         b = f.breaks[i]
         j = _nearest(xs, b) if xs else None
-        if j is not None and sign(_circle_dist(xs[j], b), ORBIT_TOL) != 1:
+        if j is not None and tags[j][1] is None and eq(_circle_dist(xs[j], b), 0):
             orbits[tags[j][0]].append(i)
-            if tags[j][1] is None:
-                tags[j][1] = i
+            tags[j][1] = i
             continue
         pts = _orbit_points(f, b, q + 1)
         drift = _drift(b, pts.pop())
-        if sign(abs(drift), ORBIT_TOL) == 1:
+        if not eq(drift, 0):
             return NotPeriodic(break_index=i, point=b, drift=drift, q=q)
         for k, x in enumerate(pts):
             t = bisect_left(xs, x)

@@ -127,7 +127,7 @@ def check_well_ordered(orbit_pts, p, q):
 
 def scanned_partition(f, p, q):
     """The partition by walking every break orbit and two quadratic scans,
-    the reference for the reading off ``F^q``: a break joins the first orbit
+    the reference for the walk of ``conjugacy``: a break joins the first orbit
     holding a point near it, and an orbit point marks the first genuine
     break near it."""
 
@@ -167,15 +167,15 @@ def scanned_partition(f, p, q):
     return pr.OrbitPartition(p=p, q=q, orbits=orbits, points=tuple(points))
 
 
-def assert_same_partition(f, p, q):
+def assert_same_partition(f, p, q, refusals=()):
     """The walked partition is the scanned one, bit for bit in both backends,
     and so is the first break whose orbit misses itself.  Float data may be
-    left in doubt instead: the :class:`pr.Undecided` is returned, and must
-    name one of the :data:`REFUSALS`."""
+    left in doubt instead only when its reason names one of ``refusals``:
+    the :class:`pr.Undecided` is returned."""
     got = conjugacy._walked_partition(f, p, q)
     if isinstance(got, pr.Undecided):
         assert not isinstance(f.backend, RationalBackend)
-        assert any(why in got.reason for why in REFUSALS), got.reason
+        assert any(why in got.reason for why in refusals), got.reason
         return got
     want = scanned_partition(f, p, q)
     assert got == want
@@ -185,7 +185,7 @@ def assert_same_partition(f, p, q):
 
 # What a float walk of breaks closer than ORBIT_TOL may be refused on: the
 # checks of the float guard.
-REFUSALS = ("walked forward moves it by", "of one orbit point", "lie within twice ORBIT_TOL")
+REFUSALS = ("walked forward moves it by", "lie within twice ORBIT_TOL")
 
 
 def near_band_map(gap, rho):
@@ -218,10 +218,16 @@ class TestLookupMatchesScan:
     @settings(max_examples=60, deadline=None)
     @given(rational_lifts(max_pieces=4))
     def test_random_lifts(self, f):
+        # a float walk may only be refused on its rounding bound, where the
+        # exact walk misses itself at the same break
         rr = pr.exact_rotation(f, q_max=12)
         if rr.kind == "exact":
-            for g in (f, float_copy(f)):
-                assert_same_partition(g, rr.p, rr.q)
+            exact = assert_same_partition(f, rr.p, rr.q)
+            rounded = assert_same_partition(float_copy(f), rr.p, rr.q,
+                                            refusals=("within its rounding bound",))
+            if isinstance(rounded, pr.Undecided):
+                assert isinstance(exact, pr.NotPeriodic)
+                assert rounded.reason.startswith("the orbit of break %d " % exact.break_index)
 
     @pytest.mark.parametrize("f", LOCKED_MAPS, ids=LOCKED_IDS)
     def test_locked_maps_report_the_same_drift(self, f):
@@ -245,7 +251,7 @@ class TestLookupMatchesScan:
             assert isinstance(exact, pr.Conjugate) and Fr(exact.p, exact.q) == rho
             assert assert_same_partition(f, p, q) == exact.partition
             g = float_copy(f)
-            walked = assert_same_partition(g, p, q)
+            walked = assert_same_partition(g, p, q, REFUSALS)
             v = pr.is_conjugate_to_rigid(g)
             assert isinstance(v, pr.Undecided), v
             if v.enclosure.kind == "exact":  # the search certified p/q, then doubted
@@ -262,7 +268,7 @@ class TestLookupMatchesScan:
         for t in (Fr(1, 10**11), Fr(-1, 10**11), Fr(3, 10**10)):
             for delta in (-3e-11, 0.0, 3e-11, 2e-10):
                 g = rotated(f, t, delta)
-                part = assert_same_partition(g, 1, 3)
+                part = assert_same_partition(g, 1, 3, REFUSALS)
                 if isinstance(part, pr.OrbitPartition):
                     wrapped += sum(pt.is_break and 1 - pt.x <= ORBIT_TOL for pt in part.points)
         assert wrapped > 0
@@ -435,6 +441,23 @@ class TestWalkedVerdicts:
         assert "rounding bound" in v.reason
         assert conjugacy._rounding_bound(g, g.breaks[1], 3) > 2.5e-7
 
+    def test_rounding_bound_past_half_a_turn_is_undecided(self):
+        # x -> x + 1/40 at k/40, each followed by a piece of slope 1.25e9 and
+        # width 1e-11, with F(39/40) moved down by 1e-6: the walk from 0 runs
+        # through a break at every step, so its rounding bound passes half a
+        # turn long before the 40th step, where it would overflow
+        xs = [x for k in range(40) for x in (k / 40, k / 40 + 1e-11)]
+        vs = [v for k in range(1, 41) for v in (k / 40, k / 40 + 1 / 80)]
+        vs[-2] -= 1e-6
+        g = pr.make_lift(xs, vs, pr.FLOAT)
+        v = pr.is_conjugate_to_rigid(g)
+        assert isinstance(v, pr.Undecided) and (v.enclosure.p, v.enclosure.q) == (1, 40)
+        assert v.reason.startswith("the orbit of break 0 walked forward moves it by -1.0")
+        with pytest.raises(errors.PrecisionLoss, match="within its rounding bound"):
+            pr.invariant_density(g, q=40)
+        e = pr.is_conjugate_to_rigid(exact_reading(g))
+        assert isinstance(e, pr.NotConjugate) and (e.q, e.evidence.break_index) == (40, 0)
+
     def test_float_orbits_shadowing_each_other_are_undecided(self):
         # h^-1 o R_{1/2} o h for h steep on [1/5, 1/5 + g] and [3/5, 3/5 + g]:
         # the break orbits {1/5, 3/5} and {1/5 + g, 3/5 + g} lie g = 1e-10
@@ -446,13 +469,26 @@ class TestWalkedVerdicts:
         assert pr.is_conjugate_to_rigid(f).partition.orbits == ((0, 2), (1, 3))
         v = pr.is_conjugate_to_rigid(float_copy(f))
         assert isinstance(v, pr.Undecided) and (v.enclosure.p, v.enclosure.q) == (1, 2)
-        assert v.reason == "two breaks lie within ORBIT_TOL of one orbit point"
+        assert v.reason == "break orbit points 0.2 and 0.2000000001 lie within twice ORBIT_TOL"
 
-    def test_float_walks_that_close_against_a_sign_change_are_undecided(self):
+    def test_float_breaks_near_unmarked_orbit_points_are_undecided(self):
+        # h^-1 o R_{1/4} o h for h through (1/10, 1/10) and (3/5, 3/5 + g):
+        # the breaks 3/5 and f^-1(3/5) of the second orbit lie g = 1e-10 from
+        # the first orbit's unmarked points f^2(1/10) and f(1/10), so a float
+        # break must not ride on them: the exact orbits are two
+        g = Fr(1, 10**10)
+        f = conjugate_to(Fr(1, 4), [Fr(1, 10), Fr(3, 5)], [Fr(1, 10), Fr(3, 5) + g])
+        assert pr.is_conjugate_to_rigid(f).partition.orbits == ((0, 3), (1, 2))
+        v = pr.is_conjugate_to_rigid(float_copy(f))
+        assert isinstance(v, pr.Undecided) and (v.enclosure.p, v.enclosure.q) == (1, 4)
+        assert v.reason.endswith("lie within twice ORBIT_TOL")
+
+    def test_float_walks_that_close_only_within_orbit_tol_are_undecided(self):
         # the README's h^-1 o R_{1/3} o h marked at 3/10, 31/100, 8/25 and
         # 2/5, 41/100, 21/50, with the values at 31/100 and 41/100 moved by
-        # +5e-10 and -5e-10 in floats: E changes sign on the arc by more than
-        # the decision band, and every break orbit closes within ORBIT_TOL
+        # +5e-10 and -5e-10 in floats: the walk from break 2 misses itself by
+        # more than eps_x, far more than its rounding bound, but within
+        # ORBIT_TOL, and the walk at q = 3 without a search refuses it too
         f = conjugate_to(Fr(1, 3), [Fr(1, 4), Fr(1, 2)], [Fr(1, 8), Fr(3, 4)])
         xs = [Fr(1, 4), Fr(3, 10), Fr(31, 100), Fr(8, 25), Fr(11, 30), Fr(2, 5),
               Fr(41, 100), Fr(21, 50), Fr(1, 2), Fr(7, 12)]
@@ -462,8 +498,25 @@ class TestWalkedVerdicts:
         g = pr.make_lift([float(x) for x in xs], values)
         v = pr.is_conjugate_to_rigid(g)
         assert isinstance(v, pr.Undecided) and (v.enclosure.p, v.enclosure.q) == (1, 3)
+        assert v.reason.startswith("the orbit of break 2 walked forward moves it by 5.0")
+        assert v.reason.endswith(": more than eps_x, within ORBIT_TOL")
+        with pytest.raises(errors.PrecisionLoss, match="more than eps_x, within ORBIT_TOL"):
+            pr.invariant_density(g, q=3)
+        assert isinstance(pr.is_conjugate_to_rigid(exact_reading(g)), pr.NotConjugate)
+
+    def test_float_walks_that_close_against_a_sign_change_are_undecided(self):
+        # the float copy of h^-1 o R_{1/3} o h for h of slope 3e6 on
+        # [37/100, 37/100 + 1e-7]: every break orbit closes within eps_x,
+        # but F^3 - 1 on the arc changes sign by more than the decision band
+        f = conjugate_to(Fr(1, 3), [Fr(37, 100), Fr(37, 100) + Fr(1, 10**7), Fr(3, 4)],
+                         [Fr(1, 5), Fr(1, 2), Fr(4, 5)])
+        assert isinstance(pr.is_conjugate_to_rigid(f), pr.Conjugate)
+        g = float_copy(f)
+        v = pr.is_conjugate_to_rigid(g)
+        assert isinstance(v, pr.Undecided) and (v.enclosure.p, v.enclosure.q) == (1, 3)
         assert v.reason == ("F^3 is not x + 1 to eps_x on the arc, but every break orbit "
                             "walked forward closes")
+        assert isinstance(conjugacy._walk_orbits(g, 1, 3), pr.OrbitPartition)
         assert isinstance(pr.is_conjugate_to_rigid(exact_reading(g)), pr.NotConjugate)
 
 
