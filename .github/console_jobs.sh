@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the installed pwl-rotor console script on twelve small jobs and check
+# Run the installed pwl-rotor console script on thirteen small jobs and check
 # their answers.  Usage: console_jobs.sh [DIR]; the job files and outputs go
 # to DIR (default: a new temporary directory).  CI runs it once with numpy
 # installed and once without it: these subcommands must not need numpy.
@@ -63,8 +63,8 @@ assert len(v["partition"]["orbits"]) == 1, v["partition"]["orbits"]
 CHECK
 
 # float h^-1 o R_{2/3} o h with two break orbits 1e-10 apart, inside the
-# orbit band: F^3 is x + 2 to eps_x, but a break orbit misses itself by
-# 2.4e-7, so the verdict is undecided (and the exit code 0)
+# orbit band: the walk of a break orbit misses itself by 2.4e-7, within the
+# walk's rounding bound, so the verdict is undecided (and the exit code 0)
 cat > "$dir/conjugacy_band.json" <<'JOB'
 {"family": {"family": "custom", "params": {"mu": [0, 1],
   "breaks": [[0.041666666666666664, 0.2361111111111111, 0.3333333333333333,
@@ -80,6 +80,7 @@ JOB
 pwl-rotor conjugacy --config "$dir/conjugacy_band.json" > "$dir/conjugacy_band.out"
 cat "$dir/conjugacy_band.out"
 grep -q '"verdict": "undecided"' "$dir/conjugacy_band.out"
+grep -q 'within its rounding bound' "$dir/conjugacy_band.out"
 
 # exact herman_offset(1/2): the 1/2 tongue pinches to a point at d = 0
 cat > "$dir/pinch.json" <<'JOB'
@@ -103,6 +104,23 @@ JOB
 pwl-rotor scaling --config "$dir/scaling.json" > "$dir/scaling.out"
 cat "$dir/scaling.out"
 grep -q '"R1": "1"' "$dir/scaling.out"
+
+# float herman_shifted(sqrt 2) at mu_c = 0, with its residual block: R1 is
+# Herman's closed form (1 + lam)^2 / (4 lam), from one break orbit
+cat > "$dir/scaling_float.json" <<'JOB'
+{"family": {"family": "herman_shifted", "params": {"lam": 1.4142135623730951}},
+ "mu_c": 0.0, "m_fit": 100000, "window": 0.05, "samples": 8}
+JOB
+pwl-rotor scaling --config "$dir/scaling_float.json" > "$dir/scaling_float.out"
+cat "$dir/scaling_float.out"
+python3 - "$dir/scaling_float.out" <<'CHECK'
+import json, math, sys
+out = json.load(open(sys.argv[1]))
+lam = math.sqrt(2.0)
+assert abs(out["scaling"]["R1"] - (1 + lam) ** 2 / (4 * lam)) <= 1e-12, out["scaling"]["R1"]
+assert out["scaling"]["K"] == 1, out["scaling"]["K"]
+assert out["residual"]["symmetry_c"] is not None, out["residual"]
+CHECK
 
 # exact coelho(1/3, 1/3) at mu = 0: rho = 1/2, and the integer mu prints as "0"
 cat > "$dir/rho.json" <<'JOB'

@@ -39,8 +39,6 @@ Num = Union[Fraction, float]
 ORBIT_TOL = 1e-9
 #: An invariant density's total mass must be 1 to within this band.
 MASS_TOL = 1e-12
-#: Adjacent laminar landmarks collide when closer than this.
-COLLISION_TOL = 1e-11
 #: Default width of locked-interval edges (both backends): a secant probe
 #: that lands on an edge ends its search sooner, with the edge exactly.
 LOCK_TOL = Fraction(1, 10**10)

@@ -255,9 +255,7 @@ def cmd_scaling(cfg: dict, family: FamilySpec, fmt: str, workers: int) -> str:
     rep = r1(family, mu_c, h_fit=h_fit, m_fit=m_fit, q_cap=q_cap)
     payload = {"scaling": rep}
     if residual:
-        payload["residual"] = scaling_residual(
-            family, mu_c, window=window, samples=samples, m=m_fit, report=rep
-        )
+        payload["residual"] = scaling_residual(family, rep, window, samples, m_fit)
     return _dump_json(payload)
 
 

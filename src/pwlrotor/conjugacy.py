@@ -5,8 +5,9 @@ rotation number ``p/q`` is conjugate to the rigid rotation by ``p/q``
 through a PWL change of coordinates exactly when every genuine break
 point lies on a periodic orbit — equivalently, when ``F^q = x + p``
 identically.  The restricted-pair search certifies ``p/q``, and each
-genuine break's orbit walked ``q`` steps through ``F`` (at most ``n*q``
-evaluations) either closes or is the evidence that the map is not
+genuine break's orbit walked ``q`` steps through ``F`` by
+:func:`lift.orbit_points` (at most ``n*q`` evaluations) either closes or
+misses itself by a :func:`lift.drift`, the evidence that the map is not
 conjugate.  Float data keep one guard that exact algebra does not need
 (the backend's ``rounding_doubt``): a walk closes within ``eps_x``, a
 drift must clear ``ORBIT_TOL`` and the walk's rounding bound, and the walks
@@ -54,9 +55,11 @@ from .lift import (
     canonicalize,
     cell_ends,
     compose,
+    drift,
     frac,
     jump_product,
     make_lift,
+    orbit_points,
     piece,
     rigid,
 )
@@ -64,12 +67,6 @@ from .rotation import RotationResult, _pair_search
 
 #: Largest denominator the rotation search tries when no ``(p, q)`` is given.
 Q_CAP = 64
-
-
-def _circle_dist(a, b):
-    """Distance on the circle between ``a`` and ``b`` in [0, 1]."""
-    d = abs(a - b)
-    return d if 2 * d <= 1 else 1 - d
 
 
 @dataclass(frozen=True)
@@ -112,25 +109,10 @@ class OrbitPartition(Record):
         return [pt.x for pt in self.points]
 
 
-def _orbit_points(f: PwlLift, x0, q: int) -> list:
-    pts = [x0]
-    x = x0
-    for _ in range(q - 1):
-        x = frac(f(x))
-        pts.append(x)
-    return pts
-
-
 def _nearest(xs: list, x) -> int:
     """Index of the sorted circle point of ``xs`` nearest to ``x``, across the 0/1 wrap."""
     t = bisect_left(xs, x) % len(xs)
-    return min(t, (t - 1) % len(xs), key=lambda j: _circle_dist(xs[j], x))
-
-
-def _drift(b, image) -> Num:
-    """``frac(image) - b`` reduced mod 1 to [-1/2, 1/2], as a walk from ``b`` sees it."""
-    d = frac(image) - b
-    return d - 1 if 2 * d > 1 else d + 1 if 2 * d < -1 else d
+    return min(t, (t - 1) % len(xs), key=lambda j: abs(drift(xs[j], x)))
 
 
 def _rounding_bound(f: PwlLift, b, q: int) -> float:
@@ -181,7 +163,7 @@ def _walk_orbits(f: PwlLift, p: int, q: int) -> Union[OrbitPartition, NotPeriodi
     """The break-orbit partition of ``f`` at ``p/q`` in lowest terms, walked
     ``q`` steps through ``f`` from each genuine break on no orbit walked
     before (at most ``n*q`` evaluations), or :class:`NotPeriodic` for the
-    first walk whose :func:`_drift` is not 0.
+    first walk whose :func:`drift` is not 0.
 
     Equal is ``eq_point`` (within ``eps_x`` in floats).  A break equal to an
     unmarked point of an orbit walked before rides on that orbit and marks
@@ -192,14 +174,14 @@ def _walk_orbits(f: PwlLift, p: int, q: int) -> Union[OrbitPartition, NotPeriodi
     for i in f.genuine_break_indices():
         b = f.breaks[i]
         j = _nearest(xs, b) if xs else None
-        if j is not None and tags[j][1] is None and eq(_circle_dist(xs[j], b), 0):
+        if j is not None and tags[j][1] is None and eq(drift(xs[j], b), 0):
             orbits[tags[j][0]].append(i)
             tags[j][1] = i
             continue
-        pts = _orbit_points(f, b, q + 1)
-        drift = _drift(b, pts.pop())
-        if not eq(drift, 0):
-            return NotPeriodic(break_index=i, point=b, drift=drift, q=q)
+        pts = orbit_points(f, b, q + 1)
+        miss = drift(b, pts.pop())
+        if not eq(miss, 0):
+            return NotPeriodic(break_index=i, point=b, drift=miss, q=q)
         for k, x in enumerate(pts):
             t = bisect_left(xs, x)
             xs.insert(t, x)
@@ -260,7 +242,8 @@ def is_conjugate_to_rigid(f: PwlLift, q_cap: int = Q_CAP) -> Verdict:
     A search that ends in an enclosure gives :class:`Undecided`, whose
     reason says what stopped it: ``q_cap``, or a float sign inside the
     decision band; so does a float reading in doubt, naming the failed
-    check, with the search's exact result as enclosure.
+    check, with the search's exact result as enclosure.  Raises ValueError
+    when ``q_cap < 1``.
     """
     rr, arc_rigid = _pair_search(f, q_cap)
     if rr.kind != "exact":

@@ -53,7 +53,7 @@ class InternalMismatch(PwlError):
 
 
 class SegmentCollision(PwlError):
-    """Adjacent landmarks sit within ``COLLISION_TOL``, or a segment is empty."""
+    """:func:`scaling.kappa` was handed a segment with no interior."""
 
 
 class LogDomain(PwlError):

@@ -50,7 +50,6 @@ The other two move their breaks:
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log, sqrt
@@ -58,7 +57,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from . import errors
 from .backend import Backend, backend_from_tag, infer_backend, to_json
-from .lift import PwlLift, make_lift
+from .lift import PwlLift, make_lift, piece
 
 
 def _pick_backend(backend, *values) -> Backend:
@@ -352,7 +351,7 @@ def custom_family(
 
     def segment(mu):
         """``j`` of the node segment ``[nodes[j], nodes[j + 1]]`` carrying ``mu``."""
-        return min(bisect_right(nodes, mu), len(nodes) - 1) - 1
+        return min(piece(nodes, mu), len(nodes) - 2)
 
     def table(mu):
         j = segment(mu)
@@ -382,28 +381,6 @@ def custom_family(
         _derivs=derivs,
         _domain=domain,
     )
-
-
-def _transversality(f: PwlLift, db, dphi, sigma: int) -> tuple:
-    """Local transversality of a family at the lift ``f`` it takes at
-    ``mu_c``, one value per marked point ``b_k``:
-
-        d(value_k)/dmu - max(0, s_{k-1} * d(b_k)/dmu, s_k * d(b_k)/dmu),
-
-    ``s_{k-1}`` and ``s_k`` the slopes on either side of ``b_k``, with the
-    family's derivative tables ``db``, ``dphi`` at ``mu_c`` taken in the
-    increasing orientation (times its direction sign ``sigma``).  That is
-    the slower of the rates at which ``F`` rises at a fixed point just
-    left and just right of ``b_k``, capped at ``d(value_k)/dmu``;
-    all-positive values make the family transverse at ``mu_c``.
-    Non-positive values are data, not errors: :func:`scaling.r1` reports
-    the minimum."""
-    zero = f.backend.coerce(0)
-    vals = []
-    for k in range(f.n):
-        bd = sigma * db[k]
-        vals.append(sigma * dphi[k] - max(zero, f.slopes[k - 1] * bd, f.slopes[k] * bd))
-    return tuple(vals)
 
 
 #: name -> (constructor, required params in positional order, optional params)

@@ -14,6 +14,9 @@ removed by :func:`canonicalize`.  :func:`make_lift` checks the order and
 derives slopes as rise over run; so do float results of the algebra, while
 exact ones carry the slopes it derived (products, reciprocals, kept ones).
 
+Circle points are read here too: :func:`piece`, :func:`cell_ends`, the
+signed distance :func:`drift` and the walk :func:`orbit_points`.
+
 Everything here is generic over the two scalar backends: exact rationals
 and tolerance-governed floats.  ``F(x + 1) = F(x) + 1`` holds exactly in
 the exact backend and to rounding in the float backend.  A composition
@@ -106,6 +109,23 @@ def split(x) -> tuple:
 def frac(x) -> Num:
     """Fractional part in [0, 1), exact for Fractions."""
     return split(x)[1]
+
+
+def drift(a, b) -> Num:
+    """``frac(b) - a`` reduced mod 1 to [-1/2, 1/2]: the signed step on the
+    circle from ``a`` in [0, 1) to ``b``; its absolute value is their distance."""
+    d = frac(b) - a
+    return d - 1 if 2 * d > 1 else d + 1 if 2 * d < -1 else d
+
+
+def orbit_points(f: PwlLift, x0, q: int) -> list:
+    """The circle points ``x0, frac(F(x0)), ...``, ``q`` of them."""
+    pts = [x0]
+    x = x0
+    for _ in range(q - 1):
+        x = frac(f(x))
+        pts.append(x)
+    return pts
 
 
 def make_lift(breaks: Sequence, values: Sequence, backend: Optional[Backend] = None) -> PwlLift:

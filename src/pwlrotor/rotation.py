@@ -277,6 +277,8 @@ def _pair_search(f: PwlLift, q_max: int) -> Tuple[RotationResult, bool]:
     """:func:`exact_rotation`, and whether ``F^q - p`` is the rigid shift on
     the arc of its hit (False for an enclosure), which the conjugacy
     verdict's float guard reads."""
+    if q_max < 1:
+        raise ValueError("the denominator cap must be >= 1, got %d" % q_max)
     zero = f.backend.coerce(0)
     k0 = math.floor(f(zero))
     pl, ql, pr, qr, tested = k0, 1, k0 + 1, 1, 0
@@ -329,6 +331,7 @@ def exact_rotation(f: PwlLift, q_max: int = 10_000) -> RotationResult:
     witness on the arc, or the tightest Farey enclosure reached when
     ``q_max`` is exhausted, a float sign test refuses to decide or rounding
     loses a float order.  ``iterations`` counts the mediants tested.
+    Raises ValueError when ``q_max < 1``.
     """
     return _pair_search(f, q_max)[0]
 

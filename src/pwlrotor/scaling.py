@@ -13,15 +13,16 @@ direction.
 
 :func:`r1` assembles the whole report and cross-checks the closed form
 against an independent finite-difference slope of the measured rotation
-number; :func:`scaling_residual` measures the quadratic remainder and the
-inverse symmetry ``G_{-mu} = G_mu^{-1} + O(mu^2)``; and
+number; :func:`scaling_residual` reads that report to measure the quadratic
+remainder and the inverse symmetry ``G_{-mu} = G_mu^{-1} + O(mu^2)``; and
 :func:`pinch_boundaries` traces how a mode-locked wedge in a second
 parameter collapses onto such a conjugacy point.
 
-The branch switch of the passage-time formula, :data:`B_THRESHOLD`, is a
-module constant, the landmark collision band is ``COLLISION_TOL`` in
-:mod:`pwlrotor.backend`, and the conjugacy point is certified with the default
-search depth of :mod:`pwlrotor.conjugacy` unless ``r1`` is given ``q_cap``.
+The landmarks are the break orbits of the :class:`conjugacy.Conjugate`
+verdict at ``mu_c``, which already lie apart, and that verdict is certified
+with the default search depth of :mod:`pwlrotor.conjugacy` unless ``r1`` is
+given ``q_cap``.  The branch switch of the passage-time formula,
+:data:`B_THRESHOLD`, is a module constant.
 """
 from __future__ import annotations
 
@@ -33,10 +34,10 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from . import errors
-from .backend import COLLISION_TOL, FLOAT, LOCK_TOL, Num, Record, to_json
-from .conjugacy import Q_CAP, Conjugate, _circle_dist, _orbit_points, is_conjugate_to_rigid
-from .families import FamilySpec, TwoParamFamilySpec, _transversality, family_from_json
-from .lift import PwlLift, cell_ends, frac, invert, make_lift, piece, power
+from .backend import FLOAT, LOCK_TOL, Num, Record, to_json
+from .conjugacy import Q_CAP, Conjugate, is_conjugate_to_rigid
+from .families import FamilySpec, TwoParamFamilySpec, family_from_json
+from .lift import PwlLift, cell_ends, drift, frac, invert, make_lift, orbit_points, piece, power
 from .rotation import birkhoff_enclosure, mode_lock_interval
 
 log = logging.getLogger(__name__)
@@ -62,7 +63,7 @@ def _float_spec(family: FamilySpec) -> FamilySpec:
 def _partition_landmarks(f: PwlLift, part) -> list:
     """The break-orbit points of ``part``, or the orbit of 0 when ``K = 0``."""
     if part.K == 0:
-        return sorted(_orbit_points(f, f.backend.coerce(0), part.q))
+        return sorted(orbit_points(f, f.backend.coerce(0), part.q))
     return part.landmarks()
 
 
@@ -78,6 +79,28 @@ def _slope_derivatives(f: PwlLift, db, dphi):
             db, (*db[1:], db[0]), dphi, (*dphi[1:], dphi[0]),
         )
     )
+
+
+def _transversality(f: PwlLift, db, dphi, sigma: int) -> tuple:
+    """Local transversality of a family at the lift ``f`` it takes at
+    ``mu_c``, one value per marked point ``b_k``:
+
+        d(value_k)/dmu - max(0, s_{k-1} * d(b_k)/dmu, s_k * d(b_k)/dmu),
+
+    ``s_{k-1}`` and ``s_k`` the slopes on either side of ``b_k``, with the
+    family's derivative tables ``db``, ``dphi`` at ``mu_c`` taken in the
+    increasing orientation (times its direction sign ``sigma``).  That is
+    the slower of the rates at which ``F`` rises at a fixed point just
+    left and just right of ``b_k``, capped at ``d(value_k)/dmu``;
+    all-positive values make the family transverse at ``mu_c``.
+    Non-positive values are data, not errors: :func:`r1` reports the
+    minimum."""
+    zero = f.backend.coerce(0)
+    vals = []
+    for k in range(f.n):
+        bd = sigma * db[k]
+        vals.append(sigma * dphi[k] - max(zero, f.slopes[k - 1] * bd, f.slopes[k] * bd))
+    return tuple(vals)
 
 
 def _dF_dmu(f: PwlLift, ds, db, dphi, x, k):
@@ -101,20 +124,11 @@ def _segment_data(f: PwlLift, db, dphi, sigma: int, landmarks, q: int) -> dict:
     backend = f.backend
     ds = _slope_derivatives(f, db, dphi)
     two = backend.coerce(2)
-
-    mids = []
-    m = len(landmarks)
-    for i, (lo, hi) in enumerate(zip(landmarks, cell_ends(landmarks))):
-        gap = hi - lo
-        if backend.sign(gap, COLLISION_TOL) != 1:
-            raise errors.SegmentCollision(
-                "landmarks %d and %d are only %s apart" % (i, (i + 1) % m, gap)
-            )
-        mids.append(frac((lo + hi) / two))
+    mids = [frac((lo + hi) / two) for lo, hi in zip(landmarks, cell_ends(landmarks))]
 
     A_list, B_list = [], []
     for y in mids:
-        orbit = _orbit_points(f, y, q)
+        orbit = orbit_points(f, y, q)
         ks = [piece(f.breaks, x) for x in orbit]
         # suffix products of the traversed slopes
         W = [backend.coerce(1)] * q
@@ -280,17 +294,15 @@ class ResidualReport(Record):
 
 def scaling_residual(
     family: FamilySpec,
-    mu_c,
+    report: ScalingReport,
     window: float = WINDOW,
     samples: int = SAMPLES,
     m: int = M_FIT,
-    *,
-    report: ScalingReport,
 ) -> ResidualReport:
     """Empirical ``R2``: max of ``|rho - p/q - R1*delta| / delta^2``.
 
-    ``report`` is the :func:`r1` report at ``mu_c``, whose ``R1``, ``p/q``
-    and landmarks this reads.
+    ``report`` is the :func:`r1` report of ``family``, whose ``mu_c``,
+    ``R1``, ``p/q`` and landmarks this reads.
 
     The remainder divided by delta^2 is bounded but oscillates at every
     scale (it inherits the staircase's self-similar wobble), so a stable
@@ -313,7 +325,7 @@ def scaling_residual(
     p, q = report.p, report.q
     rho0 = p / q
     fam_f = _float_spec(family)
-    mu_f = float(family.backend.coerce(mu_c))
+    mu_f = float(report.mu_c)
 
     floor = math.sqrt(12.5 / m)
     if floor >= window / 2:
@@ -381,7 +393,7 @@ def _sup_outside_strips(f: PwlLift, g: PwlLift, centers, radius: float):
         pts.add((c - radius) % 1.0)
     best = None
     for x in pts:
-        if any(_circle_dist(x, c) < radius for c in centers):
+        if any(abs(drift(x, c)) < radius for c in centers):
             continue
         d = abs(float(f(x)) - float(g(x)))
         if best is None or d > best:

@@ -158,7 +158,7 @@ def test_criterion_06_quadratic_residual_stable_across_windows():
     ):
         rep = pr.r1(fam, 0.0, m_fit=10**5)
         r2s = [
-            pr.scaling_residual(fam, 0.0, window=w, samples=40, m=10**7, report=rep).r2
+            pr.scaling_residual(fam, rep, window=w, samples=40, m=10**7).r2
             for w in (1e-2, 5e-3, 2.5e-3)
         ]
         ratios[name] = max(r2s) / min(r2s)

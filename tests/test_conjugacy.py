@@ -296,6 +296,13 @@ class TestVerdicts:
         assert P.is_rigid
         assert f.backend.eq_point(P.rigid_shift, v.p)
 
+    @pytest.mark.parametrize("f", [pr.rigid(Fr(0)), pr.coelho(Fr(1, 3), Fr(1, 3)).lift(0)],
+                             ids=["rigid(0)", "coelho"])
+    def test_cap_below_one_is_refused(self, f):
+        # not Conjugate at q = 1 nor Undecided "within q <= 0"
+        with pytest.raises(ValueError, match="cap must be >= 1, got 0"):
+            pr.is_conjugate_to_rigid(f, q_cap=0)
+
     @pytest.mark.parametrize("idx", range(len(NOT_CONJUGATE)))
     def test_not_conjugate_iff_power_is_not_rigid(self, idx):
         f = self.NOT_CONJUGATE[idx]

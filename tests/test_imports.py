@@ -51,6 +51,29 @@ def test_no_unused_imports(path):
     assert not unused, "%s imports names it never uses: %s" % (path.name, ", ".join(unused))
 
 
+#: The only private names one module imports from another, by importing module.
+PRIVATE_IMPORTS = {
+    "rotation.py": {"_lift"},  # the algebra's trusted-slope constructor, from lift
+    "conjugacy.py": {"_pair_search"},  # the search that also reads its hit's arc, from rotation
+    "cli.py": {"_decode_param"},  # a family parameter as a job file spells it, from families
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_names_imported(path):
+    """A module reads another's public names; what it needs privately lives with it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = sorted(
+        "%s (line %d)" % (alias.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "pwlrotor")
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name not in PRIVATE_IMPORTS.get(path.name, ())
+    )
+    assert not private, "%s imports private names: %s" % (path.name, ", ".join(private))
+
+
 #: The backend classes; only these modules may name them.
 BACKEND_CLASSES = {"RationalBackend", "FloatBackend"}
 KNOWS_BACKENDS = {"backend.py", "__init__.py"}

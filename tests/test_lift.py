@@ -186,6 +186,23 @@ class TestEvaluation:
         assert pr.frac(coelho_q2(x)) == Fr(17, 60)
 
 
+class TestCirclePoints:
+    @settings(max_examples=200, deadline=None)
+    @given(circle_points, points)
+    def test_drift_is_the_short_step_onto_b(self, a, b):
+        d = lift.drift(a, b)
+        assert 2 * abs(d) <= 1
+        assert pr.frac(a + d) == pr.frac(b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_lifts(), circle_points, st.integers(1, 8))
+    def test_orbit_points_are_the_powers_mod_one(self, f, x, q):
+        pts = lift.orbit_points(f, x, q)
+        assert len(pts) == q and pts[0] == x
+        for k in range(1, q):
+            assert pts[k] == pr.frac(pr.power(f, k)(x))
+
+
 class TestAlgebraProperties:
     @settings(max_examples=120, deadline=None)
     @given(rational_lifts(), points)

@@ -177,6 +177,12 @@ class TestExactRotation:
         assert (r.p, r.q) == (2, 5)
         assert Fr(r.p, r.q) == Fr(2, 5)
 
+    @pytest.mark.parametrize("q_max", [0, -2])
+    def test_cap_below_one_is_refused(self, q_max):
+        # even a rigid rotation by an integer, which the cap never reaches
+        with pytest.raises(ValueError, match="cap must be >= 1, got %d" % q_max):
+            pr.exact_rotation(pr.rigid(Fr(0)), q_max=q_max)
+
     def test_witness_reverifies(self):
         f = pr.coelho(Fr(1, 7), Fr(3, 7)).lift(0)
         r = pr.exact_rotation(f)

@@ -23,6 +23,7 @@ FIXED_IN = {
     "invariant_density": {"q_cap"},
     "verify_invariance": {"q"},
     "custom_family": {"interpolation"},
+    "scaling_residual": {"mu_c"},  # read from the r1 report
 }
 
 #: Parameters that a job key, an internal caller or the benchmark sets.

@@ -16,6 +16,23 @@ def rigid_offset_family():
     return pr.custom_family([Fr(-1), Fr(1)], [[Fr(0)], [Fr(0)]], [[Fr(-1, 2)], [Fr(3, 2)]])
 
 
+def record_float_lifts(monkeypatch) -> list:
+    """The mus at which scaling's float clone of a family is lifted from now on."""
+    mus = []
+    real = scaling._float_spec
+
+    class Recording:
+        def __init__(self, fam):
+            self.fam = fam
+
+        def lift(self, mu):
+            mus.append(mu)
+            return self.fam.lift(mu)
+
+    monkeypatch.setattr(scaling, "_float_spec", lambda fam: Recording(real(fam)))
+    return mus
+
+
 class TestKappa:
     def test_linear_branch_closed_form(self):
         # B = 0: kappa is just gap/A
@@ -77,13 +94,6 @@ class TestLandmarks:
         assert gamma < 50
         for mu in (5e-4, 2.5e-4, -1e-3):
             assert worst(mu) <= 1.5 * gamma * abs(mu) + 1e-12
-
-
-    def test_landmarks_closer_than_the_band_collide(self, herman_sqrt2, monkeypatch):
-        # the two landmarks are 0.41 and 0.59 of a turn apart
-        monkeypatch.setattr(scaling, "COLLISION_TOL", 0.5)
-        with pytest.raises(errors.SegmentCollision, match="landmarks 0 and 1"):
-            pr.r1(herman_sqrt2, 0.0, m_fit=10**3)
 
 
 class TestLaminarCoefficients:
@@ -201,12 +211,11 @@ class TestR1:
 class TestScalingResidual:
     def test_needs_the_r1_report(self, herman_sqrt2):
         with pytest.raises(TypeError, match="report"):
-            pr.scaling_residual(herman_sqrt2, 0.0, window=1e-2, samples=4, m=10**3)
+            pr.scaling_residual(herman_sqrt2, window=1e-2, samples=4, m=10**3)
 
     def test_report_shape(self, herman_sqrt2):
         rep = pr.r1(herman_sqrt2, 0.0, m_fit=10**5)
-        res = pr.scaling_residual(herman_sqrt2, 0.0, window=1e-2, samples=8,
-                                  m=10**5, report=rep)
+        res = pr.scaling_residual(herman_sqrt2, rep, window=1e-2, samples=8, m=10**5)
         assert res.window == 1e-2
         assert res.n_samples >= 8
         assert 0 < res.r2 < 10
@@ -214,22 +223,19 @@ class TestScalingResidual:
 
     def test_symmetry_constant_herman_is_tiny(self, herman_sqrt2):
         rep = pr.r1(herman_sqrt2, 0.0, m_fit=10**5)
-        res = pr.scaling_residual(herman_sqrt2, 0.0, window=1e-2, samples=6,
-                                  m=10**5, report=rep)
+        res = pr.scaling_residual(herman_sqrt2, rep, window=1e-2, samples=6, m=10**5)
         # off the break strips this family's return maps match to machine noise
         assert res.symmetry_c < 1e-6
 
     def test_symmetry_constant_refraction_frozen(self, refr_critical):
         rep = pr.r1(refr_critical, 0.0, m_fit=10**5)
-        res = pr.scaling_residual(refr_critical, 0.0, window=1e-2, samples=6,
-                                  m=10**5, report=rep)
+        res = pr.scaling_residual(refr_critical, rep, window=1e-2, samples=6, m=10**5)
         assert abs(res.symmetry_c - 7.2587) < 0.5
 
     def test_symmetry_constant_none_when_every_probe_is_skipped(self, refr_critical):
         # at window 0.08 the landmark strips cover the circle at both probes
         rep = pr.r1(refr_critical, 0.0, m_fit=10**5)
-        res = pr.scaling_residual(refr_critical, 0.0, window=0.08, samples=4,
-                                  m=10**5, report=rep)
+        res = pr.scaling_residual(refr_critical, rep, window=0.08, samples=4, m=10**5)
         assert res.symmetry_c is None
         assert res.to_json()["symmetry_c"] is None
         assert res.r2 > 0
@@ -237,8 +243,7 @@ class TestScalingResidual:
     def test_symmetry_constant_stable_under_halving(self, refr_critical):
         rep = pr.r1(refr_critical, 0.0, m_fit=10**5)
         cs = [
-            pr.scaling_residual(refr_critical, 0.0, window=w, samples=6,
-                                m=10**5, report=rep).symmetry_c
+            pr.scaling_residual(refr_critical, rep, window=w, samples=6, m=10**5).symmetry_c
             for w in (1e-2, 5e-3)
         ]
         assert max(cs) / min(cs) < 1.5
@@ -275,22 +280,9 @@ class TestNumpyFreeArithmetic:
         (10**7, 0.08, 8), (10**7, 0.04, 8), (10**5, 0.08, 6), (10**5, 1e-2, 8),
     ])
     def test_residual_offsets_match_geomspace(self, herman_sqrt2, monkeypatch, m, window, samples):
-        mus = []
-
-        class Recording:
-            """The float family, recording every mu it is lifted at."""
-
-            def __init__(self, fam):
-                self.fam = fam
-
-            def lift(self, mu):
-                mus.append(mu)
-                return self.fam.lift(mu)
-
         rep = pr.r1(herman_sqrt2, 0.0, m_fit=10**4)
-        real = scaling._float_spec
-        monkeypatch.setattr(scaling, "_float_spec", lambda fam: Recording(real(fam)))
-        pr.scaling_residual(herman_sqrt2, 0.0, window=window, samples=samples, m=m, report=rep)
+        mus = record_float_lifts(monkeypatch)
+        pr.scaling_residual(herman_sqrt2, rep, window=window, samples=samples, m=m)
         k = max(2, samples // 2)
         offsets = mus[0:2 * k:2]  # mu_c = 0: the residual lifts at +off, then -off
         assert mus[1:2 * k:2] == [-off for off in offsets]
@@ -298,6 +290,23 @@ class TestNumpyFreeArithmetic:
         want = [float(x) for x in np.geomspace(floor, window, k)]
         assert offsets[0] == want[0] == floor and offsets[-1] == want[-1] == window
         assert all(abs(a - b) <= math.ulp(b) for a, b in zip(offsets, want)), (offsets, want)
+
+    def test_residual_lifts_around_the_reports_mu_c(self, monkeypatch):
+        # x + 1/4 + mu is the rigid rotation by 1/2 at mu_c = 1/4
+        fam = pr.custom_family([Fr(-1), Fr(1)], [[Fr(0)], [Fr(0)]], [[Fr(-3, 4)], [Fr(5, 4)]])
+        rep = pr.r1(fam, Fr(1, 4), m_fit=10**4)
+        assert (rep.mu_c, rep.p, rep.q, rep.R1) == (Fr(1, 4), 1, 2, 1)
+        mus = record_float_lifts(monkeypatch)
+        window, samples, m = 0.08, 6, 10**5
+        pr.scaling_residual(fam, rep, window=window, samples=samples, m=m)
+        k = samples // 2
+        want = np.geomspace(math.sqrt(12.5 / m), window, k)
+        assert len(mus) == 2 * k + 5
+        assert all(abs(mu - 0.25 - off) <= 1e-15 for mu, off in zip(mus[0:2 * k:2], want))
+        assert all(abs(mu - 0.25 + off) <= 1e-15 for mu, off in zip(mus[1:2 * k:2], want))
+        # then the symmetry probes: F at mu_c, and mu_c +- window/4, +- window/8
+        assert mus[2 * k:] == [0.25, 0.25 + window / 4, 0.25 - window / 4,
+                               0.25 + window / 8, 0.25 - window / 8]
 
 
 class TestPinchBoundaries:
